@@ -7,6 +7,14 @@ phase points with every component uniform in [-5, 5], drawn from the
 pinned :class:`gyrostat.rng.SplitMix64` stream (components in coordinate
 order within each sample), and reports the worst componentwise relative
 discrepancy, with denominators floored at 1.
+
+Samples are drawn and checked in blocks of at most ``BLOCK_SAMPLES`` = 1024,
+as ``(dim, n)`` arrays with one phase point per column.  The stream is the
+same as one draw per component in order, and the report is the one a
+sample-by-sample scan gives, ties going to the earliest sample.  A block
+array is at most 8 x 1024 doubles (64 KiB), and only one block is alive at
+a time: an se3 audit peaks near 0.3 MiB of array memory, the same at 1000
+and at 20000 samples.
 """
 
 from __future__ import annotations
@@ -15,14 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import reduced_rhs_se3, reduced_rhs_so3
-from .model import (
-    GravityParams,
-    InertiaParams,
-    ModelKind,
-    se3_state_from_vector,
-    so3_state_from_vector,
-)
+from .dynamics import se3_field_kernel, so3_field_kernel
+from .model import GravityParams, InertiaParams, ModelKind
 from .poisson import (
     BracketKind,
     hamiltonian_field_se3,
@@ -36,6 +38,7 @@ __all__ = ["AUDIT_TOL", "SAMPLE_LOW", "SAMPLE_HIGH", "bracket_oracle_audit"]
 AUDIT_TOL = 1e-6
 SAMPLE_LOW = -5.0
 SAMPLE_HIGH = 5.0
+BLOCK_SAMPLES = 1024
 
 
 def bracket_oracle_audit(
@@ -58,38 +61,45 @@ def bracket_oracle_audit(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = SplitMix64(seed)
+    i1, i2, i3 = (float(v) for v in params.i_bar)
     if kind == ModelKind.SO3:
         dim = 5
         h = hamiltonian_field_so3(params)
         bracket_kind = BracketKind.PRODUCT_SO3
+
+        def direct_field(x):
+            return so3_field_kernel(x, i1, i2, i3, params.j3)
+
     elif kind == ModelKind.SE3:
         if grav is None:
             raise ValueError("gravity parameters required for the se3 model")
         dim = 8
         h = hamiltonian_field_se3(params, grav)
         bracket_kind = BracketKind.PRODUCT_SE3
+        c1, c2, c3 = (float(v) for v in grav.chi)
+
+        def direct_field(x):
+            return se3_field_kernel(x, i1, i2, i3, params.j3, grav.mgh, c1, c2, c3)
+
     else:
         raise ValueError(f"unknown model kind {kind!r}")
 
     worst = -1.0
     worst_sample = None
     worst_index = -1
-    for index in range(samples):
-        x = np.array(
-            [rng.uniform(SAMPLE_LOW, SAMPLE_HIGH) for _ in range(dim)]
-        )
-        if kind == ModelKind.SO3:
-            direct = reduced_rhs_so3(so3_state_from_vector(x), params)
-        else:
-            direct = reduced_rhs_se3(se3_state_from_vector(x), params, grav)
-        via = hamiltonian_vector_field_via_bracket(bracket_kind, h, x)
-        rel = float(
-            np.max(np.abs(direct - via) / np.maximum(1.0, np.abs(direct)))
-        )
-        if rel > worst:
-            worst = rel
-            worst_sample = x
-            worst_index = index
+    for start in range(0, samples, BLOCK_SAMPLES):
+        n = min(BLOCK_SAMPLES, samples - start)
+        # Draws run sample by sample, components in order: row k of the
+        # (n, dim) reshape is sample k, so its transpose has one per column.
+        x = rng.uniforms(n * dim, SAMPLE_LOW, SAMPLE_HIGH).reshape(n, dim).T
+        rel = _worst_relative_discrepancy(direct_field, bracket_kind, h, x)
+        # argmax takes the first of equal maxima and the strict > keeps the
+        # earlier block: the first occurrence overall, as a scan would.
+        j = int(np.argmax(rel))
+        if rel[j] > worst:
+            worst = float(rel[j])
+            worst_sample = x[:, j].tolist()
+            worst_index = start + j
     return {
         "model": kind.value,
         "samples": samples,
@@ -97,6 +107,20 @@ def bracket_oracle_audit(
         "tolerance": tolerance,
         "max_rel_discrepancy": worst,
         "worst_sample_index": worst_index,
-        "worst_sample": [float(v) for v in worst_sample],
+        "worst_sample": worst_sample,
         "passed": bool(worst < tolerance),
     }
+
+
+def _worst_relative_discrepancy(direct_field, bracket_kind, h, x) -> np.ndarray:
+    """Per column of the block `x`: max_i |direct_i - via_i| / max(1, |direct_i|)."""
+    via = hamiltonian_vector_field_via_bracket(bracket_kind, h, x)
+    direct = np.zeros_like(via)  # the last row, dl/dt, stays 0
+    direct[:-1] = direct_field(x)
+    # In place, so that a block holds few arrays at once.
+    err = np.subtract(direct, via, out=via)
+    np.abs(err, out=err)
+    den = np.abs(direct, out=direct)
+    np.maximum(den, 1.0, out=den)
+    err /= den
+    return err.max(axis=0)

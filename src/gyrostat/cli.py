@@ -12,6 +12,7 @@ environments see exactly what everyone else sees.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -22,7 +23,6 @@ from .audit import bracket_oracle_audit
 from .dynamics import IntegrationError, diagnostics, integrate
 from .hj import (
     EquilibriumError,
-    constant_field,
     find_equilibrium,
     hj_residual_se3,
     hj_residual_so3,
@@ -252,8 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.out, args.summary)

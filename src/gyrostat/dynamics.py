@@ -56,6 +56,8 @@ __all__ = [
     "IntegrationError",
     "reduced_rhs_so3",
     "reduced_rhs_se3",
+    "so3_field_kernel",
+    "se3_field_kernel",
     "step_rk4",
     "step_midpoint",
     "integrate",
@@ -260,23 +262,56 @@ class Trajectory:
     steps: int
 
 
+def so3_field_kernel(y, i1, i2, i3, j3):
+    """Uncontrolled ``(dPi1, dPi2, dPi3, dalpha)`` of the symmetric model.
+
+    ``dl`` is identically zero and left out.  `y` unpacks into
+    ``(Pi1, Pi2, Pi3, alpha, l)``: either a flat sequence of floats, giving
+    floats, or a ``(5, n)`` block with one point per column, giving rows
+    of n values.  The expressions are those of :func:`reduced_rhs_so3`, so
+    both forms agree with it bit for bit.
+    """
+    p1, p2, p3, _alpha, l = y
+    w1 = p1 / i1
+    w2 = p2 / i2
+    w3 = (p3 - l) / i3
+    return (
+        p2 * w3 - p3 * w2,
+        p3 * w1 - p1 * w3,
+        p1 * w2 - p2 * w1,
+        l / j3 - w3,
+    )
+
+
+def se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3):
+    """Uncontrolled ``(dPi, dGamma, dalpha)`` of the restoring-torque model.
+
+    As :func:`so3_field_kernel`, for ``(Pi, Gamma, alpha, l)`` with an
+    8-row block, and the expressions of :func:`reduced_rhs_se3`.
+    """
+    p1, p2, p3, g1, g2, g3, _alpha, l = y
+    w1 = p1 / i1
+    w2 = p2 / i2
+    w3 = (p3 - l) / i3
+    return (
+        (p2 * w3 - p3 * w2) + mgh * (g2 * c3 - g3 * c2),
+        (p3 * w1 - p1 * w3) + mgh * (g3 * c1 - g1 * c3),
+        (p1 * w2 - p2 * w1) + mgh * (g1 * c2 - g2 * c1),
+        g2 * w3 - g3 * w2,
+        g3 * w1 - g1 * w3,
+        g1 * w2 - g2 * w1,
+        l / j3 - w3,
+    )
+
+
 def _so3_rhs_vec(params, control):
     i1, i2, i3 = (float(v) for v in params.i_bar)
     j3 = params.j3
-    fast = isinstance(control, ZeroControl) or (
-        isinstance(control, ConstantControl) and control.lift is None
-    )
+    fast = isinstance(control, ZeroControl)
     const_lift = control.lift if isinstance(control, ConstantControl) else None
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        p1, p2, p3, _alpha, l = y.tolist()
-        w1 = p1 / i1
-        w2 = p2 / i2
-        w3 = (p3 - l) / i3
-        d0 = p2 * w3 - p3 * w2
-        d1 = p3 * w1 - p1 * w3
-        d2 = p1 * w2 - p2 * w1
-        d3 = l / j3 - w3
+        d0, d1, d2, d3 = so3_field_kernel(y.tolist(), i1, i2, i3, j3)
         d4 = 0.0
         if not fast:
             lift = const_lift if const_lift is not None else control.lift_at(
@@ -302,17 +337,9 @@ def _se3_rhs_vec(params, grav, control):
     const_lift = control.lift if isinstance(control, ConstantControl) else None
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        p1, p2, p3, g1, g2, g3, _alpha, l = y.tolist()
-        w1 = p1 / i1
-        w2 = p2 / i2
-        w3 = (p3 - l) / i3
-        d0 = (p2 * w3 - p3 * w2) + mgh * (g2 * c3 - g3 * c2)
-        d1 = (p3 * w1 - p1 * w3) + mgh * (g3 * c1 - g1 * c3)
-        d2 = (p1 * w2 - p2 * w1) + mgh * (g1 * c2 - g2 * c1)
-        d3 = g2 * w3 - g3 * w2
-        d4 = g3 * w1 - g1 * w3
-        d5 = g1 * w2 - g2 * w1
-        d6 = l / j3 - w3
+        d0, d1, d2, d3, d4, d5, d6 = se3_field_kernel(
+            y.tolist(), i1, i2, i3, j3, mgh, c1, c2, c3
+        )
         d7 = 0.0
         if not fast:
             lift = const_lift if const_lift is not None else control.lift_at(
@@ -343,15 +370,34 @@ def controlled_rhs(
     Produces the same floating-point values as the state-based
     :func:`reduced_rhs_so3` / :func:`reduced_rhs_se3`, expression for
     expression, so cross-checks against those functions are exact.
+    ``ConstantControl(None)`` is no control, as is ``ZeroControl``.
+
+    Raises
+    ------
+    ValueError
+        On a missing gravity block for se3, or a ``ConstantControl`` whose
+        lift belongs to the other model.
     """
-    control = control if control is not None else ZeroControl()
     if kind == ModelKind.SO3:
-        return _so3_rhs_vec(params, control)
-    if kind == ModelKind.SE3:
+        lift_type = ControlLiftSo3
+    elif kind == ModelKind.SE3:
         if grav is None:
             raise ValueError("gravity parameters required for the se3 model")
-        return _se3_rhs_vec(params, grav, control)
-    raise ValueError(f"unknown model kind {kind!r}")
+        lift_type = ControlLiftSe3
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    control = control if control is not None else ZeroControl()
+    if isinstance(control, ConstantControl):
+        if control.lift is None:
+            control = ZeroControl()
+        elif not isinstance(control.lift, lift_type):
+            raise ValueError(
+                f"{kind.value} model needs a {lift_type.__name__} lift, "
+                f"got {type(control.lift).__name__}"
+            )
+    if kind == ModelKind.SO3:
+        return _so3_rhs_vec(params, control)
+    return _se3_rhs_vec(params, grav, control)
 
 
 def integrate(

@@ -72,7 +72,10 @@ class ScalarField:
     dim : int
         Phase-space dimension, 5 or 8.
     value : callable
-        Maps a phase vector of length `dim` to a float.
+        Maps a phase vector of length `dim` to a float.  The energy fields
+        also map a ``(dim, n)`` block, one point per column, to n values;
+        block callers rely on that and on the result not being a view of
+        the argument.
     grad : callable, optional
         Analytic gradient, same input, returns a vector of length `dim`.
         When absent, bracket evaluations fall back to finite differences.
@@ -112,6 +115,12 @@ def fd_gradient(f: ScalarField, x, scale: float = FD_SCALE) -> np.ndarray:
     this package the truncation term vanishes too, so agreement with the
     analytic gradient is limited only by cancellation in the quotient.
 
+    `x` is one point of shape ``(dim,)`` or a block of shape ``(dim, n)``,
+    one column per point, and the gradient has the shape of `x`.  A block
+    needs a field whose ``value`` maps each row to a row of n values (the
+    energy fields do) and gives, column for column, exactly the gradients
+    of n single-point calls.
+
     Raises
     ------
     ValueError
@@ -120,14 +129,15 @@ def fd_gradient(f: ScalarField, x, scale: float = FD_SCALE) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     steps = fd_steps(x, scale)
     grad = np.empty_like(x)
+    # One probe copy, one coordinate row moved at a time and put back.
+    probe = x.copy()
     for i, h in enumerate(steps):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        fp = f.value(xp)
-        fm = f.value(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        probe[i] = x[i] + h
+        fp = f.value(probe)
+        probe[i] = x[i] - h
+        fm = f.value(probe)
+        probe[i] = x[i]
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise ValueError(
                 f"non-finite field value near x while probing component {i}"
             )
@@ -142,7 +152,11 @@ def _gradient_of(f: ScalarField, x: np.ndarray) -> np.ndarray:
 
 
 def _combine(kind: BracketKind, gf: np.ndarray, gk: np.ndarray, x: np.ndarray) -> float:
-    """Evaluate the bracket's bilinear form on two gradients at x."""
+    """Evaluate the bracket's bilinear form on two gradients at x.
+
+    Every operand may also be a ``(dim, n)`` block (or a ``(dim,)`` vector
+    shared by all columns); the form is then a row of n values.
+    """
     dim = len(x)
 
     def rigid() -> float:
@@ -192,7 +206,7 @@ def _check_dims(kind: BracketKind, dim: int, x: np.ndarray) -> None:
         )
     if dim not in (_DIM_SO3, _DIM_SE3):
         raise ValueError(f"field dimension must be 5 or 8, got {dim}")
-    if x.shape != (dim,):
+    if x.ndim not in (1, 2) or x.shape[0] != dim:
         raise ValueError(f"point has shape {x.shape}, fields have dimension {dim}")
 
 
@@ -211,6 +225,8 @@ def bracket(kind: BracketKind, f: ScalarField, k: ScalarField, x) -> float:
         raise ValueError(f"field dimensions differ: {f.dim} vs {k.dim}")
     x = np.asarray(x, dtype=float)
     _check_dims(kind, f.dim, x)
+    if x.ndim != 1:
+        raise ValueError(f"bracket takes one point of shape ({f.dim},), got {x.shape}")
     gf = _gradient_of(f, x)
     gk = _gradient_of(k, x)
     return float(_combine(kind, gf, gk, x))
@@ -223,12 +239,16 @@ def hamiltonian_vector_field_via_bracket(
 
     Component i is the bracket of the i-th coordinate function with h.
     The gradient of h is evaluated once and reused, so the cost is one
-    gradient plus n bilinear-form evaluations.
+    gradient plus `dim` bilinear-form evaluations.
+
+    `x` is one point of shape ``(dim,)`` or a block of shape ``(dim, n)``,
+    one column per point (see :func:`fd_gradient`); the field has the
+    shape of `x`, column j exactly the field at point j.
     """
     x = np.asarray(x, dtype=float)
     _check_dims(kind, h.dim, x)
     gh = _gradient_of(h, x)
-    out = np.empty(h.dim)
+    out = np.empty_like(x)
     basis = np.zeros(h.dim)
     for i in range(h.dim):
         basis[:] = 0.0

@@ -5,9 +5,15 @@ and the output mixes the state with two xor-shift-multiply rounds.  It is
 pinned here (rather than delegating to a library generator) so that audit
 sample streams can be reproduced bit-for-bit from the seed alone, in any
 language.  Doubles take the top 53 bits of the output.
+
+The generator is counter-based: the k-th output depends only on
+``seed + k * golden`` (mod 2**64), so a block of outputs is computed at once
+with numpy uint64 arithmetic, bit for bit equal to the scalar stream.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["SplitMix64"]
 
@@ -39,3 +45,30 @@ class SplitMix64:
     def uniform(self, low: float, high: float) -> float:
         """Uniform double in [low, high)."""
         return low + (high - low) * self.next_double()
+
+    def uniforms(self, n: int, low: float, high: float) -> np.ndarray:
+        """The next `n` values of :meth:`uniform` as a float64 array.
+
+        Bit for bit equal to `n` successive ``uniform(low, high)`` calls,
+        and leaves the generator in the same state as they would.
+        """
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        # uint64 array arithmetic wraps mod 2**64, as the scalar path masks.
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & _MASK
+        t = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= np.uint64(mix)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 2.0**-53
+        u *= high - low
+        u += low
+        return u

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gyrostat.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
+from gyrostat.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
 
 SO3_SCENARIO = {
     "model": "so3",
@@ -222,3 +222,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["hj-check"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_repeated_calls_match_a_fresh_parser(self, capsys):
+        # main keeps one parser for the process; every call must still
+        # behave as a freshly built parser does.
+        argv = ["bracket-audit", "--samples", "x"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == EXIT_USAGE
+        fresh = capsys.readouterr().err
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_USAGE
+            assert capsys.readouterr().err == fresh
+        assert "invalid int value" in fresh

@@ -132,6 +132,34 @@ class TestControlledRhs:
         with pytest.raises(ValueError):
             controlled_rhs(ModelKind.SE3, std_params, None, ZeroControl())
 
+    @pytest.mark.parametrize(
+        "kind, lift",
+        [
+            (ModelKind.SO3, ControlLiftSe3(u_gamma=(0.1, 0.0, 0.0))),
+            (ModelKind.SE3, ControlLiftSo3(u_alpha=0.2)),
+        ],
+    )
+    def test_lift_of_the_other_model_is_rejected_before_the_run(
+        self, std_params, std_grav, std_so3_state, std_se3_state, kind, lift
+    ):
+        control = ConstantControl(lift)
+        with pytest.raises(ValueError, match="lift"):
+            controlled_rhs(kind, std_params, std_grav, control)
+        initial = std_so3_state if kind == ModelKind.SO3 else std_se3_state
+        with pytest.raises(ValueError, match="lift"):
+            integrate(kind, std_params, initial, grav=std_grav, control=control)
+
+    @pytest.mark.parametrize("kind, dim", [(ModelKind.SO3, 5), (ModelKind.SE3, 8)])
+    def test_empty_constant_lift_is_no_control(self, std_params, std_grav, kind, dim):
+        class NoLiftAt(ConstantControl):
+            def lift_at(self, state):
+                raise AssertionError("lift looked up on the no-control path")
+
+        rhs = controlled_rhs(kind, std_params, std_grav, NoLiftAt(lift=None))
+        free = controlled_rhs(kind, std_params, std_grav, ZeroControl())
+        x = random_point(SplitMix64(7), dim)
+        assert np.array_equal(rhs(x), free(x))
+
 
 class TestSteppers:
     def test_rk4_one_step_vs_rotation(self, axisym_params):

@@ -241,3 +241,63 @@ class TestHamiltonianField:
         )
         direct = reduced_rhs_se3(std_se3_state, std_params, std_grav)
         assert np.allclose(recon, direct, rtol=1e-7, atol=1e-7)
+
+
+class TestBlocks:
+    """A (dim, n) block, one point per column, gives each column exactly
+    what the single-point call gives."""
+
+    @staticmethod
+    def _cases(params, grav):
+        return [
+            (PROD5, hamiltonian_field_so3(params)),
+            (PROD8, hamiltonian_field_se3(params, grav)),
+        ]
+
+    @staticmethod
+    def _block(seed, dim, n):
+        # Laid out as the audit draws it: sample-major, then transposed.
+        return SplitMix64(seed).uniforms(n * dim, -5.0, 5.0).reshape(n, dim).T
+
+    def test_fd_gradient_is_columnwise_exact(self, std_params, std_grav):
+        for _, h in self._cases(std_params, std_grav):
+            x = self._block(11, h.dim, 37)
+            g = fd_gradient(h, x)
+            assert g.shape == x.shape
+            for j in range(x.shape[1]):
+                assert np.array_equal(g[:, j], fd_gradient(h, x[:, j]))
+
+    def test_vector_field_is_columnwise_exact(self, std_params, std_grav):
+        for kind, h in self._cases(std_params, std_grav):
+            x = self._block(12, h.dim, 37)
+            v = hamiltonian_vector_field_via_bracket(kind, h, x)
+            assert v.shape == x.shape
+            for j in range(x.shape[1]):
+                assert np.array_equal(
+                    v[:, j], hamiltonian_vector_field_via_bracket(kind, h, x[:, j])
+                )
+
+    def test_fd_gradient_leaves_the_block_alone(self, std_params):
+        h = hamiltonian_field_so3(std_params)
+        x = self._block(13, 5, 9)
+        before = x.copy()
+        fd_gradient(h, x)
+        assert np.array_equal(x, before)
+
+    def test_fd_gradient_rejects_non_finite_in_one_column(self):
+        f = ScalarField(dim=5, value=lambda v: np.where(v[2] > 4.0, np.inf, v[2] ** 2))
+        x = np.zeros((5, 4))
+        x[2, 3] = 4.5
+        with pytest.raises(ValueError, match="non-finite"):
+            fd_gradient(f, x)
+        assert np.array_equal(fd_gradient(f, x[:, :3]), np.zeros((5, 3)))
+
+    def test_block_shapes_checked(self, std_params):
+        h = hamiltonian_field_so3(std_params)
+        with pytest.raises(ValueError):
+            hamiltonian_vector_field_via_bracket(PROD5, h, np.zeros((8, 3)))
+        with pytest.raises(ValueError):
+            hamiltonian_vector_field_via_bracket(PROD5, h, np.zeros((5, 3, 2)))
+        f = coordinate_field(5, 0)
+        with pytest.raises(ValueError):
+            bracket(RIGID, f, f, np.zeros((5, 3)))
