@@ -26,6 +26,7 @@ for bookkeeping, in which case they must be consistent with it.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,6 +47,7 @@ __all__ = [
     "momenta_from_velocities",
     "hamiltonian_so3",
     "hamiltonian_se3",
+    "kinetic_energy",
     "grad_h",
     "HamiltonianGradient",
     "casimirs",
@@ -253,14 +255,15 @@ def momenta_from_velocities(
     return pi, l
 
 
-def _kinetic_energy(pi: np.ndarray, l: float, params: InertiaParams) -> float:
-    i1, i2, i3 = params.i_bar
-    return 0.5 * (
-        pi[0] ** 2 / i1
-        + pi[1] ** 2 / i2
-        + (pi[2] - l) ** 2 / i3
-        + l**2 / params.j3
-    )
+def kinetic_energy(p1, p2, p3, l, i1, i2, i3, j3):
+    """``(Pi1^2/i1 + Pi2^2/i2 + (Pi3 - l)^2/i3 + l^2/j3) / 2`` on scalars.
+
+    An overflowing square gives ``inf``, on Python floats as on numpy ones.
+    """
+    try:
+        return 0.5 * (p1**2 / i1 + p2**2 / i2 + (p3 - l) ** 2 / i3 + l**2 / j3)
+    except OverflowError:
+        return math.inf
 
 
 def hamiltonian_so3(state: So3RotorState, params: InertiaParams) -> float:
@@ -269,7 +272,7 @@ def hamiltonian_so3(state: So3RotorState, params: InertiaParams) -> float:
     ``H = (Pi1^2/i1 + Pi2^2/i2 + (Pi3 - l)^2/i3 + l^2/j3) / 2``; the
     rotor angle is cyclic and does not enter.
     """
-    return _kinetic_energy(state.pi, state.l, params)
+    return kinetic_energy(*state.pi, state.l, *params.i_bar, params.j3)
 
 
 def hamiltonian_se3(
@@ -280,7 +283,7 @@ def hamiltonian_se3(
     The kinetic part coincides with :func:`hamiltonian_so3` on ``(Pi, l)``;
     the potential adds ``mgh * Gamma . chi``.
     """
-    return _kinetic_energy(state.pi, state.l, params) + grav.mgh * float(
+    return kinetic_energy(*state.pi, state.l, *params.i_bar, params.j3) + grav.mgh * float(
         np.dot(state.gamma, grav.chi)
     )
 

@@ -516,14 +516,9 @@ def format_float(x: float) -> str:
 def trajectory_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV text with the fixed column schema."""
     header = SO3_CSV_HEADER if traj.kind == ModelKind.SO3 else SE3_CSV_HEADER
-    lines = [header]
-    for i in range(len(traj.times)):
-        cells = [format_float(traj.times[i])]
-        cells.extend(format_float(v) for v in traj.states[i])
-        cells.append(format_float(traj.energy[i]))
-        cells.extend(format_float(v) for v in traj.casimirs[i])
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((traj.times, traj.states, traj.energy, traj.casimirs))
+    row = ",".join(["{:.17g}"] * rows.shape[1])
+    return "\n".join([header, *(row.format(*r) for r in rows.tolist())]) + "\n"
 
 
 def json_text(obj) -> str:

@@ -149,6 +149,29 @@ class TestControlledRhs:
         with pytest.raises(ValueError, match="lift"):
             integrate(kind, std_params, initial, grav=std_grav, control=control)
 
+    @pytest.mark.parametrize(
+        "kind, law",
+        [
+            (ModelKind.SO3, lambda state: ControlLiftSe3(u_gamma=(0.1, 0.0, 0.0))),
+            (ModelKind.SE3, lambda state: ControlLiftSo3(u_alpha=0.2)),
+        ],
+    )
+    def test_feedback_lift_of_the_other_model_is_rejected(
+        self, std_params, std_grav, std_so3_state, std_se3_state, kind, law
+    ):
+        # A feedback lift is known only at the call: the run stops at the
+        # first one, naming both lift types.
+        control = FeedbackControl(law)
+        initial = std_so3_state if kind == ModelKind.SO3 else std_se3_state
+        both = "ControlLiftSo3.*ControlLiftSe3|ControlLiftSe3.*ControlLiftSo3"
+        with pytest.raises(ValueError, match=both):
+            integrate(
+                kind, std_params, initial, grav=std_grav, control=control, t_end=0.01
+            )
+        rhs = controlled_rhs(kind, std_params, std_grav, control)
+        with pytest.raises(ValueError, match="lift"):
+            rhs(random_point(SplitMix64(5), 5 if kind == ModelKind.SO3 else 8))
+
     @pytest.mark.parametrize("kind, dim", [(ModelKind.SO3, 5), (ModelKind.SE3, 8)])
     def test_empty_constant_lift_is_no_control(self, std_params, std_grav, kind, dim):
         class NoLiftAt(ConstantControl):
