@@ -29,17 +29,28 @@ motion evaluated at the same values, which the test suite asserts through
 an independent route; the rotor-angle value (g4 for the symmetric model,
 g7 for the restoring one) never appears because the angle is cyclic.  The
 rotor-momentum lines constrain only the corresponding lift component.
+
+:func:`find_equilibrium` iterates on lists of Python floats from the
+guess to the result, on the list field that
+:func:`gyrostat.dynamics.integrate` steps.  The finite-difference Jacobian
+is built column by column, its structurally zero rows and columns are
+struck, and the damped line search and the max-norm stop test run on
+floats, each in the operation order of ndarray arithmetic.  Two numpy
+calls remain, where Python would round otherwise: ``np.linalg.solve``
+(LAPACK ``gesv``) on the reduced square system, and the line-search
+2-norm as the square root of BLAS ``ddot``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, sqrt
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .algebra import ConfigurationPoint
-from .dynamics import ControlLaw, controlled_rhs
+from .dynamics import ControlLaw, _flat_field
 from .model import (
     GravityParams,
     InertiaParams,
@@ -51,7 +62,7 @@ from .model import (
     so3_state_from_vector,
     so3_state_to_vector,
 )
-from .poisson import fd_steps
+from .poisson import FD_SCALE
 
 __all__ = [
     "hj_residual_so3",
@@ -269,21 +280,22 @@ class EquilibriumResult:
     iterations: int
 
 
-def _fd_jacobian(rhs, y: np.ndarray) -> np.ndarray:
-    steps = fd_steps(y)
-    n = len(y)
-    jac = np.empty((n, n))
-    for j in range(n):
-        h = steps[j]
-        yp = y.copy()
-        yp[j] += h
-        ym = y.copy()
-        ym[j] -= h
-        jac[:, j] = (rhs(yp) - rhs(ym)) / (2.0 * h)
-    return jac
+def _fd_jacobian(rhs, y: list) -> list:
+    """Central-difference Jacobian of `rhs` at `y` as a list of columns."""
+    cols = []
+    for j, v in enumerate(y):
+        # fd_steps' rule; max(|v|, 1.0) keeps a NaN as np.maximum does.
+        h = FD_SCALE * max(abs(v), 1.0)
+        probe = y.copy()
+        probe[j] = v + h
+        f_plus = rhs(probe)
+        probe[j] = v - h
+        d = 2.0 * h
+        cols.append([(a - b) / d for a, b in zip(f_plus, rhs(probe))])
+    return cols
 
 
-def _newton_direction(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _newton_direction(cols: list, f: list) -> list:
     """Solve ``jac @ delta = -f`` with structurally null slots removed.
 
     A cyclic variable contributes an exactly zero column (it moves
@@ -294,23 +306,39 @@ def _newton_direction(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
     genuine failure and is reported rather than regularized away, since a
     least-squares continuation could march toward spurious roots.
     """
-    row_live = np.any(jac != 0.0, axis=1)
-    col_live = np.any(jac != 0.0, axis=0)
-    if int(row_live.sum()) != int(col_live.sum()):
+    # A float is true unless it is 0.0 or -0.0, so a NaN entry is live.
+    live_cols = [j for j, col in enumerate(cols) if any(col)]
+    live_rows = [i for i, row in enumerate(zip(*cols)) if any(row)]
+    if len(live_rows) != len(live_cols):
         raise SingularJacobianError(
             "Jacobian has unequal counts of structurally zero rows and columns; "
             "the Newton system is not square after reduction"
         )
-    delta = np.zeros_like(f)
-    if not row_live.any():
+    delta = [0.0] * len(f)
+    if not live_rows:
         return delta
-    sub = jac[np.ix_(row_live, col_live)]
+    sub = [[cols[j][i] for j in live_cols] for i in live_rows]
     try:
-        delta_live = np.linalg.solve(sub, -f[row_live])
+        delta_live = np.linalg.solve(sub, [-f[i] for i in live_rows])
     except np.linalg.LinAlgError as err:
         raise SingularJacobianError(f"singular Newton Jacobian: {err}") from err
-    delta[col_live] = delta_live
+    for j, d in zip(live_cols, delta_live.tolist()):
+        delta[j] = d
     return delta
+
+
+def _max_norm(f: list) -> float:
+    """``float(np.max(np.abs(f)))``, which is NaN if an entry is."""
+    for v in f:
+        if v != v:
+            return abs(v)
+    return max(map(abs, f))
+
+
+def _norm(f: list) -> float:
+    """``float(np.linalg.norm(f))``: the square root of BLAS ``ddot``."""
+    a = np.array(f)
+    return sqrt(a.dot(a))
 
 
 def find_equilibrium(
@@ -331,6 +359,11 @@ def find_equilibrium(
     `tol`.  A guess that already satisfies the tolerance returns after
     zero iterations.
 
+    The steps run on Python floats, bit for bit as on ndarrays.  Only
+    ``np.linalg.solve`` (LAPACK ``gesv``) and the line-search 2-norm (the
+    square root of BLAS ``ddot``, whose summation order a Python sum of
+    squares need not share) stay in numpy, for their rounding.
+
     Raises
     ------
     NewtonConvergenceError
@@ -338,7 +371,13 @@ def find_equilibrium(
         exception carries the last residual norm and iteration count.
     SingularJacobianError
         If the reduced Newton system is singular.
+    ValueError
+        On a `tol` that is not finite and positive, a guess that does not
+        match `kind`, a missing gravity block for se3, or a control lift
+        of the other model.
     """
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if kind == ModelKind.SO3:
         to_vec, from_vec = so3_state_to_vector, so3_state_from_vector
         if not isinstance(guess, So3RotorState):
@@ -347,44 +386,39 @@ def find_equilibrium(
         to_vec, from_vec = se3_state_to_vector, se3_state_from_vector
         if not isinstance(guess, Se3RotorState):
             raise ValueError("se3 search requires an Se3RotorState guess")
-        if grav is None:
-            raise ValueError("gravity parameters required for the se3 model")
     else:
         raise ValueError(f"unknown model kind {kind!r}")
 
-    rhs = controlled_rhs(kind, params, grav, control)
-    y = to_vec(guess)
+    rhs = _flat_field(kind, params, grav, control)
+    y = to_vec(guess).tolist()
     f = rhs(y)
     iterations = 0
-    while float(np.max(np.abs(f))) >= tol:
+    while (norm := _max_norm(f)) >= tol:
         if iterations >= max_iter:
             raise NewtonConvergenceError(
                 f"no convergence after {max_iter} iterations; "
-                f"last residual max-norm {np.max(np.abs(f)):.3e}",
-                residual_norm=float(np.max(np.abs(f))),
+                f"last residual max-norm {norm:.3e}",
+                residual_norm=norm,
                 iterations=iterations,
             )
-        jac = _fd_jacobian(rhs, y)
-        delta = _newton_direction(jac, f)
-        base = float(np.linalg.norm(f))
+        delta = _newton_direction(_fd_jacobian(rhs, y), f)
+        base = _norm(f)
         scale = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
-            y_try = y + scale * delta
+            y_try = [a + scale * d for a, d in zip(y, delta)]
             f_try = rhs(y_try)
-            if float(np.linalg.norm(f_try)) < base:
+            if _norm(f_try) < base:
                 break
             scale *= 0.5
         else:
             raise NewtonConvergenceError(
                 "damped step failed to reduce the residual "
-                f"(last residual max-norm {np.max(np.abs(f)):.3e})",
-                residual_norm=float(np.max(np.abs(f))),
+                f"(last residual max-norm {norm:.3e})",
+                residual_norm=norm,
                 iterations=iterations,
             )
         y, f = y_try, f_try
         iterations += 1
     return EquilibriumResult(
-        state=from_vec(y),
-        residual_norm=float(np.max(np.abs(f))),
-        iterations=iterations,
+        state=from_vec(y), residual_norm=norm, iterations=iterations
     )

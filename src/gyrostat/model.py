@@ -88,8 +88,8 @@ class InertiaParams:
     Raises
     ------
     ValueError
-        If any moment is non-positive, or the raw moments are present but
-        inconsistent with ``i_bar``.
+        If any moment is non-positive or not finite, or the raw moments are
+        present but inconsistent with ``i_bar``.
     """
 
     i_bar: np.ndarray
@@ -102,6 +102,8 @@ class InertiaParams:
         object.__setattr__(self, "j3", float(self.j3))
         if np.any(self.i_bar <= 0.0):
             raise ValueError(f"locked moments must be positive, got {self.i_bar}")
+        if not np.isfinite(self.j3):
+            raise ValueError(f"rotor axial moment must be finite, got {self.j3}")
         if self.j3 <= 0.0:
             raise ValueError(f"rotor axial moment must be positive, got {self.j3}")
         if (self.i_carrier is None) != (self.j_rotor_transverse is None):

@@ -32,6 +32,7 @@ sorted keys, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -91,7 +92,16 @@ def _require(obj: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"field '{where}' must be a number", field=where)
-    return float(value)
+    # json reads NaN, Infinity and integers beyond the float range.
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(
+            f"field '{where}' must be a finite number, got {x}", field=where
+        )
+    return x
 
 
 def _vector(value, n: int, where: str) -> np.ndarray:

@@ -207,6 +207,66 @@ class TestEquilibriumCommand:
         assert rep["residual_norm"] > 0
 
 
+class TestNonFiniteNumbers:
+    """Python's json reads NaN and Infinity; a config must not."""
+
+    EQUILIBRIUM = {
+        "model": "so3",
+        "inertia": {"i_bar": [3.0, 2.0, 1.0], "j3": 1.0},
+        "guess": [0.3, 1.0, 0.2, 0.0, 0.5],
+    }
+    HJ_CHECK = {
+        "model": "so3",
+        "inertia": {"i_bar": [3.0, 2.0, 1.0], "j3": 1.0},
+        "gamma": [0.3, 1.0, 0.2, 0.0, 0.5],
+    }
+
+    @staticmethod
+    def _rejected(capsys, code, field):
+        err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert err.out == ""
+        assert f"config error: field '{field}' must be a finite number" in err.err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_equilibrium_tol(self, tmp_path, capsys, value):
+        # A NaN or infinite tol used to report convergence at the guess.
+        cfg = write_json(tmp_path / "cfg.json", {**self.EQUILIBRIUM, "tol": value})
+        self._rejected(capsys, main(["equilibrium", "--config", cfg]), "tol")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_hj_check_tolerance(self, tmp_path, capsys, value):
+        # Infinity used to pass any residual; NaN wrote non-JSON.
+        cfg = write_json(tmp_path / "cfg.json", {**self.HJ_CHECK, "tolerance": value})
+        self._rejected(capsys, main(["hj-check", "--config", cfg]), "tolerance")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_simulate_rotor_moment(self, tmp_path, capsys, value):
+        doc = {**SO3_SCENARIO, "inertia": {"i_bar": [3.0, 2.0, 1.0], "j3": value}}
+        code, out, summary = run_simulate(tmp_path, doc)
+        self._rejected(capsys, code, "inertia.j3")
+        assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("field", ["initial.pi", "integrator.dt", "integrator.t_end", "guess"])
+    def test_other_fields(self, tmp_path, capsys, field):
+        # These used to escape main as a ValueError or an OverflowError.
+        if field == "guess":
+            doc = {**self.EQUILIBRIUM, "guess": [0.3, 1.0, 0.2, 0.0, float("inf")]}
+            code = main(["equilibrium", "--config", write_json(tmp_path / "c.json", doc)])
+        else:
+            block, key = field.split(".")
+            value = [float("nan"), 2.0, 3.0] if key == "pi" else float("inf")
+            doc = {**SO3_SCENARIO, block: {**SO3_SCENARIO[block], key: value}}
+            code, _out, _summary = run_simulate(tmp_path, doc)
+        self._rejected(capsys, code, field)
+
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys):
+        text = json.dumps(self.EQUILIBRIUM).replace('"j3": 1.0', '"j3": 1' + "0" * 400)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        self._rejected(capsys, main(["equilibrium", "--config", str(cfg)]), "inertia.j3")
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as exc:

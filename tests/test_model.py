@@ -33,6 +33,11 @@ class TestInertiaParams:
         with pytest.raises(ValueError):
             InertiaParams(i_bar=(3.0, 2.0, 1.0), j3=-1.0)
 
+    @pytest.mark.parametrize("j3", [float("inf"), float("nan")])
+    def test_rejects_non_finite_rotor_moment(self, j3):
+        with pytest.raises(ValueError, match="finite"):
+            InertiaParams(i_bar=(3.0, 2.0, 1.0), j3=j3)
+
     def test_raw_decomposition_consistent(self):
         # Locked transverse moments are carrier plus rotor-transverse;
         # the axial one is the carrier's alone.
