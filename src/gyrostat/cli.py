@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -21,14 +22,8 @@ import numpy as np
 
 from .audit import bracket_oracle_audit
 from .dynamics import IntegrationError, diagnostics, integrate
-from .hj import (
-    EquilibriumError,
-    find_equilibrium,
-    hj_residual_se3,
-    hj_residual_so3,
-    solve_lift,
-)
-from .model import ModelKind, se3_state_to_vector, so3_state_to_vector
+from .hj import _STEADY_RESIDUALS, EquilibriumError, find_equilibrium, solve_lift
+from .model import model_layout
 from .scenario import (
     ScenarioError,
     json_text,
@@ -129,12 +124,7 @@ def cmd_hj_check(config_path: str) -> int:
             grav=cfg.gravity,
             control=cfg.control,
         )
-        state = result.state
-        gamma = (
-            so3_state_to_vector(state)
-            if cfg.model == ModelKind.SO3
-            else se3_state_to_vector(state)
-        )
+        gamma = model_layout(cfg.model).to_vector(result.state)
         source = "equilibrium"
 
     if isinstance(cfg.lift, str) and cfg.lift == "solve":
@@ -147,10 +137,7 @@ def cmd_hj_check(config_path: str) -> int:
         lift = cfg.lift
         rule = "given"
 
-    if cfg.model == ModelKind.SO3:
-        residual = hj_residual_so3(gamma, cfg.inertia, lift)
-    else:
-        residual = hj_residual_se3(gamma, cfg.inertia, cfg.gravity, lift)
+    residual = _STEADY_RESIDUALS[cfg.model](gamma, cfg.inertia, cfg.gravity, lift)
     max_norm = float(np.max(np.abs(residual)))
     passed = max_norm < cfg.tolerance
     report = {
@@ -181,25 +168,21 @@ def cmd_equilibrium(config_path: str) -> int:
             max_iter=cfg.max_iter,
         )
     except EquilibriumError as err:
+        norm = getattr(err, "residual_norm", None)
         report = {
             "model": cfg.model.value,
             "converged": False,
             "error": str(err),
-            "residual_norm": getattr(err, "residual_norm", None),
+            # JSON has no NaN or infinity.
+            "residual_norm": norm if norm is not None and math.isfinite(norm) else None,
             "iterations": getattr(err, "iterations", None),
         }
         print(json_text(report), end="")
         return EXIT_TOLERANCE
-    state = result.state
-    vec = (
-        so3_state_to_vector(state)
-        if cfg.model == ModelKind.SO3
-        else se3_state_to_vector(state)
-    )
     report = {
         "model": cfg.model.value,
         "converged": True,
-        "state": [float(v) for v in vec],
+        "state": model_layout(cfg.model).to_vector(result.state).tolist(),
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
     }

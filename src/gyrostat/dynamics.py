@@ -26,6 +26,10 @@ operation order, so it equals ndarray arithmetic bit for bit without its
 per-call cost on 5 or 8 slots.  The potential and the Casimirs are computed
 once per run over the stacked states.  The public :func:`controlled_rhs`,
 :func:`step_rk4` and :func:`step_midpoint` are ndarray adapters over it.
+
+What differs between the models is looked up, not branched on: the flat
+layout in :func:`gyrostat.model.model_layout`, and the field kernel, lift
+type and energy in this module's table keyed by :class:`ModelKind`.
 """
 
 from __future__ import annotations
@@ -45,11 +49,8 @@ from .model import (
     Se3RotorState,
     So3RotorState,
     kinetic_energy,
+    model_layout,
     omega_from_momenta,
-    se3_state_from_vector,
-    se3_state_to_vector,
-    so3_state_from_vector,
-    so3_state_to_vector,
 )
 
 __all__ = [
@@ -259,16 +260,67 @@ def se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3):
     )
 
 
-def _lift_floats(lift, lift_type, kind) -> list:
+def _so3_free_field(params, grav):
+    i1, i2, i3 = params.i_bar.tolist()
+    j3 = params.j3
+
+    def free(y):
+        return [*so3_field_kernel(y, i1, i2, i3, j3), 0.0]
+
+    return free
+
+
+def _se3_free_field(params, grav):
+    i1, i2, i3 = params.i_bar.tolist()
+    j3, mgh, (c1, c2, c3) = params.j3, grav.mgh, grav.chi.tolist()
+
+    def free(y):
+        return [*se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3), 0.0]
+
+    return free
+
+
+@dataclass(frozen=True)
+class _ModelDynamics:
+    """The per-model parts of the field and the record: `free_field` binds
+    the kernel's constants and gives ``y -> [*kernel(y), 0.0]``, on a list
+    or a ``(dim, n)`` block; `energy` adds the potential to the kinetic
+    energies of stacked states."""
+
+    free_field: Callable
+    lift_type: type
+    lift_floats: Callable
+    energy: Callable
+
+
+_DYNAMICS = {
+    ModelKind.SO3: _ModelDynamics(
+        free_field=_so3_free_field,
+        lift_type=ControlLiftSo3,
+        lift_floats=lambda u: [*u.u_pi.tolist(), u.u_alpha, u.u_l],
+        energy=lambda kinetic, states, grav: kinetic,
+    ),
+    ModelKind.SE3: _ModelDynamics(
+        free_field=_se3_free_field,
+        lift_type=ControlLiftSe3,
+        lift_floats=lambda u: [*u.u_pi.tolist(), *u.u_gamma.tolist(), u.u_alpha, u.u_l],
+        # np.vecdot is BLAS ddot per row, as np.dot is in hamiltonian_se3.
+        energy=lambda kinetic, states, grav: kinetic
+        + grav.mgh * np.vecdot(states[:, 3:6], grav.chi),
+    ),
+}
+
+
+def _lift_floats(lift, kind) -> list:
     """The entries of `lift` as floats in the flat order; ValueError if
-    it is not a `lift_type`, e.g. a lift of the other model."""
-    if not isinstance(lift, lift_type):
+    it is not the lift type of `kind`, e.g. a lift of the other model."""
+    dyn = _DYNAMICS[kind]
+    if not isinstance(lift, dyn.lift_type):
         raise ValueError(
-            f"{kind.value} model needs a {lift_type.__name__} lift, "
+            f"{kind.value} model needs a {dyn.lift_type.__name__} lift, "
             f"got {type(lift).__name__}"
         )
-    gamma = lift.u_gamma.tolist() if lift_type is ControlLiftSe3 else []
-    return [*lift.u_pi.tolist(), *gamma, lift.u_alpha, lift.u_l]
+    return dyn.lift_floats(lift)
 
 
 def _flat_field(kind, params, grav, control):
@@ -277,26 +329,13 @@ def _flat_field(kind, params, grav, control):
     Validates as :func:`controlled_rhs`.  The control enters as one
     addition per slot, the lift's entries turned into floats once for a
     ``ConstantControl`` and at every call for a ``FeedbackControl``.
+    Without control it is the model's free field, which also takes a
+    ``(dim, n)`` block.
     """
-    i1, i2, i3 = params.i_bar.tolist()
-    j3 = params.j3
-    if kind == ModelKind.SO3:
-        lift_type, from_vec = ControlLiftSo3, so3_state_from_vector
-
-        def free(y):
-            return [*so3_field_kernel(y, i1, i2, i3, j3), 0.0]
-
-    elif kind == ModelKind.SE3:
-        if grav is None:
-            raise ValueError("gravity parameters required for the se3 model")
-        lift_type, from_vec = ControlLiftSe3, se3_state_from_vector
-        mgh, (c1, c2, c3) = grav.mgh, grav.chi.tolist()
-
-        def free(y):
-            return [*se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3), 0.0]
-
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    lay = model_layout(kind)
+    if lay.gravity and grav is None:
+        raise ValueError(f"gravity parameters required for the {kind.value} model")
+    free = _DYNAMICS[kind].free_field(params, grav)
     control = control if control is not None else ZeroControl()
     if isinstance(control, ConstantControl) and control.lift is None:
         control = ZeroControl()
@@ -306,15 +345,15 @@ def _flat_field(kind, params, grav, control):
     # free(y) ends in dl = 0.0, so a lift adds u_l to 0.0 as reduced_rhs_*
     # do: a -0.0 entry gives 0.0 there.
     if isinstance(control, ConstantControl):
-        u = _lift_floats(control.lift, lift_type, kind)
+        u = _lift_floats(control.lift, kind)
         return lambda y: list(map(add, free(y), u))
 
     def rhs(y):
         d = free(y)
-        lift = control.lift_at(from_vec(y))
+        lift = control.lift_at(lay.from_vector(y))
         if lift is None:
             return d
-        return list(map(add, d, _lift_floats(lift, lift_type, kind)))
+        return list(map(add, d, _lift_floats(lift, kind)))
 
     return rhs
 
@@ -451,20 +490,14 @@ def integrate(
     if method not in ("rk4", "midpoint"):
         raise ValueError(f"method must be 'rk4' or 'midpoint', got {method!r}")
 
-    if kind == ModelKind.SO3:
-        if not isinstance(initial, So3RotorState):
-            raise ValueError("so3 model requires an So3RotorState initial state")
-        y = so3_state_to_vector(initial).tolist()
-        casimir_names = ("pi_norm",)
-    elif kind == ModelKind.SE3:
-        if not isinstance(initial, Se3RotorState):
-            raise ValueError("se3 model requires an Se3RotorState initial state")
-        y = se3_state_to_vector(initial).tolist()
-        casimir_names = ("pi_dot_gamma", "gamma_norm")
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-
+    lay = model_layout(kind)
+    if not isinstance(initial, lay.state_type):
+        raise ValueError(
+            f"{kind.value} model requires an {lay.state_type.__name__} initial state"
+        )
+    y = lay.to_vector(initial).tolist()
     rhs = _flat_field(kind, params, grav, control)
+    energy = _DYNAMICS[kind].energy
     n_steps = max(1, int(round(t_end / dt)))
     i1, i2, i3 = params.i_bar.tolist()
 
@@ -478,26 +511,16 @@ def integrate(
         kinetic.append(kinetic_energy(y[0], y[1], y[2], y[-1], i1, i2, i3, params.j3))
 
     def build(steps_done):
-        # np.vecdot is BLAS ddot per row, as np.dot and np.linalg.norm
-        # are in hamiltonian_se3 and casimirs.
         states = np.array(rows)
-        energy = np.array(kinetic)
-        pi = states[:, :3]
-        if kind == ModelKind.SO3:
-            labels = [np.sqrt(np.vecdot(pi, pi))]
-        else:
-            gamma = states[:, 3:6]
-            energy = energy + grav.mgh * np.vecdot(gamma, grav.chi)
-            labels = [np.vecdot(pi, gamma), np.sqrt(np.vecdot(gamma, gamma))]
         return Trajectory(
             kind=kind,
             params=params,
             grav=grav,
             times=np.array(times),
             states=states,
-            energy=energy,
-            casimirs=np.column_stack(labels),
-            casimir_names=casimir_names,
+            energy=energy(np.array(kinetic), states, grav),
+            casimirs=np.column_stack(lay.casimirs(states)),
+            casimir_names=lay.casimir_names,
             steps=steps_done,
         )
 

@@ -39,6 +39,11 @@ floats, each in the operation order of ndarray arithmetic.  Two numpy
 calls remain, where Python would round otherwise: ``np.linalg.solve``
 (LAPACK ``gesv``) on the reduced square system, and the line-search
 2-norm as the square root of BLAS ``ddot``.
+
+The functions here take a :class:`ModelKind` (or, for :func:`solve_lift`,
+values of one model's length) and read the layout from
+:func:`gyrostat.model.model_layout`; the two residual forms above are
+looked up in one table keyed by kind.
 """
 
 from __future__ import annotations
@@ -57,10 +62,7 @@ from .model import (
     ModelKind,
     Se3RotorState,
     So3RotorState,
-    se3_state_from_vector,
-    se3_state_to_vector,
-    so3_state_from_vector,
-    so3_state_to_vector,
+    model_layout,
 )
 from .poisson import FD_SCALE
 
@@ -156,6 +158,14 @@ def hj_residual_se3(
     )
 
 
+# Each model's steady equations in their own algebraic form, looked up by
+# name at the call, so a wrapper set on this module's attribute sees it.
+_STEADY_RESIDUALS = {
+    ModelKind.SO3: lambda g, params, grav, lift: hj_residual_so3(g, params, lift),
+    ModelKind.SE3: lambda g, params, grav, lift: hj_residual_se3(g, params, grav, lift),
+}
+
+
 def solve_lift(
     gamma_bar, params: InertiaParams, grav: Optional[GravityParams] = None
 ) -> np.ndarray:
@@ -171,13 +181,16 @@ def solve_lift(
         If `gamma_bar` has length 8 but no gravity parameters are given.
     """
     g = np.asarray(gamma_bar, dtype=float)
-    if g.shape == (5,):
-        return -hj_residual_so3(g, params)
-    if g.shape == (8,):
-        if grav is None:
-            raise ValueError("gravity parameters required for 8-component values")
-        return -hj_residual_se3(g, params, grav)
-    raise ValueError(f"gamma_bar must have shape (5,) or (8,), got {g.shape}")
+    for kind in ModelKind:
+        lay = model_layout(kind)
+        if g.shape == (lay.dim,):
+            if lay.gravity and grav is None:
+                raise ValueError(
+                    f"gravity parameters required for {lay.dim}-component values"
+                )
+            return -_STEADY_RESIDUALS[kind](g, params, grav, None)
+    shapes = " or ".join(f"({model_layout(kind).dim},)" for kind in ModelKind)
+    raise ValueError(f"gamma_bar must have shape {shapes}, got {g.shape}")
 
 
 @dataclass
@@ -190,8 +203,7 @@ class GammaBarField:
 
 def constant_field(kind: ModelKind, values) -> GammaBarField:
     """A field returning the same values at every configuration."""
-    n = 5 if kind == ModelKind.SO3 else 8
-    frozen = _as_values(values, n, "values")
+    frozen = _as_values(values, model_layout(kind).dim, "values")
     return GammaBarField(kind=kind, fn=lambda _config: frozen.copy())
 
 
@@ -223,9 +235,10 @@ def residual_field_report(
     """
     if not configs:
         raise ValueError("at least one configuration is required")
-    n = 5 if field.kind == ModelKind.SO3 else 8
-    if field.kind == ModelKind.SE3 and grav is None:
-        raise ValueError("gravity parameters required for an se3 field")
+    lay = model_layout(field.kind)
+    n = lay.dim
+    if lay.gravity and grav is None:
+        raise ValueError(f"gravity parameters required for an {lay.kind.value} field")
 
     fixed_lift = None
     if not isinstance(lift, str):
@@ -243,10 +256,7 @@ def residual_field_report(
             u = solve_lift(g, params, grav)
         else:
             u = None
-        if field.kind == ModelKind.SO3:
-            r = hj_residual_so3(g, params, u)
-        else:
-            r = hj_residual_se3(g, params, grav, u)
+        r = _STEADY_RESIDUALS[field.kind](g, params, grav, u)
         residuals.append(r)
         norms.append(float(np.max(np.abs(r))))
     return FieldReport(
@@ -355,9 +365,9 @@ def find_equilibrium(
 
     The Jacobian is finite-differenced with the package-wide step rule;
     each step is halved (up to ``NEWTON_MAX_HALVINGS`` times) until the
-    residual 2-norm decreases.  Convergence means residual max-norm below
-    `tol`.  A guess that already satisfies the tolerance returns after
-    zero iterations.
+    residual 2-norm decreases.  Convergence means a finite residual
+    max-norm below `tol`.  A guess that already satisfies the tolerance
+    returns after zero iterations.
 
     The steps run on Python floats, bit for bit as on ndarrays.  Only
     ``np.linalg.solve`` (LAPACK ``gesv``) and the line-search 2-norm (the
@@ -367,7 +377,8 @@ def find_equilibrium(
     Raises
     ------
     NewtonConvergenceError
-        If `max_iter` is exhausted or no damped step makes progress; the
+        If `max_iter` is exhausted, no damped step makes progress, or the
+        residual is NaN (where the field's products overflow); the
         exception carries the last residual norm and iteration count.
     SingularJacobianError
         If the reduced Newton system is singular.
@@ -378,19 +389,12 @@ def find_equilibrium(
     """
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if kind == ModelKind.SO3:
-        to_vec, from_vec = so3_state_to_vector, so3_state_from_vector
-        if not isinstance(guess, So3RotorState):
-            raise ValueError("so3 search requires an So3RotorState guess")
-    elif kind == ModelKind.SE3:
-        to_vec, from_vec = se3_state_to_vector, se3_state_from_vector
-        if not isinstance(guess, Se3RotorState):
-            raise ValueError("se3 search requires an Se3RotorState guess")
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    lay = model_layout(kind)
+    if not isinstance(guess, lay.state_type):
+        raise ValueError(f"{kind.value} search requires an {lay.state_type.__name__} guess")
 
     rhs = _flat_field(kind, params, grav, control)
-    y = to_vec(guess).tolist()
+    y = lay.to_vector(guess).tolist()
     f = rhs(y)
     iterations = 0
     while (norm := _max_norm(f)) >= tol:
@@ -419,6 +423,13 @@ def find_equilibrium(
             )
         y, f = y_try, f_try
         iterations += 1
+    # NaN >= tol is false, so a NaN residual ends the loop; inf does not.
+    if not isfinite(norm):
+        raise NewtonConvergenceError(
+            f"residual max-norm is not finite ({norm}) after {iterations} iterations",
+            residual_norm=norm,
+            iterations=iterations,
+        )
     return EquilibriumResult(
-        state=from_vec(y), residual_norm=norm, iterations=iterations
+        state=lay.from_vector(y), residual_norm=norm, iterations=iterations
     )

@@ -16,6 +16,9 @@ about the third body axis are supported:
 All flattened coordinate vectors, CSV columns, and residual indices use one
 fixed ordering: ``(Pi1, Pi2, Pi3, alpha, l)`` for the symmetric model and
 ``(Pi1, Pi2, Pi3, Gamma1, Gamma2, Gamma3, alpha, l)`` for the restoring one.
+That layout is written once, in the :class:`ModelLayout` that
+:func:`model_layout` returns for each :class:`ModelKind`; the other modules
+read it from there instead of branching on the kind.
 
 Locked inertias ``i_bar = (I1 + J1, I2 + J2, I3)`` combine carrier inertia
 ``I`` with the rotor's transverse inertia; ``j3`` is the rotor's axial
@@ -29,7 +32,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,6 +58,8 @@ __all__ = [
     "so3_state_from_vector",
     "se3_state_to_vector",
     "se3_state_from_vector",
+    "ModelLayout",
+    "model_layout",
 ]
 
 RAW_INERTIA_TOL = 1e-12
@@ -316,16 +321,14 @@ def grad_h(
     Raises
     ------
     ValueError
-        If `state` carries an advected direction but no `grav` is given.
+        If `state` is not a model state, or carries an advected direction
+        but no `grav` is given.
     """
+    lay = _state_layout(state)
     vel = omega_from_momenta(state, params)
-    is_se3 = isinstance(state, Se3RotorState) or hasattr(state, "gamma")
-    if is_se3:
-        if grav is None:
-            raise ValueError("gravity parameters required for an se3 state")
-        d_gamma = grav.mgh * grav.chi
-    else:
-        d_gamma = None
+    if lay.gravity and grav is None:
+        raise ValueError(f"gravity parameters required for an {lay.kind.value} state")
+    d_gamma = grav.mgh * grav.chi if lay.gravity else None
     return HamiltonianGradient(
         d_pi=vel.omega, d_alpha=0.0, d_l=vel.alpha_dot, d_gamma=d_gamma
     )
@@ -342,21 +345,17 @@ def casimirs(state, kind: ModelKind) -> OrbitLabel:
     Raises
     ------
     ValueError
-        If the state type does not match `kind`.
+        If `kind` is not a :class:`ModelKind` or the state type does not
+        match it.
     """
-    if kind == ModelKind.SO3:
-        if not isinstance(state, So3RotorState):
-            raise ValueError(f"kind {kind.value} requires an So3RotorState")
-        return OrbitLabel(kind=kind, pi_norm=float(np.linalg.norm(state.pi)))
-    if kind == ModelKind.SE3:
-        if not isinstance(state, Se3RotorState):
-            raise ValueError(f"kind {kind.value} requires an Se3RotorState")
-        return OrbitLabel(
-            kind=kind,
-            pi_dot_gamma=float(np.dot(state.pi, state.gamma)),
-            gamma_norm=float(np.linalg.norm(state.gamma)),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    lay = model_layout(kind)
+    if not isinstance(state, lay.state_type):
+        raise ValueError(f"kind {kind.value} requires an {lay.state_type.__name__}")
+    labels = lay.casimirs(lay.to_vector(state)[np.newaxis])
+    return OrbitLabel(
+        kind=kind,
+        **{name: float(v[0]) for name, v in zip(lay.casimir_names, labels)},
+    )
 
 
 def so3_state_to_vector(state: So3RotorState) -> np.ndarray:
@@ -381,3 +380,72 @@ def se3_state_from_vector(y) -> Se3RotorState:
     if y.shape != (8,):
         raise ValueError(f"expected an 8-vector, got shape {y.shape}")
     return Se3RotorState(pi=y[:3], gamma=y[3:6], alpha=y[6], l=y[7])
+
+
+@dataclass(frozen=True)
+class ModelLayout:
+    """How the phase point of one model is laid out, as a flat vector.
+
+    ``casimirs`` maps stacked ``(n, dim)`` states to one length-n array per
+    name in ``casimir_names``.  ``gravity`` tells whether the model has the
+    advected direction ``Gamma`` and so needs a :class:`GravityParams`.
+    """
+
+    kind: ModelKind
+    state_type: type
+    to_vector: Callable[[object], np.ndarray]
+    from_vector: Callable[[object], object]
+    columns: tuple
+    casimir_names: tuple
+    gravity: bool
+    casimirs: Callable[[np.ndarray], list]
+
+    @property
+    def dim(self) -> int:
+        return len(self.columns)
+
+    @property
+    def csv_header(self) -> str:
+        return ",".join(("t", *self.columns, "energy", *self.casimir_names))
+
+
+# np.vecdot is BLAS ddot per row, bit for bit np.dot and np.linalg.norm.
+_LAYOUTS = {
+    ModelKind.SO3: ModelLayout(
+        kind=ModelKind.SO3,
+        state_type=So3RotorState,
+        to_vector=so3_state_to_vector,
+        from_vector=so3_state_from_vector,
+        columns=("Pi1", "Pi2", "Pi3", "alpha", "l"),
+        casimir_names=("pi_norm",),
+        gravity=False,
+        casimirs=lambda s: [np.sqrt(np.vecdot(s[:, :3], s[:, :3]))],
+    ),
+    ModelKind.SE3: ModelLayout(
+        kind=ModelKind.SE3,
+        state_type=Se3RotorState,
+        to_vector=se3_state_to_vector,
+        from_vector=se3_state_from_vector,
+        columns=("Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3", "alpha", "l"),
+        casimir_names=("pi_dot_gamma", "gamma_norm"),
+        gravity=True,
+        casimirs=lambda s: [
+            np.vecdot(s[:, :3], s[:, 3:6]),
+            np.sqrt(np.vecdot(s[:, 3:6], s[:, 3:6])),
+        ],
+    ),
+}
+
+
+def model_layout(kind: ModelKind) -> ModelLayout:
+    """The layout of `kind`; ValueError if `kind` is not a ModelKind."""
+    if not isinstance(kind, ModelKind):
+        raise ValueError(f"unknown model kind {kind!r}")
+    return _LAYOUTS[kind]
+
+
+def _state_layout(state) -> ModelLayout:
+    for lay in _LAYOUTS.values():
+        if isinstance(state, lay.state_type):
+            return lay
+    raise ValueError(f"expected a model state, got {type(state).__name__}")

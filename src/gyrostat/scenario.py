@@ -24,9 +24,15 @@ on load.  A gravity block on the so3 model is rejected, as is a missing
 one on se3.  Feedback control laws are a library-level feature and have no
 JSON spelling.
 
+What the two models need of a document (the length of flat arrays,
+whether ``gravity``, ``initial.gamma`` and ``control.u_gamma`` belong, the
+state and lift types, the CSV columns) is read from the model's
+:func:`gyrostat.model.model_layout`.
+
 Emission is deterministic: CSV numbers use 17 significant digits (which
 round-trips 64-bit floats exactly) and JSON objects are written with
-sorted keys, so identical inputs produce identical bytes.
+sorted keys, so identical inputs produce identical bytes.  The CSV header
+is ``t``, the layout's columns, ``energy`` and its Casimir names.
 """
 
 from __future__ import annotations
@@ -39,10 +45,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .dynamics import (
+    _DYNAMICS,
     ConstantControl,
     ControlLaw,
-    ControlLiftSe3,
-    ControlLiftSo3,
     Trajectory,
     ZeroControl,
 )
@@ -50,8 +55,10 @@ from .model import (
     GravityParams,
     InertiaParams,
     ModelKind,
+    ModelLayout,
     Se3RotorState,
     So3RotorState,
+    model_layout,
 )
 
 __all__ = [
@@ -66,12 +73,6 @@ __all__ = [
     "format_float",
     "json_text",
 ]
-
-SO3_CSV_HEADER = "t,Pi1,Pi2,Pi3,alpha,l,energy,pi_norm"
-SE3_CSV_HEADER = (
-    "t,Pi1,Pi2,Pi3,Gamma1,Gamma2,Gamma3,alpha,l,energy,pi_dot_gamma,gamma_norm"
-)
-
 
 class ScenarioError(ValueError):
     """A config document failed validation; names the offending field."""
@@ -149,9 +150,9 @@ def _parse_inertia(doc: dict) -> InertiaParams:
         raise ScenarioError(f"invalid inertia: {err}", field="inertia") from err
 
 
-def _parse_gravity(doc: dict, model: ModelKind) -> Optional[GravityParams]:
+def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
     block = doc.get("gravity")
-    if model == ModelKind.SO3:
+    if not lay.gravity:
         if block is not None:
             raise ScenarioError(
                 "field 'gravity' is only valid for the se3 model", field="gravity"
@@ -186,25 +187,25 @@ def _parse_gravity(doc: dict, model: ModelKind) -> Optional[GravityParams]:
         raise ScenarioError(f"invalid gravity: {err}", field="gravity") from err
 
 
-def _parse_initial(doc: dict, model: ModelKind):
+def _parse_initial(doc: dict, lay: ModelLayout):
     block = _require(doc, "initial", "the scenario")
     if not isinstance(block, dict):
         raise ScenarioError("field 'initial' must be an object", field="initial")
     pi = _vector(_require(block, "pi", "initial"), 3, "initial.pi")
     alpha = _number(block.get("alpha", 0.0), "initial.alpha")
     l = _number(block.get("l", 0.0), "initial.l")
-    if model == ModelKind.SO3:
-        if "gamma" in block:
-            raise ScenarioError(
-                "field 'initial.gamma' is only valid for the se3 model",
-                field="initial.gamma",
-            )
-        return So3RotorState(pi=pi, alpha=alpha, l=l)
-    gamma = _vector(_require(block, "gamma", "initial"), 3, "initial.gamma")
-    return Se3RotorState(pi=pi, gamma=gamma, alpha=alpha, l=l)
+    slots = {"pi": pi, "alpha": alpha, "l": l}
+    if lay.gravity:
+        slots["gamma"] = _vector(_require(block, "gamma", "initial"), 3, "initial.gamma")
+    elif "gamma" in block:
+        raise ScenarioError(
+            "field 'initial.gamma' is only valid for the se3 model",
+            field="initial.gamma",
+        )
+    return lay.state_type(**slots)
 
 
-def _parse_control(doc: dict, model: ModelKind) -> ControlLaw:
+def _parse_control(doc: dict, lay: ModelLayout) -> ControlLaw:
     block = doc.get("control")
     if block is None:
         return ZeroControl()
@@ -221,27 +222,20 @@ def _parse_control(doc: dict, model: ModelKind) -> ControlLaw:
     u_pi = block.get("u_pi")
     u_alpha = _number(block.get("u_alpha", 0.0), "control.u_alpha")
     u_l = _number(block.get("u_l", 0.0), "control.u_l")
-    pi_vec = (
-        _vector(u_pi, 3, "control.u_pi") if u_pi is not None else np.zeros(3)
-    )
-    if model == ModelKind.SO3:
-        if "u_gamma" in block:
-            raise ScenarioError(
-                "field 'control.u_gamma' is only valid for the se3 model",
-                field="control.u_gamma",
-            )
-        lift = ControlLiftSo3(u_pi=pi_vec, u_alpha=u_alpha, u_l=u_l)
-    else:
-        u_gamma = block.get("u_gamma")
-        gamma_vec = (
-            _vector(u_gamma, 3, "control.u_gamma")
-            if u_gamma is not None
-            else np.zeros(3)
+    entries = {"u_alpha": u_alpha, "u_l": u_l}
+    if u_pi is not None:
+        entries["u_pi"] = _vector(u_pi, 3, "control.u_pi")
+    u_gamma = block.get("u_gamma")
+    if lay.gravity:
+        if u_gamma is not None:
+            entries["u_gamma"] = _vector(u_gamma, 3, "control.u_gamma")
+    elif "u_gamma" in block:
+        raise ScenarioError(
+            "field 'control.u_gamma' is only valid for the se3 model",
+            field="control.u_gamma",
         )
-        lift = ControlLiftSe3(
-            u_pi=pi_vec, u_gamma=gamma_vec, u_alpha=u_alpha, u_l=u_l
-        )
-    return ConstantControl(lift=lift)
+    # Entries left out default to zero.
+    return ConstantControl(lift=_DYNAMICS[lay.kind].lift_type(**entries))
 
 
 @dataclass
@@ -267,11 +261,7 @@ class Scenario:
                 "i_bar": [float(v) for v in self.inertia.i_bar],
                 "j3": self.inertia.j3,
             },
-            "initial": {
-                "pi": [float(v) for v in self.initial.pi],
-                "alpha": self.initial.alpha,
-                "l": self.initial.l,
-            },
+            "initial": _echo(self.initial),
             "control": _control_echo(self.control),
             "integrator": {
                 "method": self.method,
@@ -282,29 +272,22 @@ class Scenario:
             "seed": self.seed,
         }
         if self.gravity is not None:
-            out["gravity"] = {
-                "mgh": self.gravity.mgh,
-                "chi": [float(v) for v in self.gravity.chi],
-            }
-        if isinstance(self.initial, Se3RotorState):
-            out["initial"]["gamma"] = [float(v) for v in self.initial.gamma]
+            out["gravity"] = _echo(self.gravity)
         return out
+
+
+def _echo(params) -> dict:
+    """The fields of a state, gravity block or lift, arrays as lists."""
+    return {
+        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(params).items()
+    }
 
 
 def _control_echo(control: ControlLaw) -> dict:
     if isinstance(control, ZeroControl):
         return {"kind": "zero"}
     if isinstance(control, ConstantControl):
-        lift = control.lift
-        out = {
-            "kind": "constant",
-            "u_pi": [float(v) for v in lift.u_pi],
-            "u_alpha": lift.u_alpha,
-            "u_l": lift.u_l,
-        }
-        if isinstance(lift, ControlLiftSe3):
-            out["u_gamma"] = [float(v) for v in lift.u_gamma]
-        return out
+        return {"kind": "constant", **_echo(control.lift)}
     return {"kind": "feedback"}
 
 
@@ -378,15 +361,15 @@ def parse_scenario(text: str) -> Scenario:
         values, or physically invalid numbers.
     """
     doc = _load_document(text)
-    model = _parse_model(doc)
+    lay = model_layout(_parse_model(doc))
     inertia = _parse_inertia(doc)
-    gravity = _parse_gravity(doc, model)
-    initial = _parse_initial(doc, model)
-    control = _parse_control(doc, model)
+    gravity = _parse_gravity(doc, lay)
+    initial = _parse_initial(doc, lay)
+    control = _parse_control(doc, lay)
     method, dt, t_end, sample_every = _parse_integrator(doc)
     seed = _parse_seed(doc)
     return Scenario(
-        model=model,
+        model=lay.kind,
         inertia=inertia,
         gravity=gravity,
         initial=initial,
@@ -422,21 +405,20 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
     (``"zero"``, ``"solve"``, or an array), and an optional ``tolerance``.
     """
     doc = _load_document(text)
-    model = _parse_model(doc)
+    lay = model_layout(_parse_model(doc))
     inertia = _parse_inertia(doc)
-    gravity = _parse_gravity(doc, model)
-    n = 5 if model == ModelKind.SO3 else 8
+    gravity = _parse_gravity(doc, lay)
+    n = lay.dim
 
     raw_gamma = _require(doc, "gamma", "the config")
     gamma = None
     guess = None
     if raw_gamma == "equilibrium":
-        guess_vec = _vector(_require(doc, "guess", "the config"), n, "guess")
-        guess = _state_from_flat(model, guess_vec)
+        guess = lay.from_vector(_vector(_require(doc, "guess", "the config"), n, "guess"))
     else:
         gamma = _vector(raw_gamma, n, "gamma")
 
-    control = _parse_control(doc, model)
+    control = _parse_control(doc, lay)
 
     lift = doc.get("lift", "zero")
     if isinstance(lift, list):
@@ -455,7 +437,7 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
             field="tolerance",
         )
     return HjCheckConfig(
-        model=model,
+        model=lay.kind,
         inertia=inertia,
         gravity=gravity,
         gamma=gamma,
@@ -479,12 +461,6 @@ class EquilibriumConfig:
     max_iter: int
 
 
-def _state_from_flat(model: ModelKind, vec: np.ndarray):
-    if model == ModelKind.SO3:
-        return So3RotorState(pi=vec[:3], alpha=vec[3], l=vec[4])
-    return Se3RotorState(pi=vec[:3], gamma=vec[3:6], alpha=vec[6], l=vec[7])
-
-
 def parse_equilibrium_config(text: str) -> EquilibriumConfig:
     """Parse an equilibrium-search document.
 
@@ -493,12 +469,11 @@ def parse_equilibrium_config(text: str) -> EquilibriumConfig:
     optional ``tol`` / ``max_iter``.
     """
     doc = _load_document(text)
-    model = _parse_model(doc)
+    lay = model_layout(_parse_model(doc))
     inertia = _parse_inertia(doc)
-    gravity = _parse_gravity(doc, model)
-    n = 5 if model == ModelKind.SO3 else 8
-    guess_vec = _vector(_require(doc, "guess", "the config"), n, "guess")
-    control = _parse_control(doc, model)
+    gravity = _parse_gravity(doc, lay)
+    guess_vec = _vector(_require(doc, "guess", "the config"), lay.dim, "guess")
+    control = _parse_control(doc, lay)
     tol = _number(doc.get("tol", 1e-12), "tol")
     if tol <= 0.0:
         raise ScenarioError(f"field 'tol' must be positive, got {tol}", field="tol")
@@ -508,10 +483,10 @@ def parse_equilibrium_config(text: str) -> EquilibriumConfig:
             "field 'max_iter' must be a positive integer", field="max_iter"
         )
     return EquilibriumConfig(
-        model=model,
+        model=lay.kind,
         inertia=inertia,
         gravity=gravity,
-        guess=_state_from_flat(model, guess_vec),
+        guess=lay.from_vector(guess_vec),
         control=control,
         tol=tol,
         max_iter=max_iter,
@@ -525,7 +500,7 @@ def format_float(x: float) -> str:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV text with the fixed column schema."""
-    header = SO3_CSV_HEADER if traj.kind == ModelKind.SO3 else SE3_CSV_HEADER
+    header = model_layout(traj.kind).csv_header
     rows = np.column_stack((traj.times, traj.states, traj.energy, traj.casimirs))
     row = ",".join(["{:.17g}"] * rows.shape[1])
     return "\n".join([header, *(row.format(*r) for r in rows.tolist())]) + "\n"

@@ -206,6 +206,26 @@ class TestEquilibriumCommand:
         assert rep["iterations"] == 1
         assert rep["residual_norm"] > 0
 
+    def test_non_finite_residual_is_a_failure(self, tmp_path, capsys):
+        # The field's products overflow at this guess and the residual
+        # holds a NaN, which the stop test `norm >= tol` lets through.
+        cfg = write_json(tmp_path / "cfg.json", {
+            "model": "so3",
+            "inertia": {"i_bar": [3.0, 2.0, 1.0], "j3": 1.0},
+            "guess": [1e155, 2e155, 3.0, 0.0, 0.5],
+        })
+        code = main(["equilibrium", "--config", cfg])
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == EXIT_TOLERANCE
+        assert rep["converged"] is False
+        assert rep["residual_norm"] is None
+        assert rep["iterations"] == 0
+        assert "not finite" in rep["error"]
+
 
 class TestNonFiniteNumbers:
     """Python's json reads NaN and Infinity; a config must not."""

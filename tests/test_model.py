@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,6 +170,12 @@ class TestGradH:
     def test_se3_without_gravity_rejected(self, std_se3_state, std_params):
         with pytest.raises(ValueError):
             grad_h(std_se3_state, std_params)
+
+    def test_non_state_rejected(self, std_params, std_grav):
+        # The model is read from the state type, not guessed from attributes.
+        duck = SimpleNamespace(pi=np.array([1.0, 2.0, 3.0]), gamma=np.zeros(3), alpha=0.0, l=0.5)
+        with pytest.raises(ValueError, match="model state"):
+            grad_h(duck, std_params, std_grav)
 
 
 class TestCasimirs:

@@ -6,8 +6,6 @@ import pytest
 from gyrostat.dynamics import ConstantControl, ZeroControl, integrate
 from gyrostat.model import ModelKind, So3RotorState
 from gyrostat.scenario import (
-    SE3_CSV_HEADER,
-    SO3_CSV_HEADER,
     ScenarioError,
     format_float,
     json_text,
@@ -15,6 +13,11 @@ from gyrostat.scenario import (
     parse_hj_check_config,
     parse_scenario,
     trajectory_csv,
+)
+
+SO3_CSV_HEADER = "t,Pi1,Pi2,Pi3,alpha,l,energy,pi_norm"
+SE3_CSV_HEADER = (
+    "t,Pi1,Pi2,Pi3,Gamma1,Gamma2,Gamma3,alpha,l,energy,pi_dot_gamma,gamma_norm"
 )
 
 SO3_MINIMAL = {
