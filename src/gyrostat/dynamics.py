@@ -15,6 +15,10 @@ with ``Omega`` recovered from the momenta as in
 :func:`gyrostat.model.omega_from_momenta`.  Control lifts enter additively,
 one slot per equation.
 
+These Lie-Poisson equations are written out once, in
+:func:`so3_field_kernel` and :func:`se3_field_kernel`; the state-based
+:func:`reduced_rhs_so3` and :func:`reduced_rhs_se3` are wrappers.
+
 Integration is fixed-step on the flattened phase vector: classical
 fourth-order Runge-Kutta by default, with an implicit midpoint rule as the
 structure-friendlier alternative.  Feedback control laws are evaluated at
@@ -41,7 +45,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algebra import as_vec3, cross
+from .algebra import as_vec3
 from .model import (
     GravityParams,
     InertiaParams,
@@ -50,7 +54,6 @@ from .model import (
     So3RotorState,
     kinetic_energy,
     model_layout,
-    omega_from_momenta,
 )
 
 __all__ = [
@@ -151,25 +154,26 @@ class IntegrationError(RuntimeError):
         self.partial = partial
 
 
+def _state_rhs(kind, state, params, grav, lift) -> np.ndarray:
+    lay = model_layout(kind)
+    if not isinstance(state, lay.state_type):
+        raise ValueError(f"{kind.value} model requires an {lay.state_type.__name__}")
+    rhs = controlled_rhs(kind, params, grav, ConstantControl(lift))
+    return rhs(lay.to_vector(state))
+
+
 def reduced_rhs_so3(
     state: So3RotorState,
     params: InertiaParams,
     lift: Optional[ControlLiftSo3] = None,
 ) -> np.ndarray:
-    """Controlled equations of the symmetric model.
+    """Controlled equations of the symmetric model at one state, as a flat
+    5-vector in the canonical (Pi1, Pi2, Pi3, alpha, l) order.
 
-    Returns the time derivative as a flat 5-vector in the canonical
-    (Pi1, Pi2, Pi3, alpha, l) order.
+    A wrapper over :func:`controlled_rhs`; ValueError if `state` or `lift`
+    belongs to the other model.
     """
-    vel = omega_from_momenta(state, params)
-    dpi = cross(state.pi, vel.omega)
-    dalpha = vel.alpha_dot
-    dl = 0.0
-    if lift is not None:
-        dpi = dpi + lift.u_pi
-        dalpha = dalpha + lift.u_alpha
-        dl = dl + lift.u_l
-    return np.array([dpi[0], dpi[1], dpi[2], dalpha, dl])
+    return _state_rhs(ModelKind.SO3, state, params, None, lift)
 
 
 def reduced_rhs_se3(
@@ -178,24 +182,10 @@ def reduced_rhs_se3(
     grav: GravityParams,
     lift: Optional[ControlLiftSe3] = None,
 ) -> np.ndarray:
-    """Controlled equations of the restoring-torque model.
-
-    Returns the time derivative as a flat 8-vector in the canonical
-    (Pi, Gamma, alpha, l) order.
-    """
-    vel = omega_from_momenta(state, params)
-    dpi = cross(state.pi, vel.omega) + grav.mgh * cross(state.gamma, grav.chi)
-    dgamma = cross(state.gamma, vel.omega)
-    dalpha = vel.alpha_dot
-    dl = 0.0
-    if lift is not None:
-        dpi = dpi + lift.u_pi
-        dgamma = dgamma + lift.u_gamma
-        dalpha = dalpha + lift.u_alpha
-        dl = dl + lift.u_l
-    return np.array(
-        [dpi[0], dpi[1], dpi[2], dgamma[0], dgamma[1], dgamma[2], dalpha, dl]
-    )
+    """As :func:`reduced_rhs_so3`, for the restoring-torque model: a flat
+    8-vector in the canonical (Pi, Gamma, alpha, l) order.  ValueError also
+    if `grav` is None."""
+    return _state_rhs(ModelKind.SE3, state, params, grav, lift)
 
 
 @dataclass
@@ -224,8 +214,9 @@ def so3_field_kernel(y, i1, i2, i3, j3):
     ``dl`` is identically zero and left out.  `y` unpacks into
     ``(Pi1, Pi2, Pi3, alpha, l)``: either a flat sequence of floats, giving
     floats, or a ``(5, n)`` block with one point per column, giving rows
-    of n values.  The expressions are those of :func:`reduced_rhs_so3`, so
-    both forms agree with it bit for bit.
+    of n values.  Every field in this module, :func:`reduced_rhs_so3`
+    included, evaluates these expressions; ``tests/test_symbolic.py``
+    derives them from the energy and the Lie-Poisson bracket.
     """
     p1, p2, p3, _alpha, l = y
     w1 = p1 / i1
@@ -243,7 +234,7 @@ def se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3):
     """Uncontrolled ``(dPi, dGamma, dalpha)`` of the restoring-torque model.
 
     As :func:`so3_field_kernel`, for ``(Pi, Gamma, alpha, l)`` with an
-    8-row block, and the expressions of :func:`reduced_rhs_se3`.
+    8-row block.
     """
     p1, p2, p3, g1, g2, g3, _alpha, l = y
     w1 = p1 / i1
@@ -342,8 +333,8 @@ def _flat_field(kind, params, grav, control):
 
     if isinstance(control, ZeroControl):
         return free
-    # free(y) ends in dl = 0.0, so a lift adds u_l to 0.0 as reduced_rhs_*
-    # do: a -0.0 entry gives 0.0 there.
+    # free(y) ends in dl = 0.0, so a lift adds u_l to 0.0: a -0.0 entry
+    # gives 0.0 there.
     if isinstance(control, ConstantControl):
         u = _lift_floats(control.lift, kind)
         return lambda y: list(map(add, free(y), u))
@@ -366,9 +357,9 @@ def controlled_rhs(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Right-hand side on flat vectors, with the control law folded in.
 
-    Produces the same floating-point values as the state-based
-    :func:`reduced_rhs_so3` / :func:`reduced_rhs_se3`, expression for
-    expression, so cross-checks against those functions are exact.
+    The state-based :func:`reduced_rhs_so3` / :func:`reduced_rhs_se3` are
+    wrappers over it, not an independent cross-check; the reference for
+    the field kernels is the symbolic derivation in the test suite.
     ``ConstantControl(None)`` is no control, as is ``ZeroControl``.
 
     Raises

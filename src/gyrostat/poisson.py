@@ -4,9 +4,10 @@ Five bracket evaluators share one interface.  Scalar observables are
 wrapped as :class:`ScalarField` objects over flattened phase vectors, in
 the package-wide coordinate order (see :mod:`gyrostat.model`); gradients
 come from an attached analytic rule when present and central finite
-differences otherwise.  Reconstructing a Hamiltonian vector field
-componentwise through the bracket gives an independent cross-check of the
-hand-written equations of motion in :mod:`gyrostat.dynamics`.
+differences otherwise.  Coordinate fields carry exact gradients; the
+energy fields carry none, so reconstructing a Hamiltonian vector field
+componentwise through the bracket checks the hand-written equations of
+motion in :mod:`gyrostat.dynamics` from energy values alone.
 
 The Jacobi identity is not asserted anywhere in the test suite; the
 bracket forms are fixed expressions whose structure is covered by the
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import GravityParams, InertiaParams
+from .model import GravityParams, InertiaParams, ModelKind, model_layout
 
 __all__ = [
     "FD_SCALE",
@@ -38,8 +39,8 @@ __all__ = [
 
 FD_SCALE = 6e-6
 
-_DIM_SO3 = 5
-_DIM_SE3 = 8
+_DIM_SO3 = model_layout(ModelKind.SO3).dim
+_DIM_SE3 = model_layout(ModelKind.SE3).dim
 
 
 class BracketKind(enum.Enum):
@@ -257,13 +258,12 @@ def hamiltonian_vector_field_via_bracket(
     return out
 
 
-def hamiltonian_field_so3(
-    params: InertiaParams, with_gradient: bool = False
-) -> ScalarField:
+def hamiltonian_field_so3(params: InertiaParams) -> ScalarField:
     """The symmetric model's energy as a scalar field on 5-vectors.
 
-    By default no analytic gradient is attached, which keeps bracket-based
-    reconstructions independent of the hand-written derivative formulas.
+    No gradient is attached: brackets of the energy take it by finite
+    differences, which keeps bracket-based reconstructions independent of
+    the hand-written derivatives in :mod:`gyrostat.dynamics`.
     """
     i1, i2, i3 = (float(v) for v in params.i_bar)
     j3 = params.j3
@@ -273,20 +273,11 @@ def hamiltonian_field_so3(
             x[0] ** 2 / i1 + x[1] ** 2 / i2 + (x[2] - x[4]) ** 2 / i3 + x[4] ** 2 / j3
         )
 
-    grad = None
-    if with_gradient:
-
-        def grad(x) -> np.ndarray:
-            w3 = (x[2] - x[4]) / i3
-            return np.array([x[0] / i1, x[1] / i2, w3, 0.0, x[4] / j3 - w3])
-
-    return ScalarField(dim=_DIM_SO3, value=value, grad=grad)
+    return ScalarField(dim=_DIM_SO3, value=value)
 
 
-def hamiltonian_field_se3(
-    params: InertiaParams, grav: GravityParams, with_gradient: bool = False
-) -> ScalarField:
-    """The restoring-torque model's energy as a scalar field on 8-vectors."""
+def hamiltonian_field_se3(params: InertiaParams, grav: GravityParams) -> ScalarField:
+    """The restoring-torque model's energy on 8-vectors, with no gradient."""
     i1, i2, i3 = (float(v) for v in params.i_bar)
     j3 = params.j3
     mgh = grav.mgh
@@ -298,22 +289,4 @@ def hamiltonian_field_se3(
         )
         return kinetic + mgh * (x[3] * c1 + x[4] * c2 + x[5] * c3)
 
-    grad = None
-    if with_gradient:
-
-        def grad(x) -> np.ndarray:
-            w3 = (x[2] - x[7]) / i3
-            return np.array(
-                [
-                    x[0] / i1,
-                    x[1] / i2,
-                    w3,
-                    mgh * c1,
-                    mgh * c2,
-                    mgh * c3,
-                    0.0,
-                    x[7] / j3 - w3,
-                ]
-            )
-
-    return ScalarField(dim=_DIM_SE3, value=value, grad=grad)
+    return ScalarField(dim=_DIM_SE3, value=value)

@@ -284,10 +284,11 @@ def _echo(params) -> dict:
 
 
 def _control_echo(control: ControlLaw) -> dict:
-    if isinstance(control, ZeroControl):
-        return {"kind": "zero"}
-    if isinstance(control, ConstantControl):
+    if isinstance(control, ConstantControl) and control.lift is not None:
         return {"kind": "constant", **_echo(control.lift)}
+    # ConstantControl(None) is no control, as integrate takes it.
+    if isinstance(control, (ZeroControl, ConstantControl)):
+        return {"kind": "zero"}
     return {"kind": "feedback"}
 
 

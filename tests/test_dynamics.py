@@ -72,10 +72,31 @@ class TestReducedRhs:
         with pytest.raises(ValueError):
             ControlLiftSe3(u_gamma=(1.0,))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, g, s5, s8: reduced_rhs_so3(s8, p),
+            lambda p, g, s5, s8: reduced_rhs_so3(
+                s5, p, lift=ControlLiftSe3(u_gamma=(0.1, 0.0, 0.0))
+            ),
+            lambda p, g, s5, s8: reduced_rhs_se3(s8, p, None),
+            lambda p, g, s5, s8: reduced_rhs_se3(s5, p, g),
+            lambda p, g, s5, s8: reduced_rhs_se3(s8, p, g, lift=ControlLiftSo3()),
+        ],
+        ids=["so3-on-se3-state", "so3-se3-lift", "se3-no-gravity",
+             "se3-on-so3-state", "se3-so3-lift"],
+    )
+    def test_mismatched_input_is_rejected(
+        self, std_params, std_grav, std_so3_state, std_se3_state, call
+    ):
+        with pytest.raises(ValueError):
+            call(std_params, std_grav, std_so3_state, std_se3_state)
+
 
 class TestControlledRhs:
     """The flat-vector right-hand side must agree bitwise with the
-    state-based one; the integrators and the Newton search rely on it."""
+    state-based one, which wraps it; the independent reference for the
+    field kernels is tests/test_symbolic.py."""
 
     def test_bitwise_agreement(self, std_params, std_grav):
         rng = SplitMix64(99)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gyrostat.dynamics import reduced_rhs_se3, reduced_rhs_so3
-from gyrostat.model import ModelKind, Se3RotorState, So3RotorState
+from gyrostat.model import ModelKind, grad_h, model_layout
 from gyrostat.poisson import (
     FD_SCALE,
     BracketKind,
@@ -214,15 +214,23 @@ class TestDimensionChecks:
 
 
 class TestHamiltonianField:
-    def test_so3_field_gradient_option(self, std_params):
-        h_plain = hamiltonian_field_so3(std_params)
-        h_grad = hamiltonian_field_so3(std_params, with_gradient=True)
-        assert h_plain.grad is None and h_grad.grad is not None
-        x = np.array([1.0, 2.0, 3.0, 0.0, 0.5])
-        assert h_plain.value(x) == h_grad.value(x)
-        assert np.allclose(
-            fd_gradient(h_plain, x), h_grad.grad(x), rtol=0, atol=1e-8
-        )
+    @pytest.mark.parametrize("kind", [ModelKind.SO3, ModelKind.SE3])
+    def test_fd_gradient_matches_grad_h(self, std_params, std_grav, kind):
+        # The energy fields carry no gradient; their finite-difference
+        # gradient agrees with the analytic one in gyrostat.model.
+        lay = model_layout(kind)
+        if lay.gravity:
+            h, grav = hamiltonian_field_se3(std_params, std_grav), std_grav
+        else:
+            h, grav = hamiltonian_field_so3(std_params), None
+        assert h.grad is None
+        rng = SplitMix64(31)
+        for _ in range(50):
+            x = random_point(rng, lay.dim)
+            g = grad_h(lay.from_vector(x), std_params, grav)
+            d_gamma = g.d_gamma.tolist() if lay.gravity else []
+            exact = [*g.d_pi.tolist(), *d_gamma, g.d_alpha, g.d_l]
+            assert np.allclose(fd_gradient(h, x), exact, rtol=0, atol=1e-8)
 
     def test_reconstructed_field_matches_rhs_so3(self, std_params, std_so3_state):
         x = np.array([1.0, 2.0, 3.0, 0.0, 0.5])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -147,6 +148,11 @@ class TestParseScenario:
         s = scen(SE3_FULL)
         text = json.dumps(s.echo_dict())
         assert '"se3"' in text
+
+    def test_echo_dict_constant_control_none_is_zero(self):
+        # integrate takes ConstantControl(None) as no control; echo it so.
+        s = dataclasses.replace(scen(SO3_MINIMAL), control=ConstantControl(None))
+        assert s.echo_dict()["control"] == {"kind": "zero"}
 
 
 class TestHjCheckConfig:
