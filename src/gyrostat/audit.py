@@ -61,7 +61,6 @@ def bracket_oracle_audit(
     grav: Optional[GravityParams] = None,
     samples: int = 1000,
     seed: int = 42,
-    tolerance: float = AUDIT_TOL,
 ) -> dict:
     """Compare the uncontrolled equations against the bracket oracle.
 
@@ -70,7 +69,7 @@ def bracket_oracle_audit(
     shares no derivative code with the equations of motion.
 
     Returns a JSON-ready report with the worst relative discrepancy, the
-    sample that produced it, and a pass flag against `tolerance`.
+    sample that produced it, and a pass flag against ``AUDIT_TOL``.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -101,11 +100,11 @@ def bracket_oracle_audit(
         "model": kind.value,
         "samples": samples,
         "seed": seed,
-        "tolerance": tolerance,
+        "tolerance": AUDIT_TOL,
         "max_rel_discrepancy": worst,
         "worst_sample_index": worst_index,
         "worst_sample": worst_sample,
-        "passed": bool(worst < tolerance),
+        "passed": bool(worst < AUDIT_TOL),
     }
 
 

@@ -32,21 +32,24 @@ once per run over the stacked states.  The public :func:`controlled_rhs`,
 :func:`step_rk4` and :func:`step_midpoint` are ndarray adapters over it.
 
 What differs between the models is looked up, not branched on: the flat
-layout in :func:`gyrostat.model.model_layout`, and the field kernel, lift
-type and energy in this module's table keyed by :class:`ModelKind`.
+layout, the lift type and whether the potential enters in
+:func:`gyrostat.model.model_layout`, and the free field in this module's
+``{kind: factory}`` dict.  The lift types live in :mod:`gyrostat.model`
+and are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 from operator import add
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algebra import as_vec3
 from .model import (
+    ControlLiftSe3,
+    ControlLiftSo3,
     GravityParams,
     InertiaParams,
     ModelKind,
@@ -79,36 +82,6 @@ __all__ = [
 
 MIDPOINT_TOL = 1e-13
 MIDPOINT_MAX_ITER = 50
-
-
-@dataclass(frozen=True)
-class ControlLiftSo3:
-    """Additive control entries for the symmetric model's equations."""
-
-    u_pi: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    u_alpha: float = 0.0
-    u_l: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "u_pi", as_vec3(self.u_pi))
-        object.__setattr__(self, "u_alpha", float(self.u_alpha))
-        object.__setattr__(self, "u_l", float(self.u_l))
-
-
-@dataclass(frozen=True)
-class ControlLiftSe3:
-    """Additive control entries for the restoring-torque model's equations."""
-
-    u_pi: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    u_gamma: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    u_alpha: float = 0.0
-    u_l: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "u_pi", as_vec3(self.u_pi))
-        object.__setattr__(self, "u_gamma", as_vec3(self.u_gamma))
-        object.__setattr__(self, "u_alpha", float(self.u_alpha))
-        object.__setattr__(self, "u_l", float(self.u_l))
 
 
 class ControlLaw:
@@ -271,47 +244,20 @@ def _se3_free_field(params, grav):
     return free
 
 
-@dataclass(frozen=True)
-class _ModelDynamics:
-    """The per-model parts of the field and the record: `free_field` binds
-    the kernel's constants and gives ``y -> [*kernel(y), 0.0]``, on a list
-    or a ``(dim, n)`` block; `energy` adds the potential to the kinetic
-    energies of stacked states."""
-
-    free_field: Callable
-    lift_type: type
-    lift_floats: Callable
-    energy: Callable
+_FREE_FIELDS = {ModelKind.SO3: _so3_free_field, ModelKind.SE3: _se3_free_field}
 
 
-_DYNAMICS = {
-    ModelKind.SO3: _ModelDynamics(
-        free_field=_so3_free_field,
-        lift_type=ControlLiftSo3,
-        lift_floats=lambda u: [*u.u_pi.tolist(), u.u_alpha, u.u_l],
-        energy=lambda kinetic, states, grav: kinetic,
-    ),
-    ModelKind.SE3: _ModelDynamics(
-        free_field=_se3_free_field,
-        lift_type=ControlLiftSe3,
-        lift_floats=lambda u: [*u.u_pi.tolist(), *u.u_gamma.tolist(), u.u_alpha, u.u_l],
-        # np.vecdot is BLAS ddot per row, as np.dot is in hamiltonian_se3.
-        energy=lambda kinetic, states, grav: kinetic
-        + grav.mgh * np.vecdot(states[:, 3:6], grav.chi),
-    ),
-}
-
-
-def _lift_floats(lift, kind) -> list:
-    """The entries of `lift` as floats in the flat order; ValueError if
-    it is not the lift type of `kind`, e.g. a lift of the other model."""
-    dyn = _DYNAMICS[kind]
-    if not isinstance(lift, dyn.lift_type):
+def _lift_floats(lift, lay) -> list:
+    """The entries of `lift` as floats in the flat order, which is its
+    fields' declaration order; ValueError if it is not the lift type of
+    the layout `lay`, e.g. a lift of the other model."""
+    if not isinstance(lift, lay.lift_type):
         raise ValueError(
-            f"{kind.value} model needs a {dyn.lift_type.__name__} lift, "
+            f"{lay.kind.value} model needs a {lay.lift_type.__name__} lift, "
             f"got {type(lift).__name__}"
         )
-    return dyn.lift_floats(lift)
+    # __post_init__ makes the scalar fields floats and the others ndarrays.
+    return [x for v in vars(lift).values() for x in ((v,) if type(v) is float else v.tolist())]
 
 
 def _flat_field(kind, params, grav, control):
@@ -326,7 +272,7 @@ def _flat_field(kind, params, grav, control):
     lay = model_layout(kind)
     if lay.gravity and grav is None:
         raise ValueError(f"gravity parameters required for the {kind.value} model")
-    free = _DYNAMICS[kind].free_field(params, grav)
+    free = _FREE_FIELDS[kind](params, grav)
     control = control if control is not None else ZeroControl()
     if isinstance(control, ConstantControl) and control.lift is None:
         control = ZeroControl()
@@ -336,7 +282,7 @@ def _flat_field(kind, params, grav, control):
     # free(y) ends in dl = 0.0, so a lift adds u_l to 0.0: a -0.0 entry
     # gives 0.0 there.
     if isinstance(control, ConstantControl):
-        u = _lift_floats(control.lift, kind)
+        u = _lift_floats(control.lift, lay)
         return lambda y: list(map(add, free(y), u))
 
     def rhs(y):
@@ -344,7 +290,7 @@ def _flat_field(kind, params, grav, control):
         lift = control.lift_at(lay.from_vector(y))
         if lift is None:
             return d
-        return list(map(add, d, _lift_floats(lift, kind)))
+        return list(map(add, d, _lift_floats(lift, lay)))
 
     return rhs
 
@@ -390,18 +336,18 @@ def _rk4(rhs, y: list, dt: float) -> list:
     return out
 
 
-def _midpoint(rhs, y: list, dt: float, tol: float, max_iter: int) -> list:
+def _midpoint(rhs, y: list, dt: float) -> list:
     z = y
-    for _ in range(max_iter):
+    for _ in range(MIDPOINT_MAX_ITER):
         k = rhs([0.5 * (a + b) for a, b in zip(y, z)])
         z_new = [a + dt * b for a, b in zip(y, k)]
         if not all(map(isfinite, z_new)):
             raise IntegrationError("non-finite value in midpoint iteration")
-        if max([abs(a - b) for a, b in zip(z_new, z)]) <= tol:
+        if max([abs(a - b) for a, b in zip(z_new, z)]) <= MIDPOINT_TOL:
             return z_new
         z = z_new
     raise IntegrationError(
-        f"implicit midpoint failed to converge in {max_iter} iterations "
+        f"implicit midpoint failed to converge in {MIDPOINT_MAX_ITER} iterations "
         f"(dt={dt:g} likely too large)"
     )
 
@@ -422,14 +368,13 @@ def step_midpoint(
     rhs: Callable[[np.ndarray], np.ndarray],
     y: np.ndarray,
     dt: float,
-    tol: float = MIDPOINT_TOL,
-    max_iter: int = MIDPOINT_MAX_ITER,
 ) -> np.ndarray:
     """One implicit midpoint step, solved by fixed-point iteration.
 
     The iteration map is ``z -> y + dt * rhs((y + z)/2)`` and converges when
-    the update falls below `tol` in max norm.  The midpoint rule preserves
-    quadratic invariants of linear flows exactly, up to this tolerance.
+    the update falls below ``MIDPOINT_TOL`` in max norm, within
+    ``MIDPOINT_MAX_ITER`` sweeps.  The midpoint rule preserves quadratic
+    invariants of linear flows exactly, up to this tolerance.
 
     Raises
     ------
@@ -438,9 +383,7 @@ def step_midpoint(
         non-finite iterate.
     """
     y = np.asarray(y, dtype=float).tolist()
-    return np.array(
-        _midpoint(lambda v: rhs(np.array(v)).tolist(), y, dt, tol, max_iter)
-    )
+    return np.array(_midpoint(lambda v: rhs(np.array(v)).tolist(), y, dt))
 
 
 def integrate(
@@ -454,14 +397,13 @@ def integrate(
     t_end: float = 1.0,
     sample_every: int = 10,
     method: str = "rk4",
-    midpoint_tol: float = MIDPOINT_TOL,
-    midpoint_max_iter: int = MIDPOINT_MAX_ITER,
 ) -> Trajectory:
     """Fixed-step integration with per-sample conserved-label recording.
 
     The run takes ``round(t_end / dt)`` steps of exactly `dt`; sample times
     are exact step multiples.  Samples always include the initial state and
-    the final step, plus every `sample_every`-th step in between.
+    the final step, plus every `sample_every`-th step in between.  A
+    ``"midpoint"`` step is solved as in :func:`step_midpoint`.
 
     Raises
     ------
@@ -488,7 +430,6 @@ def integrate(
         )
     y = lay.to_vector(initial).tolist()
     rhs = _flat_field(kind, params, grav, control)
-    energy = _DYNAMICS[kind].energy
     n_steps = max(1, int(round(t_end / dt)))
     i1, i2, i3 = params.i_bar.tolist()
 
@@ -503,13 +444,17 @@ def integrate(
 
     def build(steps_done):
         states = np.array(rows)
+        energy = np.array(kinetic)
+        if lay.gravity:
+            # np.vecdot is BLAS ddot per row, as np.dot is in hamiltonian_se3.
+            energy = energy + grav.mgh * np.vecdot(states[:, 3:6], grav.chi)
         return Trajectory(
             kind=kind,
             params=params,
             grav=grav,
             times=np.array(times),
             states=states,
-            energy=energy(np.array(kinetic), states, grav),
+            energy=energy,
             casimirs=np.column_stack(lay.casimirs(states)),
             casimir_names=lay.casimir_names,
             steps=steps_done,
@@ -521,7 +466,7 @@ def integrate(
             if method == "rk4":
                 y = _rk4(rhs, y, dt)
             else:
-                y = _midpoint(rhs, y, dt, midpoint_tol, midpoint_max_iter)
+                y = _midpoint(rhs, y, dt)
         except IntegrationError as err:
             err.time = step * dt
             err.partial = build(step - 1)
@@ -540,9 +485,7 @@ class DriftStats:
     """
 
     max_abs: float
-    mean_abs: float
     max_rel: float
-    mean_rel: float
 
 
 @dataclass(frozen=True)
@@ -557,13 +500,10 @@ class DiagnosticsSummary:
 
 def _drift_stats(series: np.ndarray) -> DriftStats:
     ref = series[0]
-    dev = np.abs(series - ref)
-    denom = max(1.0, abs(float(ref)))
+    worst = np.abs(series - ref).max()
     return DriftStats(
-        max_abs=float(dev.max()),
-        mean_abs=float(dev.mean()),
-        max_rel=float(dev.max() / denom),
-        mean_rel=float(dev.mean() / denom),
+        max_abs=float(worst),
+        max_rel=float(worst / max(1.0, abs(float(ref)))),
     )
 
 

@@ -1,4 +1,4 @@
-"""Parameters, states, Hamiltonians, and momentum relations.
+"""Parameters, states, control lifts, Hamiltonians, and momentum relations.
 
 Two reduced models of a rigid carrier with a single internal rotor spinning
 about the third body axis are supported:
@@ -210,6 +210,36 @@ class Se3RotorState:
 
 
 @dataclass(frozen=True)
+class ControlLiftSo3:
+    """Additive control entries for the symmetric model's equations."""
+
+    u_pi: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    u_alpha: float = 0.0
+    u_l: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "u_pi", as_vec3(self.u_pi))
+        object.__setattr__(self, "u_alpha", float(self.u_alpha))
+        object.__setattr__(self, "u_l", float(self.u_l))
+
+
+@dataclass(frozen=True)
+class ControlLiftSe3:
+    """Additive control entries for the restoring-torque model's equations."""
+
+    u_pi: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    u_gamma: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    u_alpha: float = 0.0
+    u_l: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "u_pi", as_vec3(self.u_pi))
+        object.__setattr__(self, "u_gamma", as_vec3(self.u_gamma))
+        object.__setattr__(self, "u_alpha", float(self.u_alpha))
+        object.__setattr__(self, "u_l", float(self.u_l))
+
+
+@dataclass(frozen=True)
 class AngularVelocities:
     """Carrier angular velocity and rotor relative rate."""
 
@@ -386,13 +416,17 @@ def se3_state_from_vector(y) -> Se3RotorState:
 class ModelLayout:
     """How the phase point of one model is laid out, as a flat vector.
 
-    ``casimirs`` maps stacked ``(n, dim)`` states to one length-n array per
-    name in ``casimir_names``.  ``gravity`` tells whether the model has the
-    advected direction ``Gamma`` and so needs a :class:`GravityParams`.
+    The fields of ``state_type`` and of ``lift_type``, taken in declaration
+    order, fill ``columns`` in order.  ``casimirs`` maps stacked
+    ``(n, dim)`` states to one length-n array per name in
+    ``casimir_names``.  ``gravity`` tells whether the model has the
+    advected direction ``Gamma`` and so needs a :class:`GravityParams`,
+    whose potential ``mgh * Gamma . chi`` then adds to the energy.
     """
 
     kind: ModelKind
     state_type: type
+    lift_type: type
     to_vector: Callable[[object], np.ndarray]
     from_vector: Callable[[object], object]
     columns: tuple
@@ -414,6 +448,7 @@ _LAYOUTS = {
     ModelKind.SO3: ModelLayout(
         kind=ModelKind.SO3,
         state_type=So3RotorState,
+        lift_type=ControlLiftSo3,
         to_vector=so3_state_to_vector,
         from_vector=so3_state_from_vector,
         columns=("Pi1", "Pi2", "Pi3", "alpha", "l"),
@@ -424,6 +459,7 @@ _LAYOUTS = {
     ModelKind.SE3: ModelLayout(
         kind=ModelKind.SE3,
         state_type=Se3RotorState,
+        lift_type=ControlLiftSe3,
         to_vector=se3_state_to_vector,
         from_vector=se3_state_from_vector,
         columns=("Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3", "alpha", "l"),

@@ -104,13 +104,14 @@ def coordinate_field(dim: int, index: int) -> ScalarField:
     )
 
 
-def fd_steps(x: np.ndarray, scale: float = FD_SCALE) -> np.ndarray:
-    """Componentwise step sizes ``scale * max(1, |x_i|)``."""
-    return scale * np.maximum(1.0, np.abs(x))
+def fd_steps(x: np.ndarray) -> np.ndarray:
+    """Componentwise step sizes ``FD_SCALE * max(1, |x_i|)``."""
+    return FD_SCALE * np.maximum(1.0, np.abs(x))
 
 
-def fd_gradient(f: ScalarField, x, scale: float = FD_SCALE) -> np.ndarray:
-    """Central-difference gradient of a scalar field.
+def fd_gradient(f: ScalarField, x) -> np.ndarray:
+    """Central-difference gradient of a scalar field, on the steps of
+    :func:`fd_steps`.
 
     Exact for affine fields up to rounding; for the quadratic energies in
     this package the truncation term vanishes too, so agreement with the
@@ -128,7 +129,7 @@ def fd_gradient(f: ScalarField, x, scale: float = FD_SCALE) -> np.ndarray:
         If the field returns a non-finite value at a probe point.
     """
     x = np.asarray(x, dtype=float)
-    steps = fd_steps(x, scale)
+    steps = fd_steps(x)
     grad = np.empty_like(x)
     # One probe copy, one coordinate row moved at a time and put back.
     probe = x.copy()

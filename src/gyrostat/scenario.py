@@ -44,13 +44,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import (
-    _DYNAMICS,
-    ConstantControl,
-    ControlLaw,
-    Trajectory,
-    ZeroControl,
-)
+from .dynamics import ConstantControl, ControlLaw, Trajectory, ZeroControl
 from .model import (
     GravityParams,
     InertiaParams,
@@ -105,6 +99,13 @@ def _number(value, where: str) -> float:
     return x
 
 
+def _positive(value, where: str) -> float:
+    x = _number(value, where)
+    if x <= 0.0:
+        raise ScenarioError(f"field '{where}' must be positive, got {x}", field=where)
+    return x
+
+
 def _vector(value, n: int, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
         raise ScenarioError(
@@ -135,14 +136,8 @@ def _parse_inertia(doc: dict) -> InertiaParams:
         kwargs["i_carrier"] = _vector(
             _require(block, "i_carrier", "inertia"), 3, "inertia.i_carrier"
         )
-        jt = _require(block, "j_rotor_transverse", "inertia")
-        if not isinstance(jt, list) or len(jt) != 2:
-            raise ScenarioError(
-                "field 'inertia.j_rotor_transverse' must be an array of 2 numbers",
-                field="inertia.j_rotor_transverse",
-            )
-        kwargs["j_rotor_transverse"] = tuple(
-            _number(v, "inertia.j_rotor_transverse") for v in jt
+        kwargs["j_rotor_transverse"] = _vector(
+            _require(block, "j_rotor_transverse", "inertia"), 2, "inertia.j_rotor_transverse"
         )
     try:
         return InertiaParams(i_bar=i_bar, j3=j3, **kwargs)
@@ -235,7 +230,7 @@ def _parse_control(doc: dict, lay: ModelLayout) -> ControlLaw:
             field="control.u_gamma",
         )
     # Entries left out default to zero.
-    return ConstantControl(lift=_DYNAMICS[lay.kind].lift_type(**entries))
+    return ConstantControl(lift=lay.lift_type(**entries))
 
 
 @dataclass
@@ -305,18 +300,8 @@ def _parse_integrator(doc: dict) -> tuple:
             f"got {method!r}",
             field="integrator.method",
         )
-    dt = _number(block.get("dt", 1e-3), "integrator.dt")
-    if dt <= 0.0:
-        raise ScenarioError(
-            f"field 'integrator.dt' must be positive, got {dt}",
-            field="integrator.dt",
-        )
-    t_end = _number(block.get("t_end", 1.0), "integrator.t_end")
-    if t_end <= 0.0:
-        raise ScenarioError(
-            f"field 'integrator.t_end' must be positive, got {t_end}",
-            field="integrator.t_end",
-        )
+    dt = _positive(block.get("dt", 1e-3), "integrator.dt")
+    t_end = _positive(block.get("t_end", 1.0), "integrator.t_end")
     sample_every = block.get("sample_every", 10)
     if isinstance(sample_every, bool) or not isinstance(sample_every, int):
         raise ScenarioError(
@@ -342,14 +327,17 @@ def _parse_seed(doc: dict) -> int:
     return seed
 
 
-def _load_document(text: str) -> dict:
+def _parse_head(text: str) -> tuple:
+    """The document every config shares: the JSON object, its model's
+    layout, its inertia and its gravity block, validated in that order."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"config is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ScenarioError("config must be a JSON object")
-    return doc
+    lay = model_layout(_parse_model(doc))
+    return doc, lay, _parse_inertia(doc), _parse_gravity(doc, lay)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -361,10 +349,7 @@ def parse_scenario(text: str) -> Scenario:
         On malformed JSON, missing required fields, unknown enumeration
         values, or physically invalid numbers.
     """
-    doc = _load_document(text)
-    lay = model_layout(_parse_model(doc))
-    inertia = _parse_inertia(doc)
-    gravity = _parse_gravity(doc, lay)
+    doc, lay, inertia, gravity = _parse_head(text)
     initial = _parse_initial(doc, lay)
     control = _parse_control(doc, lay)
     method, dt, t_end, sample_every = _parse_integrator(doc)
@@ -405,10 +390,7 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
     ``gamma: "equilibrium"`` with a ``guess`` array, an optional ``lift``
     (``"zero"``, ``"solve"``, or an array), and an optional ``tolerance``.
     """
-    doc = _load_document(text)
-    lay = model_layout(_parse_model(doc))
-    inertia = _parse_inertia(doc)
-    gravity = _parse_gravity(doc, lay)
+    doc, lay, inertia, gravity = _parse_head(text)
     n = lay.dim
 
     raw_gamma = _require(doc, "gamma", "the config")
@@ -431,12 +413,7 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
             field="lift",
         )
 
-    tolerance = _number(doc.get("tolerance", 1e-10), "tolerance")
-    if tolerance <= 0.0:
-        raise ScenarioError(
-            f"field 'tolerance' must be positive, got {tolerance}",
-            field="tolerance",
-        )
+    tolerance = _positive(doc.get("tolerance", 1e-10), "tolerance")
     return HjCheckConfig(
         model=lay.kind,
         inertia=inertia,
@@ -469,15 +446,10 @@ def parse_equilibrium_config(text: str) -> EquilibriumConfig:
     flat ``guess`` array (5 or 8 values), optional ``control``, and
     optional ``tol`` / ``max_iter``.
     """
-    doc = _load_document(text)
-    lay = model_layout(_parse_model(doc))
-    inertia = _parse_inertia(doc)
-    gravity = _parse_gravity(doc, lay)
+    doc, lay, inertia, gravity = _parse_head(text)
     guess_vec = _vector(_require(doc, "guess", "the config"), lay.dim, "guess")
     control = _parse_control(doc, lay)
-    tol = _number(doc.get("tol", 1e-12), "tol")
-    if tol <= 0.0:
-        raise ScenarioError(f"field 'tol' must be positive, got {tol}", field="tol")
+    tol = _positive(doc.get("tol", 1e-12), "tol")
     max_iter = doc.get("max_iter", 100)
     if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
         raise ScenarioError(

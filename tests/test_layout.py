@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gyrostat.audit import bracket_oracle_audit
-from gyrostat.dynamics import integrate
+from gyrostat.dynamics import _lift_floats, integrate
 from gyrostat.hj import (
     GammaBarField,
     constant_field,
@@ -60,6 +60,24 @@ class TestLayout:
             assert isinstance(state, lay.state_type)
             assert lay.to_vector(state).tobytes() == y.tobytes()
             assert lay.to_vector(lay.from_vector(lay.to_vector(state))).tobytes() == y.tobytes()
+
+    def test_lift_floats_follow_the_columns(self, kind):
+        # A lift built by column name, every entry distinct but one -0.0,
+        # flattens to its entries in column order, sign bit included.
+        lay = model_layout(kind)
+        for k in range(lay.dim):
+            values = [0.25 + j for j in range(lay.dim)]
+            values[k] = -0.0
+            entries = {}
+            for column, v in zip(lay.columns, values):
+                name = "u_" + column.rstrip("123").lower()
+                if column[-1].isdigit():
+                    entries.setdefault(name, []).append(v)
+                else:
+                    entries[name] = v
+            flat = _lift_floats(lay.lift_type(**entries), lay)
+            assert all(type(x) is float for x in flat)
+            assert np.array(flat).tobytes() == np.array(values).tobytes()
 
     def test_casimirs_match_the_state_function(self, kind):
         lay = model_layout(kind)

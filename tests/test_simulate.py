@@ -31,6 +31,9 @@ from gyrostat.model import (
     ModelKind,
     Se3RotorState,
     So3RotorState,
+    hamiltonian_se3,
+    hamiltonian_so3,
+    model_layout,
 )
 from gyrostat.rng import SplitMix64
 
@@ -153,6 +156,32 @@ def test_feedback_trajectory_is_pinned(kind, method):
     )
     blob = b"".join(a.tobytes() for a in (traj.times, traj.states, traj.energy, traj.casimirs))
     assert _sha(blob) == PINNED_FEEDBACK[(kind, method)]
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("kind", ["so3", "se3"])
+def test_recorded_energy_is_the_hamiltonian_of_each_row(kind, method):
+    # integrate adds the potential over the stacked states; each entry must
+    # still be the state function of its row, bit for bit.
+    params = InertiaParams(i_bar=(2.7, 1.9, 1.3), j3=0.7)
+    if kind == "se3":
+        grav = GravityParams(mgh=1.3, chi=(0.48, 0.6, 0.64))
+        initial = Se3RotorState(pi=(0.9, -1.7, 2.3), gamma=(0.36, -0.48, 0.8), alpha=0.1, l=0.45)
+        lift = ControlLiftSe3(u_pi=(0.01, -0.02, 0.03), u_gamma=(0.004, 0.0, -0.002), u_alpha=0.2, u_l=-0.05)
+        energy = lambda state: hamiltonian_se3(state, params, grav)
+    else:
+        grav = None
+        initial = So3RotorState(pi=(0.9, -1.7, 2.3), alpha=0.1, l=0.45)
+        lift = ControlLiftSo3(u_pi=(0.01, -0.02, 0.03), u_alpha=0.2, u_l=-0.05)
+        energy = lambda state: hamiltonian_so3(state, params)
+    traj = integrate(
+        ModelKind(kind), params, initial, grav=grav, control=ConstantControl(lift),
+        dt=0.003, t_end=0.6, sample_every=7, method=method,
+    )
+    lay = model_layout(ModelKind(kind))
+    assert len(traj.energy) == len(traj.states) > 2
+    for row, e in zip(traj.states, traj.energy):
+        assert np.float64(energy(lay.from_vector(row))).tobytes() == e.tobytes()
 
 
 def _ref_rk4(rhs, y, dt):
