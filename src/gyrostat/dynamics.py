@@ -33,9 +33,9 @@ once per run over the stacked states.  The public :func:`controlled_rhs`,
 
 What differs between the models is looked up, not branched on: the flat
 layout, the lift type and whether the potential enters in
-:func:`gyrostat.model.model_layout`, and the free field in this module's
-``{kind: factory}`` dict.  The lift types live in :mod:`gyrostat.model`
-and are re-exported here.
+:func:`gyrostat.model.model_layout`, and the free field with its exact
+Jacobian in this module's ``{kind: factory}`` dict.  The lift types live
+in :mod:`gyrostat.model` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .model import (
     kinetic_energy,
     model_layout,
 )
+from .poisson import FD_SCALE
 
 __all__ = [
     "ControlLiftSo3",
@@ -224,27 +225,65 @@ def se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3):
     )
 
 
-def _so3_free_field(params, grav):
+def _so3_field_jacobian(y, i1, i2, i3, j3):
+    """Columns ``cols[j][i] = d(field_i)/d(y_j)`` of :func:`so3_field_kernel`
+    and ``dl = 0``, each entry linear in `y`.  An entry whose expression
+    never mentions the slot, the alpha column and the ``dl`` row among
+    them, is a literal ``0.0``; ``tests/test_symbolic.py`` checks them."""
+    p1, p2, p3, _alpha, l = y
+    w1 = p1 / i1
+    w2 = p2 / i2
+    w3 = (p3 - l) / i3
+    return [
+        [0.0, p3 / i1 - w3, w2 - p2 / i1, 0.0, 0.0],
+        [w3 - p3 / i2, 0.0, p1 / i2 - w1, 0.0, 0.0],
+        [p2 / i3 - w2, w1 - p1 / i3, 0.0, -1 / i3, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [-p2 / i3, p1 / i3, 0.0, 1 / j3 + 1 / i3, 0.0],
+    ]
+
+
+def _se3_field_jacobian(y, i1, i2, i3, j3, mgh, c1, c2, c3):
+    """As :func:`_so3_field_jacobian`, for :func:`se3_field_kernel`."""
+    p1, p2, p3, g1, g2, g3, _alpha, l = y
+    w1 = p1 / i1
+    w2 = p2 / i2
+    w3 = (p3 - l) / i3
+    return [
+        [0.0, p3 / i1 - w3, w2 - p2 / i1, 0.0, g3 / i1, -g2 / i1, 0.0, 0.0],
+        [w3 - p3 / i2, 0.0, p1 / i2 - w1, -g3 / i2, 0.0, g1 / i2, 0.0, 0.0],
+        [p2 / i3 - w2, w1 - p1 / i3, 0.0, g2 / i3, -g1 / i3, 0.0, -1 / i3, 0.0],
+        [0.0, -mgh * c3, mgh * c2, 0.0, -w3, w2, 0.0, 0.0],
+        [mgh * c3, 0.0, -mgh * c1, w3, 0.0, -w1, 0.0, 0.0],
+        [-mgh * c2, mgh * c1, 0.0, -w2, w1, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [-p2 / i3, p1 / i3, 0.0, -g2 / i3, g1 / i3, 0.0, 1 / j3 + 1 / i3, 0.0],
+    ]
+
+
+def _so3_free(params, grav):
     i1, i2, i3 = params.i_bar.tolist()
     j3 = params.j3
 
     def free(y):
         return [*so3_field_kernel(y, i1, i2, i3, j3), 0.0]
 
-    return free
+    return free, lambda y: _so3_field_jacobian(y, i1, i2, i3, j3)
 
 
-def _se3_free_field(params, grav):
+def _se3_free(params, grav):
     i1, i2, i3 = params.i_bar.tolist()
     j3, mgh, (c1, c2, c3) = params.j3, grav.mgh, grav.chi.tolist()
 
     def free(y):
         return [*se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3), 0.0]
 
-    return free
+    return free, lambda y: _se3_field_jacobian(y, i1, i2, i3, j3, mgh, c1, c2, c3)
 
 
-_FREE_FIELDS = {ModelKind.SO3: _so3_free_field, ModelKind.SE3: _se3_free_field}
+# Per kind: the free field and its exact Jacobian, the kernel's constants
+# bound as closure variables.
+_FREE_FIELDS = {ModelKind.SO3: _so3_free, ModelKind.SE3: _se3_free}
 
 
 def _lift_floats(lift, lay) -> list:
@@ -272,7 +311,7 @@ def _flat_field(kind, params, grav, control):
     lay = model_layout(kind)
     if lay.gravity and grav is None:
         raise ValueError(f"gravity parameters required for the {kind.value} model")
-    free = _FREE_FIELDS[kind](params, grav)
+    free, _jac = _FREE_FIELDS[kind](params, grav)
     control = control if control is not None else ZeroControl()
     if isinstance(control, ConstantControl) and control.lift is None:
         control = ZeroControl()
@@ -293,6 +332,43 @@ def _flat_field(kind, params, grav, control):
         return list(map(add, d, _lift_floats(lift, lay)))
 
     return rhs
+
+
+def _fd_jacobian(rhs, y: list) -> list:
+    """Central-difference Jacobian of `rhs` at `y` as a list of columns."""
+    cols = []
+    for j, v in enumerate(y):
+        # fd_steps' rule; max(|v|, 1.0) keeps a NaN as np.maximum does.
+        h = FD_SCALE * max(abs(v), 1.0)
+        probe = y.copy()
+        probe[j] = v + h
+        f_plus = rhs(probe)
+        probe[j] = v - h
+        d = 2.0 * h
+        cols.append([(a - b) / d for a, b in zip(f_plus, rhs(probe))])
+    return cols
+
+
+def _flat_jacobian(kind, params, grav, control):
+    """The Jacobian of :func:`_flat_field`, validated there, as a function
+    from a list of floats to a list of columns: exact for the free field,
+    nothing added for a constant lift, and central differences of the lift
+    alone added for a ``FeedbackControl`` (a ``None`` lift is zero)."""
+    _free, jac = _FREE_FIELDS[kind](params, grav)
+    if not isinstance(control, FeedbackControl):
+        return jac
+    lay = model_layout(kind)
+
+    def lift(y):
+        u = control.lift_at(lay.from_vector(y))
+        return [0.0] * lay.dim if u is None else _lift_floats(u, lay)
+
+    # A zero difference leaves the entry as it is, -0.0 included, so a law
+    # that returns None gives the free Jacobian bit for bit.
+    return lambda y: [
+        [a + b if b else a for a, b in zip(col, du)]
+        for col, du in zip(jac(y), _fd_jacobian(lift, y))
+    ]
 
 
 def controlled_rhs(

@@ -32,13 +32,14 @@ rotor-momentum lines constrain only the corresponding lift component.
 
 :func:`find_equilibrium` iterates on lists of Python floats from the
 guess to the result, on the list field that
-:func:`gyrostat.dynamics.integrate` steps.  The finite-difference Jacobian
-is built column by column, its structurally zero rows and columns are
-struck, and the damped line search and the max-norm stop test run on
-floats, each in the operation order of ndarray arithmetic.  Two numpy
-calls remain, where Python would round otherwise: ``np.linalg.solve``
-(LAPACK ``gesv``) on the reduced square system, and the line-search
-2-norm as the square root of BLAS ``ddot``.
+:func:`gyrostat.dynamics.integrate` steps.  The exact Jacobian is written
+out beside the field kernels (only a feedback lift is differenced), its
+structurally zero rows and columns are struck, and the damped line
+search and the max-norm stop test run on floats, each in the operation
+order of ndarray arithmetic.  Two numpy calls remain, where Python would
+round otherwise: ``np.linalg.solve`` (LAPACK ``gesv``) on the reduced
+square system, and the line-search 2-norm as the square root of BLAS
+``ddot``.
 
 The functions here take a :class:`ModelKind` (or, for :func:`solve_lift`,
 values of one model's length) and read the layout from
@@ -55,7 +56,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import ConfigurationPoint
-from .dynamics import ControlLaw, _flat_field
+from .dynamics import ControlLaw, _flat_field, _flat_jacobian
 from .model import (
     GravityParams,
     InertiaParams,
@@ -64,7 +65,6 @@ from .model import (
     So3RotorState,
     model_layout,
 )
-from .poisson import FD_SCALE
 
 __all__ = [
     "hj_residual_so3",
@@ -93,9 +93,7 @@ def _as_values(g, n: int, what: str) -> np.ndarray:
     return g
 
 
-def hj_residual_so3(
-    gamma_bar, params: InertiaParams, lift=None
-) -> np.ndarray:
+def hj_residual_so3(gamma_bar, params: InertiaParams, lift=None) -> np.ndarray:
     """Residual of the symmetric model's steady equations at fixed values.
 
     Parameters
@@ -290,30 +288,16 @@ class EquilibriumResult:
     iterations: int
 
 
-def _fd_jacobian(rhs, y: list) -> list:
-    """Central-difference Jacobian of `rhs` at `y` as a list of columns."""
-    cols = []
-    for j, v in enumerate(y):
-        # fd_steps' rule; max(|v|, 1.0) keeps a NaN as np.maximum does.
-        h = FD_SCALE * max(abs(v), 1.0)
-        probe = y.copy()
-        probe[j] = v + h
-        f_plus = rhs(probe)
-        probe[j] = v - h
-        d = 2.0 * h
-        cols.append([(a - b) / d for a, b in zip(f_plus, rhs(probe))])
-    return cols
-
-
 def _newton_direction(cols: list, f: list) -> list:
     """Solve ``jac @ delta = -f`` with structurally null slots removed.
 
     A cyclic variable contributes an exactly zero column (it moves
     nothing) and a locally constant equation an exactly zero row (nothing
-    moves it); both arise from exact finite differencing of expressions
-    that never mention the slot.  Such slots are struck from the linear
-    system and their delta is zero.  Any remaining rank deficiency is a
-    genuine failure and is reported rather than regularized away, since a
+    moves it); in the exact Jacobian an entry whose expression never
+    mentions the slot is a literal 0.0, and an entry may also vanish at
+    the current values.  Such slots are struck from the linear system and
+    their delta is zero.  Any remaining rank deficiency is a genuine
+    failure and is reported rather than regularized away, since a
     least-squares continuation could march toward spurious roots.
     """
     # A float is true unless it is 0.0 or -0.0, so a NaN entry is live.
@@ -363,9 +347,9 @@ def find_equilibrium(
 ) -> EquilibriumResult:
     """Find a zero of the controlled equations by damped Newton iteration.
 
-    The Jacobian is finite-differenced with the package-wide step rule;
-    each step is halved (up to ``NEWTON_MAX_HALVINGS`` times) until the
-    residual 2-norm decreases.  Convergence means a finite residual
+    The Jacobian is exact, but for a ``FeedbackControl`` lift, which is
+    central-differenced; each step is halved (up to
+    ``NEWTON_MAX_HALVINGS`` times) until the residual 2-norm decreases.  Convergence means a finite residual
     max-norm below `tol`.  A guess that already satisfies the tolerance
     returns after zero iterations.
 
@@ -394,6 +378,7 @@ def find_equilibrium(
         raise ValueError(f"{kind.value} search requires an {lay.state_type.__name__} guess")
 
     rhs = _flat_field(kind, params, grav, control)
+    jacobian = _flat_jacobian(kind, params, grav, control)
     y = lay.to_vector(guess).tolist()
     f = rhs(y)
     iterations = 0
@@ -405,7 +390,7 @@ def find_equilibrium(
                 residual_norm=norm,
                 iterations=iterations,
             )
-        delta = _newton_direction(_fd_jacobian(rhs, y), f)
+        delta = _newton_direction(jacobian(y), f)
         base = _norm(f)
         scale = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):

@@ -170,6 +170,15 @@ class GravityParams:
         object.__setattr__(self, "chi", chi)
 
 
+def _set_finite_floats(obj, *names):
+    """Store the named fields of a frozen dataclass as floats; ValueError
+    unless all of them are finite."""
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+    if not all(math.isfinite(getattr(obj, name)) for name in names):
+        raise ValueError(f"{' and '.join(names)} must be finite")
+
+
 @dataclass(frozen=True)
 class So3RotorState:
     """Phase point (Pi, alpha, l) of the symmetric model."""
@@ -180,10 +189,7 @@ class So3RotorState:
 
     def __post_init__(self):
         object.__setattr__(self, "pi", as_vec3(self.pi))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "l", float(self.l))
-        if not (np.isfinite(self.alpha) and np.isfinite(self.l)):
-            raise ValueError("alpha and l must be finite")
+        _set_finite_floats(self, "alpha", "l")
 
 
 @dataclass(frozen=True)
@@ -203,10 +209,7 @@ class Se3RotorState:
     def __post_init__(self):
         object.__setattr__(self, "pi", as_vec3(self.pi))
         object.__setattr__(self, "gamma", as_vec3(self.gamma))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "l", float(self.l))
-        if not (np.isfinite(self.alpha) and np.isfinite(self.l)):
-            raise ValueError("alpha and l must be finite")
+        _set_finite_floats(self, "alpha", "l")
 
 
 @dataclass(frozen=True)
@@ -219,8 +222,7 @@ class ControlLiftSo3:
 
     def __post_init__(self):
         object.__setattr__(self, "u_pi", as_vec3(self.u_pi))
-        object.__setattr__(self, "u_alpha", float(self.u_alpha))
-        object.__setattr__(self, "u_l", float(self.u_l))
+        _set_finite_floats(self, "u_alpha", "u_l")
 
 
 @dataclass(frozen=True)
@@ -235,8 +237,7 @@ class ControlLiftSe3:
     def __post_init__(self):
         object.__setattr__(self, "u_pi", as_vec3(self.u_pi))
         object.__setattr__(self, "u_gamma", as_vec3(self.u_gamma))
-        object.__setattr__(self, "u_alpha", float(self.u_alpha))
-        object.__setattr__(self, "u_l", float(self.u_l))
+        _set_finite_floats(self, "u_alpha", "u_l")
 
 
 @dataclass(frozen=True)

@@ -193,10 +193,12 @@ class TestEquilibriumCommand:
         assert isinstance(rep["iterations"], int)
 
     def test_non_convergence_reported(self, tmp_path, capsys):
+        # This guess needs 19 exact Newton steps; a budget of one runs out.
         cfg = write_json(tmp_path / "cfg.json", {
-            "model": "so3",
+            "model": "se3",
             "inertia": {"i_bar": [3.0, 2.0, 1.0], "j3": 1.0},
-            "guess": [1.0, 2.0, 3.0, 0.0, 0.5],
+            "gravity": {"mgh": 2.0, "chi": [0.0, 0.0, 1.0]},
+            "guess": [1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.5],
             "max_iter": 1,
         })
         code = main(["equilibrium", "--config", cfg])

@@ -72,6 +72,17 @@ class TestReducedRhs:
         with pytest.raises(ValueError):
             ControlLiftSe3(u_gamma=(1.0,))
 
+    @pytest.mark.parametrize("lift_type", [ControlLiftSo3, ControlLiftSe3])
+    @pytest.mark.parametrize(
+        "scalars",
+        [{"u_alpha": np.nan}, {"u_alpha": -np.inf}, {"u_l": np.inf},
+         {"u_alpha": np.nan, "u_l": np.inf}],
+    )
+    def test_non_finite_scalar_is_rejected(self, lift_type, scalars):
+        # As a non-finite u_pi is: up front, not at the first step.
+        with pytest.raises(ValueError, match="finite"):
+            lift_type(**scalars)
+
     @pytest.mark.parametrize(
         "call",
         [

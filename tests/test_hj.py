@@ -231,11 +231,12 @@ class TestFindEquilibrium:
         )
         assert rep.max_norm < 1e-10
 
-    def test_non_convergence_reports_progress(self, std_params):
-        # This guess needs two Newton steps, so a budget of one runs out.
-        guess = So3RotorState(pi=(1.0, 2.0, 3.0), l=0.5)
+    def test_non_convergence_reports_progress(self, std_params, std_grav, std_se3_state):
+        # This guess needs 19 exact Newton steps, so a budget of one runs
+        # out.  (With i3 = j3, as here, one exact step reaches an
+        # uncontrolled so3 equilibrium from a generic guess.)
         with pytest.raises(NewtonConvergenceError) as exc:
-            find_equilibrium(ModelKind.SO3, std_params, guess, max_iter=1)
+            find_equilibrium(ModelKind.SE3, std_params, std_se3_state, grav=std_grav, max_iter=1)
         assert exc.value.iterations == 1
         assert exc.value.residual_norm is not None
 

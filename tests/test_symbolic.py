@@ -10,12 +10,19 @@ component i being ``{x_i, H}``:
     dl/dt     = -dH/dalpha
 
 The hand-written field kernels, called on symbols, must differ from these
-by exactly 0.  The reference never sees a hand-written derivative.
+by exactly 0, and so must the hand-written Jacobians the equilibrium search
+uses from sympy's Jacobian of the reference.  The reference never sees a
+hand-written derivative.
 """
 
 import sympy as sp
 
-from gyrostat.dynamics import se3_field_kernel, so3_field_kernel
+from gyrostat.dynamics import (
+    _se3_field_jacobian,
+    _so3_field_jacobian,
+    se3_field_kernel,
+    so3_field_kernel,
+)
 
 I1, I2, I3, J3, MGH, C1, C2, C3 = sp.symbols("i1 i2 i3 j3 mgh c1 c2 c3")
 PI = sp.Matrix(sp.symbols("p1 p2 p3"))
@@ -88,3 +95,36 @@ def test_mgh_zero_degenerates_to_so3():
     got_se3 = se3_kernel_field(mgh=0)
     got_so3 = so3_kernel_field()
     assert all(exactly_equal(got_se3[i], b) for i, b in zip(slots, got_so3))
+
+
+def reference_jacobian(gravity: bool) -> sp.Matrix:
+    coords = SE3_COORDS if gravity else SO3_COORDS
+    return sp.Matrix(reference_field(gravity)).jacobian(coords)
+
+
+def so3_jacobian() -> sp.Matrix:
+    # The hand-written Jacobians are lists of columns.
+    return sp.Matrix(_so3_field_jacobian(SO3_COORDS, I1, I2, I3, J3)).T
+
+
+def se3_jacobian(mgh=MGH) -> sp.Matrix:
+    return sp.Matrix(_se3_field_jacobian(SE3_COORDS, I1, I2, I3, J3, mgh, C1, C2, C3)).T
+
+
+def matrices_exactly_equal(a: sp.Matrix, b: sp.Matrix) -> bool:
+    return a.shape == b.shape and all(exactly_equal(x, y) for x, y in zip(a, b))
+
+
+def test_so3_jacobian_is_the_lie_poisson_jacobian():
+    assert matrices_exactly_equal(so3_jacobian(), reference_jacobian(gravity=False))
+
+
+def test_se3_jacobian_is_the_lie_poisson_jacobian():
+    assert matrices_exactly_equal(se3_jacobian(), reference_jacobian(gravity=True))
+
+
+def test_jacobian_mgh_zero_degenerates_to_so3():
+    slots = [0, 1, 2, 6, 7]
+    ref_se3 = reference_jacobian(gravity=True).subs(MGH, 0).extract(slots, slots)
+    assert matrices_exactly_equal(ref_se3, reference_jacobian(gravity=False))
+    assert matrices_exactly_equal(se3_jacobian(mgh=0).extract(slots, slots), so3_jacobian())
