@@ -95,12 +95,13 @@ class ConfigurationPoint:
                 f"rotation must be 3x3, got shape {self.rotation.shape}"
             )
         defect = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3)))
-        if defect > ROTATION_TOL:
+        # Written so that a NaN defect fails the check too.
+        if not defect <= ROTATION_TOL:
             raise ValueError(
                 f"rotation is not orthonormal: max|R^T R - I| = {defect:.3e}"
             )
         det_defect = abs(np.linalg.det(self.rotation) - 1.0)
-        if det_defect > ROTATION_TOL:
+        if not det_defect <= ROTATION_TOL:
             raise ValueError(
                 f"rotation must have determinant 1: |det - 1| = {det_defect:.3e}"
             )

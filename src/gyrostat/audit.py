@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _flat_field
+from .dynamics import _flat_system
 from .model import GravityParams, InertiaParams, ModelKind
 from .poisson import (
     BracketKind,
@@ -74,7 +74,7 @@ def bracket_oracle_audit(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     # The free field of dynamics takes (dim, n) blocks too.
-    direct_field = _flat_field(kind, params, grav, None)
+    direct_field, _jac = _flat_system(kind, params, grav, None)
     bracket_kind, energy = _ORACLES[kind]
     h = energy(params, grav)
     dim = h.dim

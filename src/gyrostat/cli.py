@@ -22,7 +22,7 @@ import numpy as np
 
 from .audit import bracket_oracle_audit
 from .dynamics import IntegrationError, diagnostics, integrate
-from .hj import _STEADY_RESIDUALS, EquilibriumError, find_equilibrium, solve_lift
+from .hj import EquilibriumError, _residual, _rule_lift, find_equilibrium
 from .model import model_layout
 from .scenario import (
     ScenarioError,
@@ -44,6 +44,12 @@ def _read_text(path: str) -> str:
 
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+def _json_number(x):
+    """`x`, or None where it is None or not finite: JSON has no NaN or
+    infinity."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def cmd_simulate(config_path: str, out_path: str, summary_path: str) -> int:
@@ -127,27 +133,18 @@ def cmd_hj_check(config_path: str) -> int:
         gamma = model_layout(cfg.model).to_vector(result.state)
         source = "equilibrium"
 
-    if isinstance(cfg.lift, str) and cfg.lift == "solve":
-        lift = solve_lift(gamma, cfg.inertia, cfg.gravity)
-        rule = "solve"
-    elif isinstance(cfg.lift, str):
-        lift = None
-        rule = "zero"
-    else:
-        lift = cfg.lift
-        rule = "given"
-
-    residual = _STEADY_RESIDUALS[cfg.model](gamma, cfg.inertia, cfg.gravity, lift)
+    lift = _rule_lift(cfg.lift, cfg.model, gamma, cfg.inertia, cfg.gravity)
+    residual = _residual(cfg.model, gamma, cfg.inertia, cfg.gravity, lift)
     max_norm = float(np.max(np.abs(residual)))
     passed = max_norm < cfg.tolerance
     report = {
         "model": cfg.model.value,
         "gamma_source": source,
         "gamma": [float(v) for v in gamma],
-        "lift_rule": rule,
-        "lift": None if lift is None else [float(v) for v in lift],
-        "residual": [float(v) for v in residual],
-        "max_norm": max_norm,
+        "lift_rule": cfg.lift if isinstance(cfg.lift, str) else "given",
+        "lift": None if lift is None else [_json_number(float(v)) for v in lift],
+        "residual": [_json_number(float(v)) for v in residual],
+        "max_norm": _json_number(max_norm),
         "tolerance": cfg.tolerance,
         "passed": passed,
     }
@@ -173,8 +170,7 @@ def cmd_equilibrium(config_path: str) -> int:
             "model": cfg.model.value,
             "converged": False,
             "error": str(err),
-            # JSON has no NaN or infinity.
-            "residual_norm": norm if norm is not None and math.isfinite(norm) else None,
+            "residual_norm": _json_number(norm),
             "iterations": getattr(err, "iterations", None),
         }
         print(json_text(report), end="")

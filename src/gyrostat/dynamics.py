@@ -34,8 +34,11 @@ once per run over the stacked states.  The public :func:`controlled_rhs`,
 What differs between the models is looked up, not branched on: the flat
 layout, the lift type and whether the potential enters in
 :func:`gyrostat.model.model_layout`, and the free field with its exact
-Jacobian in this module's ``{kind: factory}`` dict.  The lift types live
-in :mod:`gyrostat.model` and are re-exported here.
+Jacobian in this module's ``{kind: factory}`` dict.  One builder turns a
+kind, its parameters and a control law into the controlled field and its
+Jacobian; the integrator, :func:`controlled_rhs`, the bracket audit and
+the equilibrium search each call it once.  The lift types live in
+:mod:`gyrostat.model` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -299,30 +302,34 @@ def _lift_floats(lift, lay) -> list:
     return [x for v in vars(lift).values() for x in ((v,) if type(v) is float else v.tolist())]
 
 
-def _flat_field(kind, params, grav, control):
-    """The controlled field as a function from a list of floats to one.
+def _flat_system(kind, params, grav, control):
+    """The controlled field and its Jacobian, as functions from a list of
+    floats to a list of floats and to a list of columns.
 
-    Validates as :func:`controlled_rhs`.  The control enters as one
-    addition per slot, the lift's entries turned into floats once for a
-    ``ConstantControl`` and at every call for a ``FeedbackControl``.
-    Without control it is the model's free field, which also takes a
-    ``(dim, n)`` block.
+    Validates as :func:`controlled_rhs`.  The control enters the field as
+    one addition per slot, the lift's entries turned into floats once for
+    a ``ConstantControl`` and at every call for a ``FeedbackControl``.
+    Without control the field is the model's free field, which also takes
+    a ``(dim, n)`` block.  The Jacobian is exact for the free field,
+    nothing is added for a constant lift, and central differences of the
+    lift alone are added for a ``FeedbackControl`` (a ``None`` lift is
+    zero).
     """
     lay = model_layout(kind)
     if lay.gravity and grav is None:
         raise ValueError(f"gravity parameters required for the {kind.value} model")
-    free, _jac = _FREE_FIELDS[kind](params, grav)
+    free, jac = _FREE_FIELDS[kind](params, grav)
     control = control if control is not None else ZeroControl()
     if isinstance(control, ConstantControl) and control.lift is None:
         control = ZeroControl()
 
     if isinstance(control, ZeroControl):
-        return free
+        return free, jac
     # free(y) ends in dl = 0.0, so a lift adds u_l to 0.0: a -0.0 entry
     # gives 0.0 there.
     if isinstance(control, ConstantControl):
         u = _lift_floats(control.lift, lay)
-        return lambda y: list(map(add, free(y), u))
+        return (lambda y: list(map(add, free(y), u))), jac
 
     def rhs(y):
         d = free(y)
@@ -331,7 +338,16 @@ def _flat_field(kind, params, grav, control):
             return d
         return list(map(add, d, _lift_floats(lift, lay)))
 
-    return rhs
+    def lift(y):
+        u = control.lift_at(lay.from_vector(y))
+        return [0.0] * lay.dim if u is None else _lift_floats(u, lay)
+
+    # A zero difference leaves the entry as it is, -0.0 included, so a law
+    # that returns None gives the free Jacobian bit for bit.
+    return rhs, lambda y: [
+        [a + b if b else a for a, b in zip(col, du)]
+        for col, du in zip(jac(y), _fd_jacobian(lift, y))
+    ]
 
 
 def _fd_jacobian(rhs, y: list) -> list:
@@ -347,28 +363,6 @@ def _fd_jacobian(rhs, y: list) -> list:
         d = 2.0 * h
         cols.append([(a - b) / d for a, b in zip(f_plus, rhs(probe))])
     return cols
-
-
-def _flat_jacobian(kind, params, grav, control):
-    """The Jacobian of :func:`_flat_field`, validated there, as a function
-    from a list of floats to a list of columns: exact for the free field,
-    nothing added for a constant lift, and central differences of the lift
-    alone added for a ``FeedbackControl`` (a ``None`` lift is zero)."""
-    _free, jac = _FREE_FIELDS[kind](params, grav)
-    if not isinstance(control, FeedbackControl):
-        return jac
-    lay = model_layout(kind)
-
-    def lift(y):
-        u = control.lift_at(lay.from_vector(y))
-        return [0.0] * lay.dim if u is None else _lift_floats(u, lay)
-
-    # A zero difference leaves the entry as it is, -0.0 included, so a law
-    # that returns None gives the free Jacobian bit for bit.
-    return lambda y: [
-        [a + b if b else a for a, b in zip(col, du)]
-        for col, du in zip(jac(y), _fd_jacobian(lift, y))
-    ]
 
 
 def controlled_rhs(
@@ -391,7 +385,7 @@ def controlled_rhs(
         other model: up front for a ``ConstantControl``, at the call for a
         ``FeedbackControl``.
     """
-    rhs = _flat_field(kind, params, grav, control)
+    rhs, _jac = _flat_system(kind, params, grav, control)
     return lambda y: np.array(rhs(y.tolist()))
 
 
@@ -490,10 +484,11 @@ def integrate(
         On bad step parameters, a state that does not match `kind`, or a
         control lift of the other model.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if method not in ("rk4", "midpoint"):
@@ -505,7 +500,7 @@ def integrate(
             f"{kind.value} model requires an {lay.state_type.__name__} initial state"
         )
     y = lay.to_vector(initial).tolist()
-    rhs = _flat_field(kind, params, grav, control)
+    rhs, _jac = _flat_system(kind, params, grav, control)
     n_steps = max(1, int(round(t_end / dt)))
     i1, i2, i3 = params.i_bar.tolist()
 
@@ -566,12 +561,10 @@ class DriftStats:
 
 @dataclass(frozen=True)
 class DiagnosticsSummary:
-    """Conservation drift and state extent over one trajectory."""
+    """Conservation drift over one trajectory."""
 
     energy: DriftStats
     casimirs: dict
-    state_min: np.ndarray
-    state_max: np.ndarray
 
 
 def _drift_stats(series: np.ndarray) -> DriftStats:
@@ -584,14 +577,9 @@ def _drift_stats(series: np.ndarray) -> DriftStats:
 
 
 def diagnostics(traj: Trajectory) -> DiagnosticsSummary:
-    """Summarize conserved-label drift and per-component state range."""
+    """Summarize conserved-label drift."""
     cas = {
         name: _drift_stats(traj.casimirs[:, j])
         for j, name in enumerate(traj.casimir_names)
     }
-    return DiagnosticsSummary(
-        energy=_drift_stats(traj.energy),
-        casimirs=cas,
-        state_min=traj.states.min(axis=0),
-        state_max=traj.states.max(axis=0),
-    )
+    return DiagnosticsSummary(energy=_drift_stats(traj.energy), casimirs=cas)

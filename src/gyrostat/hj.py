@@ -25,10 +25,11 @@ Restoring-torque model, ``g = (g1..g8) = (Pi, Gamma, alpha, l)`` values::
     r8 =                                                                u8
 
 with ``x = chi``.  The lift-free parts coincide with the equations of
-motion evaluated at the same values, which the test suite asserts through
-an independent route; the rotor-angle value (g4 for the symmetric model,
-g7 for the restoring one) never appears because the angle is cyclic.  The
-rotor-momentum lines constrain only the corresponding lift component.
+motion evaluated at the same values; ``tests/test_symbolic.py`` derives
+them from the energy and the Lie-Poisson bracket.  The rotor-angle value
+(g4 for the symmetric model, g7 for the restoring one) never appears
+because the angle is cyclic.  The rotor-momentum lines constrain only the
+corresponding lift component.
 
 :func:`find_equilibrium` iterates on lists of Python floats from the
 guess to the result, on the list field that
@@ -41,10 +42,12 @@ round otherwise: ``np.linalg.solve`` (LAPACK ``gesv``) on the reduced
 square system, and the line-search 2-norm as the square root of BLAS
 ``ddot``.
 
-The functions here take a :class:`ModelKind` (or, for :func:`solve_lift`,
-values of one model's length) and read the layout from
-:func:`gyrostat.model.model_layout`; the two residual forms above are
-looked up in one table keyed by kind.
+The lift-free lines above are written once per model, as expressions on
+plain values in a dict keyed by :class:`ModelKind`; one residual routine
+checks the inputs, binds the constants and adds the lift, and every
+residual here goes through it.  The functions take a kind (or, for
+:func:`solve_lift`, values of one model's length) and read the layout
+from :func:`gyrostat.model.model_layout`.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import ConfigurationPoint
-from .dynamics import ControlLaw, _flat_field, _flat_jacobian
+from .dynamics import ControlLaw, _flat_system
 from .model import (
     GravityParams,
     InertiaParams,
@@ -93,6 +96,45 @@ def _as_values(g, n: int, what: str) -> np.ndarray:
     return g
 
 
+# Each model's steady lines on plain values (floats, or sympy symbols in
+# the test suite), without the lift and the l line, which is its lift
+# entry alone.  The arguments are the values, then the constants of the
+# model's field kernel in its order.
+_STEADY_LINES = {
+    ModelKind.SO3: lambda g1, g2, g3, _g4, g5, i1, i2, i3, j3: (
+        ((i2 - i3) * g2 * g3 - i2 * g2 * g5) / (i2 * i3),
+        ((i3 - i1) * g3 * g1 + i1 * g1 * g5) / (i3 * i1),
+        ((i1 - i2) * g1 * g2) / (i1 * i2),
+        -(g3 - g5) / i3 + g5 / j3,
+    ),
+    ModelKind.SE3: lambda g1, g2, g3, g4, g5, g6, _g7, g8, i1, i2, i3, j3, mgh, x1, x2, x3: (
+        ((i2 - i3) * g2 * g3 - i2 * g2 * g8) / (i2 * i3) + mgh * (g5 * x3 - g6 * x2),
+        ((i3 - i1) * g3 * g1 + i1 * g1 * g8) / (i3 * i1) + mgh * (g6 * x1 - g4 * x3),
+        ((i1 - i2) * g1 * g2) / (i1 * i2) + mgh * (g4 * x2 - g5 * x1),
+        (i2 * g5 * (g3 - g8) - i3 * g6 * g2) / (i2 * i3),
+        (i3 * g6 * g1 - i1 * g4 * (g3 - g8)) / (i3 * i1),
+        (i1 * g4 * g2 - i2 * g5 * g1) / (i1 * i2),
+        -(g3 - g8) / i3 + g8 / j3,
+    ),
+}
+
+
+def _residual(kind, gamma_bar, params, grav, lift) -> np.ndarray:
+    """The steady residual of model `kind` at the values `gamma_bar`; a
+    ``None`` lift is zero.  ValueError on values or a lift of the wrong
+    shape, or a missing gravity block for se3."""
+    lay = model_layout(kind)
+    g = _as_values(gamma_bar, lay.dim, "gamma_bar")
+    u = np.zeros(lay.dim) if lift is None else _as_values(lift, lay.dim, "lift")
+    consts = [*params.i_bar.tolist(), params.j3]
+    if lay.gravity:
+        if grav is None:
+            raise ValueError(f"gravity parameters required for the {kind.value} model")
+        consts += [grav.mgh, *grav.chi.tolist()]
+    lines = _STEADY_LINES[kind](*g.tolist(), *consts)
+    return np.array([*(r + v for r, v in zip(lines, u)), u[-1]])
+
+
 def hj_residual_so3(gamma_bar, params: InertiaParams, lift=None) -> np.ndarray:
     """Residual of the symmetric model's steady equations at fixed values.
 
@@ -103,20 +145,7 @@ def hj_residual_so3(gamma_bar, params: InertiaParams, lift=None) -> np.ndarray:
     lift : array_like, shape (5,), optional
         Lift components (u1..u5); omitted means zero.
     """
-    g = _as_values(gamma_bar, 5, "gamma_bar")
-    u = np.zeros(5) if lift is None else _as_values(lift, 5, "lift")
-    i1, i2, i3 = (float(v) for v in params.i_bar)
-    j3 = params.j3
-    g1, g2, g3, _g4, g5 = g.tolist()
-    return np.array(
-        [
-            ((i2 - i3) * g2 * g3 - i2 * g2 * g5) / (i2 * i3) + u[0],
-            ((i3 - i1) * g3 * g1 + i1 * g1 * g5) / (i3 * i1) + u[1],
-            ((i1 - i2) * g1 * g2) / (i1 * i2) + u[2],
-            -(g3 - g5) / i3 + g5 / j3 + u[3],
-            u[4],
-        ]
-    )
+    return _residual(ModelKind.SO3, gamma_bar, params, None, lift)
 
 
 def hj_residual_se3(
@@ -128,40 +157,12 @@ def hj_residual_se3(
     ----------
     gamma_bar : array_like, shape (8,)
         Candidate values in (Pi, Gamma, alpha, l) order.
+    grav : GravityParams
+        Required: None raises ValueError.
     lift : array_like, shape (8,), optional
         Lift components (u1..u8); omitted means zero.
     """
-    g = _as_values(gamma_bar, 8, "gamma_bar")
-    u = np.zeros(8) if lift is None else _as_values(lift, 8, "lift")
-    i1, i2, i3 = (float(v) for v in params.i_bar)
-    j3 = params.j3
-    mgh = grav.mgh
-    x1, x2, x3 = (float(v) for v in grav.chi)
-    g1, g2, g3, g4, g5, g6, _g7, g8 = g.tolist()
-    return np.array(
-        [
-            ((i2 - i3) * g2 * g3 - i2 * g2 * g8) / (i2 * i3)
-            + mgh * (g5 * x3 - g6 * x2)
-            + u[0],
-            ((i3 - i1) * g3 * g1 + i1 * g1 * g8) / (i3 * i1)
-            + mgh * (g6 * x1 - g4 * x3)
-            + u[1],
-            ((i1 - i2) * g1 * g2) / (i1 * i2) + mgh * (g4 * x2 - g5 * x1) + u[2],
-            (i2 * g5 * (g3 - g8) - i3 * g6 * g2) / (i2 * i3) + u[3],
-            (i3 * g6 * g1 - i1 * g4 * (g3 - g8)) / (i3 * i1) + u[4],
-            (i1 * g4 * g2 - i2 * g5 * g1) / (i1 * i2) + u[5],
-            -(g3 - g8) / i3 + g8 / j3 + u[6],
-            u[7],
-        ]
-    )
-
-
-# Each model's steady equations in their own algebraic form, looked up by
-# name at the call, so a wrapper set on this module's attribute sees it.
-_STEADY_RESIDUALS = {
-    ModelKind.SO3: lambda g, params, grav, lift: hj_residual_so3(g, params, lift),
-    ModelKind.SE3: lambda g, params, grav, lift: hj_residual_se3(g, params, grav, lift),
-}
+    return _residual(ModelKind.SE3, gamma_bar, params, grav, lift)
 
 
 def solve_lift(
@@ -180,15 +181,23 @@ def solve_lift(
     """
     g = np.asarray(gamma_bar, dtype=float)
     for kind in ModelKind:
-        lay = model_layout(kind)
-        if g.shape == (lay.dim,):
-            if lay.gravity and grav is None:
-                raise ValueError(
-                    f"gravity parameters required for {lay.dim}-component values"
-                )
-            return -_STEADY_RESIDUALS[kind](g, params, grav, None)
+        if g.shape == (model_layout(kind).dim,):
+            return -_residual(kind, g, params, grav, None)
     shapes = " or ".join(f"({model_layout(kind).dim},)" for kind in ModelKind)
     raise ValueError(f"gamma_bar must have shape {shapes}, got {g.shape}")
+
+
+def _rule_lift(rule, kind, gamma_bar, params, grav):
+    """The lift that `rule` applies at the values `gamma_bar`: None for
+    ``"zero"``, the exact annihilating lift for ``"solve"``, and an array
+    rule as it is."""
+    if not isinstance(rule, str):
+        return rule
+    if rule == "zero":
+        return None
+    if rule == "solve":
+        return -_residual(kind, gamma_bar, params, grav, None)
+    raise ValueError(f"lift must be 'zero', 'solve', or an array, got {rule!r}")
 
 
 @dataclass
@@ -233,33 +242,14 @@ def residual_field_report(
     """
     if not configs:
         raise ValueError("at least one configuration is required")
-    lay = model_layout(field.kind)
-    n = lay.dim
-    if lay.gravity and grav is None:
-        raise ValueError(f"gravity parameters required for an {lay.kind.value} field")
-
-    fixed_lift = None
-    if not isinstance(lift, str):
-        fixed_lift = _as_values(lift, n, "lift")
-    elif lift not in ("zero", "solve"):
-        raise ValueError(f"lift must be 'zero', 'solve', or an array, got {lift!r}")
-
+    n = model_layout(field.kind).dim
     residuals = []
-    norms = []
     for config in configs:
         g = _as_values(field.fn(config), n, "field values")
-        if fixed_lift is not None:
-            u = fixed_lift
-        elif lift == "solve":
-            u = solve_lift(g, params, grav)
-        else:
-            u = None
-        r = _STEADY_RESIDUALS[field.kind](g, params, grav, u)
-        residuals.append(r)
-        norms.append(float(np.max(np.abs(r))))
-    return FieldReport(
-        per_config=norms, residuals=residuals, max_norm=max(norms)
-    )
+        u = _rule_lift(lift, field.kind, g, params, grav)
+        residuals.append(_residual(field.kind, g, params, grav, u))
+    norms = [float(np.max(np.abs(r))) for r in residuals]
+    return FieldReport(per_config=norms, residuals=residuals, max_norm=_max_norm(norms))
 
 
 class EquilibriumError(RuntimeError):
@@ -377,8 +367,7 @@ def find_equilibrium(
     if not isinstance(guess, lay.state_type):
         raise ValueError(f"{kind.value} search requires an {lay.state_type.__name__} guess")
 
-    rhs = _flat_field(kind, params, grav, control)
-    jacobian = _flat_jacobian(kind, params, grav, control)
+    rhs, jacobian = _flat_system(kind, params, grav, control)
     y = lay.to_vector(guess).tolist()
     f = rhs(y)
     iterations = 0

@@ -101,3 +101,9 @@ def test_configuration_point_rejects_reflection():
 def test_configuration_point_rejects_bad_shape():
     with pytest.raises(ValueError, match="3x3"):
         ConfigurationPoint(rotation=np.eye(2))
+
+
+def test_configuration_point_rejects_nan_rotation():
+    # A NaN defect compares false against the tolerance.
+    with pytest.raises(ValueError, match="orthonormal"):
+        ConfigurationPoint(rotation=np.full((3, 3), np.nan))

@@ -177,6 +177,28 @@ class TestHjCheck:
         assert rep["gamma_source"] == "equilibrium"
         assert rep["passed"] is True
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_numbers_are_written_as_null(self, tmp_path, capsys):
+        # The products overflow: the solved lift is infinite, and the
+        # residual under it NaN.
+        cfg = write_json(tmp_path / "cfg.json", {
+            "model": "so3",
+            "inertia": {"i_bar": [3.0, 2.0, 1.0], "j3": 1.0},
+            "gamma": [1e200, 1e200, 1e200, 0.0, 0.0],
+            "lift": "solve",
+        })
+        code = main(["hj-check", "--config", cfg])
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == EXIT_TOLERANCE
+        assert rep["passed"] is False
+        assert rep["max_norm"] is None
+        assert None in rep["residual"] and None in rep["lift"]
+        assert rep["gamma"] == [1e200, 1e200, 1e200, 0.0, 0.0]
+
 
 class TestEquilibriumCommand:
     def test_converged(self, tmp_path, capsys):

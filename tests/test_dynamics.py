@@ -326,6 +326,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(ModelKind.SE3, std_params, std_se3_state)  # no gravity
 
+    @pytest.mark.parametrize(
+        "step, value",
+        [("t_end", np.inf), ("t_end", np.nan), ("dt", np.nan), ("dt", np.inf)],
+    )
+    def test_non_finite_step_parameters(self, std_params, std_so3_state, step, value):
+        with pytest.raises(ValueError, match=f"{step} must be finite"):
+            integrate(ModelKind.SO3, std_params, std_so3_state, **{step: value})
+
+    def test_non_positive_step_messages(self, std_params, std_so3_state):
+        with pytest.raises(ValueError, match="dt must be positive, got -1.0"):
+            integrate(ModelKind.SO3, std_params, std_so3_state, dt=-1.0)
+        with pytest.raises(ValueError, match="t_end must be positive, got 0.0"):
+            integrate(ModelKind.SO3, std_params, std_so3_state, t_end=0.0)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failure_carries_partial_trajectory(self, std_params, std_so3_state):
         with pytest.raises(IntegrationError) as exc:
@@ -364,8 +378,6 @@ class TestDiagnostics:
         diag = diagnostics(traj)
         assert diag.energy.max_rel < 1e-12
         assert diag.casimirs["pi_norm"].max_rel < 1e-12
-        assert diag.state_min.shape == (5,)
-        assert diag.state_max.shape == (5,)
 
     def test_se3_casimir_names(self, std_params, std_grav):
         s = Se3RotorState(pi=(1.0, 2.0, 3.0), gamma=(0.6, 0.0, 0.8), l=0.5)

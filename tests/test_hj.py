@@ -9,6 +9,7 @@ from gyrostat.dynamics import (
     reduced_rhs_so3,
 )
 from gyrostat.hj import (
+    GammaBarField,
     NewtonConvergenceError,
     SingularJacobianError,
     constant_field,
@@ -101,6 +102,10 @@ class TestResiduals:
         with pytest.raises(ValueError):
             hj_residual_se3(np.zeros(5), std_params, std_grav)
 
+    def test_se3_needs_gravity(self, std_params):
+        with pytest.raises(ValueError, match="gravity"):
+            hj_residual_se3(np.zeros(8), std_params, None)
+
 
 class TestSolveLift:
     def test_cancellation_is_exact_so3(self, std_params):
@@ -158,6 +163,14 @@ class TestFieldReport:
         field = constant_field(ModelKind.SE3, np.zeros(8))
         with pytest.raises(ValueError):
             residual_field_report(field, some_configs(), std_params)
+
+    def test_nan_in_a_later_config_is_reported(self, std_params):
+        # Python's max keeps its first operand against a NaN.
+        values = iter([[0.0, 0.0, 3.0, 0.0, 1.5], [np.nan, 0.0, 3.0, 0.0, 1.5]])
+        field = GammaBarField(kind=ModelKind.SO3, fn=lambda _config: next(values))
+        rep = residual_field_report(field, some_configs()[:2], std_params)
+        assert rep.per_config[0] == 0.0 and np.isnan(rep.per_config[1])
+        assert np.isnan(rep.max_norm)
 
     def test_empty_configs_rejected(self, std_params):
         field = constant_field(ModelKind.SO3, np.zeros(5))
