@@ -196,6 +196,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_where(ok, rule: str):
+    """An argparse type: an int for which `ok` holds, as `rule` says."""
+
+    def parse(text: str) -> int:
+        if not ok(n := int(text)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse's "invalid int value" on a non-integer
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gyrostat",
@@ -217,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check equations of motion against the bracket oracle",
     )
     p.add_argument("--config", required=True, help="scenario JSON path")
-    p.add_argument("--samples", type=int, default=1000, help="sample count")
-    p.add_argument(
-        "--seed", type=int, default=None, help="override the scenario seed"
-    )
+    samples = _int_where(lambda n: n >= 1, ">= 1")
+    p.add_argument("--samples", type=samples, default=1000, help="sample count")
+    seed = _int_where(lambda n: 0 <= n < 2**64, "in [0, 2**64)")
+    p.add_argument("--seed", type=seed, default=None, help="override the scenario seed")
 
     p = sub.add_parser("hj-check", help="evaluate steady-equation residuals")
     p.add_argument("--config", required=True, help="check config JSON path")

@@ -31,19 +31,19 @@ per-call cost on 5 or 8 slots.  The potential and the Casimirs are computed
 once per run over the stacked states.  The public :func:`controlled_rhs`,
 :func:`step_rk4` and :func:`step_midpoint` are ndarray adapters over it.
 
-What differs between the models is looked up, not branched on: the flat
-layout, the lift type and whether the potential enters in
-:func:`gyrostat.model.model_layout`, and the free field with its exact
-Jacobian in this module's ``{kind: factory}`` dict.  One builder turns a
-kind, its parameters and a control law into the controlled field and its
-Jacobian; the integrator, :func:`controlled_rhs`, the bracket audit and
-the equilibrium search each call it once.  The lift types live in
-:mod:`gyrostat.model` and are re-exported here.
+What differs between the models is looked up, not branched on: the
+layout and the constants in :func:`gyrostat.model.model_layout`, and the
+kernel and its exact Jacobian by name.  One builder binds the constants
+to them and folds in a control law; the integrator,
+:func:`controlled_rhs`, the bracket audit and the equilibrium search each
+call it once.  The lift types live in :mod:`gyrostat.model` and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite
 from operator import add
 from typing import Callable, Optional, Union
@@ -185,39 +185,38 @@ class Trajectory:
     steps: int
 
 
-def so3_field_kernel(y, i1, i2, i3, j3):
-    """Uncontrolled ``(dPi1, dPi2, dPi3, dalpha)`` of the symmetric model.
+def so3_field_kernel(i1, i2, i3, j3, y):
+    """Uncontrolled ``(dPi1, dPi2, dPi3, dalpha, dl)`` of the symmetric
+    model, ``dl = 0.0``, with the constants first in
+    :meth:`~gyrostat.model.ModelLayout.constants` order.
 
-    ``dl`` is identically zero and left out.  `y` unpacks into
-    ``(Pi1, Pi2, Pi3, alpha, l)``: either a flat sequence of floats, giving
-    floats, or a ``(5, n)`` block with one point per column, giving rows
-    of n values.  Every field in this module, :func:`reduced_rhs_so3`
-    included, evaluates these expressions; ``tests/test_symbolic.py``
-    derives them from the energy and the Lie-Poisson bracket.
+    `y` unpacks into ``(Pi1, Pi2, Pi3, alpha, l)``: a flat sequence of
+    floats gives floats, and a ``(5, n)`` block with one point per column
+    rows of n values.  Every field in this module evaluates these
+    expressions; ``tests/test_symbolic.py`` derives them from the energy
+    and the Lie-Poisson bracket.
     """
     p1, p2, p3, _alpha, l = y
     w1 = p1 / i1
     w2 = p2 / i2
     w3 = (p3 - l) / i3
-    return (
+    return [
         p2 * w3 - p3 * w2,
         p3 * w1 - p1 * w3,
         p1 * w2 - p2 * w1,
         l / j3 - w3,
-    )
+        0.0,
+    ]
 
 
-def se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3):
-    """Uncontrolled ``(dPi, dGamma, dalpha)`` of the restoring-torque model.
-
-    As :func:`so3_field_kernel`, for ``(Pi, Gamma, alpha, l)`` with an
-    8-row block.
-    """
+def se3_field_kernel(i1, i2, i3, j3, mgh, c1, c2, c3, y):
+    """As :func:`so3_field_kernel`, for the restoring-torque model's
+    ``(Pi, Gamma, alpha, l)`` and an 8-row block."""
     p1, p2, p3, g1, g2, g3, _alpha, l = y
     w1 = p1 / i1
     w2 = p2 / i2
     w3 = (p3 - l) / i3
-    return (
+    return [
         (p2 * w3 - p3 * w2) + mgh * (g2 * c3 - g3 * c2),
         (p3 * w1 - p1 * w3) + mgh * (g3 * c1 - g1 * c3),
         (p1 * w2 - p2 * w1) + mgh * (g1 * c2 - g2 * c1),
@@ -225,14 +224,15 @@ def se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3):
         g3 * w1 - g1 * w3,
         g1 * w2 - g2 * w1,
         l / j3 - w3,
-    )
+        0.0,
+    ]
 
 
-def _so3_field_jacobian(y, i1, i2, i3, j3):
-    """Columns ``cols[j][i] = d(field_i)/d(y_j)`` of :func:`so3_field_kernel`
-    and ``dl = 0``, each entry linear in `y`.  An entry whose expression
-    never mentions the slot, the alpha column and the ``dl`` row among
-    them, is a literal ``0.0``; ``tests/test_symbolic.py`` checks them."""
+def _so3_field_jacobian(i1, i2, i3, j3, y):
+    """Columns ``cols[j][i] = d(field_i)/d(y_j)`` of :func:`so3_field_kernel`,
+    each entry linear in `y`.  An entry whose expression never mentions
+    the slot, the alpha column and the ``dl`` row among them, is a literal
+    ``0.0``; ``tests/test_symbolic.py`` checks them."""
     p1, p2, p3, _alpha, l = y
     w1 = p1 / i1
     w2 = p2 / i2
@@ -246,7 +246,7 @@ def _so3_field_jacobian(y, i1, i2, i3, j3):
     ]
 
 
-def _se3_field_jacobian(y, i1, i2, i3, j3, mgh, c1, c2, c3):
+def _se3_field_jacobian(i1, i2, i3, j3, mgh, c1, c2, c3, y):
     """As :func:`_so3_field_jacobian`, for :func:`se3_field_kernel`."""
     p1, p2, p3, g1, g2, g3, _alpha, l = y
     w1 = p1 / i1
@@ -262,31 +262,6 @@ def _se3_field_jacobian(y, i1, i2, i3, j3, mgh, c1, c2, c3):
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
         [-p2 / i3, p1 / i3, 0.0, -g2 / i3, g1 / i3, 0.0, 1 / j3 + 1 / i3, 0.0],
     ]
-
-
-def _so3_free(params, grav):
-    i1, i2, i3 = params.i_bar.tolist()
-    j3 = params.j3
-
-    def free(y):
-        return [*so3_field_kernel(y, i1, i2, i3, j3), 0.0]
-
-    return free, lambda y: _so3_field_jacobian(y, i1, i2, i3, j3)
-
-
-def _se3_free(params, grav):
-    i1, i2, i3 = params.i_bar.tolist()
-    j3, mgh, (c1, c2, c3) = params.j3, grav.mgh, grav.chi.tolist()
-
-    def free(y):
-        return [*se3_field_kernel(y, i1, i2, i3, j3, mgh, c1, c2, c3), 0.0]
-
-    return free, lambda y: _se3_field_jacobian(y, i1, i2, i3, j3, mgh, c1, c2, c3)
-
-
-# Per kind: the free field and its exact Jacobian, the kernel's constants
-# bound as closure variables.
-_FREE_FIELDS = {ModelKind.SO3: _so3_free, ModelKind.SE3: _se3_free}
 
 
 def _lift_floats(lift, lay) -> list:
@@ -309,16 +284,18 @@ def _flat_system(kind, params, grav, control):
     Validates as :func:`controlled_rhs`.  The control enters the field as
     one addition per slot, the lift's entries turned into floats once for
     a ``ConstantControl`` and at every call for a ``FeedbackControl``.
-    Without control the field is the model's free field, which also takes
-    a ``(dim, n)`` block.  The Jacobian is exact for the free field,
-    nothing is added for a constant lift, and central differences of the
-    lift alone are added for a ``FeedbackControl`` (a ``None`` lift is
-    zero).
+    Without control the field is the model's kernel with its constants
+    bound, which also takes a ``(dim, n)`` block.  The Jacobian is exact
+    for the free field, nothing is added for a constant lift, and central
+    differences of the lift alone are added for a ``FeedbackControl`` (a
+    ``None`` lift is zero).
     """
     lay = model_layout(kind)
-    if lay.gravity and grav is None:
-        raise ValueError(f"gravity parameters required for the {kind.value} model")
-    free, jac = _FREE_FIELDS[kind](params, grav)
+    consts = lay.constants(params, grav)
+    # Looked up by name at each build, so that a wrapper set on the
+    # module's attribute sees every call.
+    free = partial(globals()[f"{kind.value}_field_kernel"], *consts)
+    jac = partial(globals()[f"_{kind.value}_field_jacobian"], *consts)
     control = control if control is not None else ZeroControl()
     if isinstance(control, ConstantControl) and control.lift is None:
         control = ZeroControl()
@@ -489,6 +466,8 @@ def integrate(
             raise ValueError(f"{name} must be finite, got {value}")
         if value <= 0.0:
             raise ValueError(f"{name} must be positive, got {value}")
+    if not isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt must be finite, got {t_end:g} / {dt:g}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if method not in ("rk4", "midpoint"):
@@ -502,7 +481,7 @@ def integrate(
     y = lay.to_vector(initial).tolist()
     rhs, _jac = _flat_system(kind, params, grav, control)
     n_steps = max(1, int(round(t_end / dt)))
-    i1, i2, i3 = params.i_bar.tolist()
+    i1, i2, i3, j3 = lay.constants(params, grav)[:4]
 
     times = []
     rows = []
@@ -511,7 +490,7 @@ def integrate(
     def record(t, y):
         times.append(t)
         rows.append(y)
-        kinetic.append(kinetic_energy(y[0], y[1], y[2], y[-1], i1, i2, i3, params.j3))
+        kinetic.append(kinetic_energy(y[0], y[1], y[2], y[-1], i1, i2, i3, j3))
 
     def build(steps_done):
         states = np.array(rows)

@@ -44,8 +44,9 @@ square system, and the line-search 2-norm as the square root of BLAS
 
 The lift-free lines above are written once per model, as expressions on
 plain values in a dict keyed by :class:`ModelKind`; one residual routine
-checks the inputs, binds the constants and adds the lift, and every
-residual here goes through it.  The functions take a kind (or, for
+checks the inputs, passes the constants of the layout's
+:meth:`~gyrostat.model.ModelLayout.constants` and adds the lift, and
+every residual here goes through it.  The functions take a kind (or, for
 :func:`solve_lift`, values of one model's length) and read the layout
 from :func:`gyrostat.model.model_layout`.
 """
@@ -98,8 +99,7 @@ def _as_values(g, n: int, what: str) -> np.ndarray:
 
 # Each model's steady lines on plain values (floats, or sympy symbols in
 # the test suite), without the lift and the l line, which is its lift
-# entry alone.  The arguments are the values, then the constants of the
-# model's field kernel in its order.
+# entry alone.  The arguments are the values, then the layout's constants.
 _STEADY_LINES = {
     ModelKind.SO3: lambda g1, g2, g3, _g4, g5, i1, i2, i3, j3: (
         ((i2 - i3) * g2 * g3 - i2 * g2 * g5) / (i2 * i3),
@@ -126,12 +126,7 @@ def _residual(kind, gamma_bar, params, grav, lift) -> np.ndarray:
     lay = model_layout(kind)
     g = _as_values(gamma_bar, lay.dim, "gamma_bar")
     u = np.zeros(lay.dim) if lift is None else _as_values(lift, lay.dim, "lift")
-    consts = [*params.i_bar.tolist(), params.j3]
-    if lay.gravity:
-        if grav is None:
-            raise ValueError(f"gravity parameters required for the {kind.value} model")
-        consts += [grav.mgh, *grav.chi.tolist()]
-    lines = _STEADY_LINES[kind](*g.tolist(), *consts)
+    lines = _STEADY_LINES[kind](*g.tolist(), *lay.constants(params, grav))
     return np.array([*(r + v for r, v in zip(lines, u)), u[-1]])
 
 

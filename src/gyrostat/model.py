@@ -121,7 +121,8 @@ class InertiaParams:
             if len(jt) != 2:
                 raise ValueError("j_rotor_transverse must hold exactly two moments")
             object.__setattr__(self, "j_rotor_transverse", jt)
-            if np.any(self.i_carrier <= 0.0) or jt[0] <= 0.0 or jt[1] <= 0.0:
+            # A NaN moment is not > 0.0.
+            if np.any(self.i_carrier <= 0.0) or not (jt[0] > 0.0 and jt[1] > 0.0):
                 raise ValueError("raw moments must be positive")
             locked = np.array(
                 [
@@ -442,6 +443,17 @@ class ModelLayout:
     @property
     def csv_header(self) -> str:
         return ",".join(("t", *self.columns, "energy", *self.casimir_names))
+
+    def constants(self, params: InertiaParams, grav: Optional[GravityParams]) -> list:
+        """The constants of the field kernels, as floats in their order:
+        ``i1, i2, i3, j3``, then ``mgh, c1, c2, c3`` (``chi``) with gravity.
+        ValueError if the model needs `grav` and it is None."""
+        consts = [*params.i_bar.tolist(), params.j3]
+        if self.gravity:
+            if grav is None:
+                raise ValueError(f"gravity parameters required for the {self.kind.value} model")
+            consts += [grav.mgh, *grav.chi.tolist()]
+        return consts
 
 
 # np.vecdot is BLAS ddot per row, bit for bit np.dot and np.linalg.norm.

@@ -5,7 +5,8 @@ wrapped as :class:`ScalarField` objects over flattened phase vectors, in
 the package-wide coordinate order (see :mod:`gyrostat.model`); gradients
 come from an attached analytic rule when present and central finite
 differences otherwise.  Coordinate fields carry exact gradients; the
-energy fields carry none, so reconstructing a Hamiltonian vector field
+energy fields (:func:`gyrostat.model.kinetic_energy`, plus the potential
+for se3) carry none, so reconstructing a Hamiltonian vector field
 componentwise through the bracket checks the hand-written equations of
 motion in :mod:`gyrostat.dynamics` from energy values alone.
 
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import GravityParams, InertiaParams, ModelKind, model_layout
+from .model import GravityParams, InertiaParams, ModelKind, kinetic_energy, model_layout
 
 __all__ = [
     "FD_SCALE",
@@ -260,34 +261,28 @@ def hamiltonian_vector_field_via_bracket(
 
 
 def hamiltonian_field_so3(params: InertiaParams) -> ScalarField:
-    """The symmetric model's energy as a scalar field on 5-vectors.
+    """The symmetric model's energy as a scalar field on 5-vectors:
+    :func:`gyrostat.model.kinetic_energy` of ``(Pi, l)``.
 
     No gradient is attached: brackets of the energy take it by finite
     differences, which keeps bracket-based reconstructions independent of
     the hand-written derivatives in :mod:`gyrostat.dynamics`.
     """
-    i1, i2, i3 = (float(v) for v in params.i_bar)
-    j3 = params.j3
+    i1, i2, i3, j3 = model_layout(ModelKind.SO3).constants(params, None)
 
     def value(x) -> float:
-        return 0.5 * (
-            x[0] ** 2 / i1 + x[1] ** 2 / i2 + (x[2] - x[4]) ** 2 / i3 + x[4] ** 2 / j3
-        )
+        return kinetic_energy(x[0], x[1], x[2], x[4], i1, i2, i3, j3)
 
     return ScalarField(dim=_DIM_SO3, value=value)
 
 
 def hamiltonian_field_se3(params: InertiaParams, grav: GravityParams) -> ScalarField:
-    """The restoring-torque model's energy on 8-vectors, with no gradient."""
-    i1, i2, i3 = (float(v) for v in params.i_bar)
-    j3 = params.j3
-    mgh = grav.mgh
-    c1, c2, c3 = (float(v) for v in grav.chi)
+    """The restoring-torque model's energy on 8-vectors, with no gradient;
+    ValueError if `grav` is None."""
+    i1, i2, i3, j3, mgh, c1, c2, c3 = model_layout(ModelKind.SE3).constants(params, grav)
 
     def value(x) -> float:
-        kinetic = 0.5 * (
-            x[0] ** 2 / i1 + x[1] ** 2 / i2 + (x[2] - x[7]) ** 2 / i3 + x[7] ** 2 / j3
-        )
+        kinetic = kinetic_energy(x[0], x[1], x[2], x[7], i1, i2, i3, j3)
         return kinetic + mgh * (x[3] * c1 + x[4] * c2 + x[5] * c3)
 
     return ScalarField(dim=_DIM_SE3, value=value)

@@ -302,6 +302,11 @@ def _parse_integrator(doc: dict) -> tuple:
         )
     dt = _positive(block.get("dt", 1e-3), "integrator.dt")
     t_end = _positive(block.get("t_end", 1.0), "integrator.t_end")
+    if not math.isfinite(t_end / dt):
+        raise ScenarioError(
+            f"field 'integrator.t_end' / 'integrator.dt' must be finite, got {t_end:g} / {dt:g}",
+            field="integrator",
+        )
     sample_every = block.get("sample_every", 10)
     if isinstance(sample_every, bool) or not isinstance(sample_every, int):
         raise ScenarioError(

@@ -88,6 +88,18 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
+    def test_step_count_overflow_is_usage_error(self, tmp_path, capsys):
+        # Both numbers are finite, but t_end / dt is not; this used to end
+        # in an OverflowError traceback.
+        doc = {**SO3_SCENARIO, "integrator": {"dt": 1e-300, "t_end": 1e10}}
+        code, out, summary = run_simulate(tmp_path, doc)
+        err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert err.out == ""
+        assert err.err.startswith("config error: ")
+        assert err.err.count("\n") == 1
+        assert not out.exists() and not summary.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code = main([
             "simulate", "--config", str(tmp_path / "nope.json"),
@@ -326,6 +338,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["hj-check"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--samples", "0"), ("--samples", "-3"), ("--seed", "-1"), ("--seed", str(2**64))],
+    )
+    def test_bracket_audit_range(self, tmp_path, capsys, option, value):
+        # These used to end in a ValueError traceback from the audit.
+        cfg = write_json(tmp_path / "cfg.json", SO3_SCENARIO)
+        with pytest.raises(SystemExit) as exc:
+            main(["bracket-audit", "--config", cfg, option, value])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err.startswith("usage: gyrostat bracket-audit")
+        assert f"argument {option}: " in err.err
 
     def test_repeated_calls_match_a_fresh_parser(self, capsys):
         # main keeps one parser for the process; every call must still

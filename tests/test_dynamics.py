@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gyrostat import dynamics
 from gyrostat.dynamics import (
     ConstantControl,
     ControlLiftSe3,
@@ -16,6 +17,7 @@ from gyrostat.dynamics import (
     step_midpoint,
     step_rk4,
 )
+from gyrostat.hj import find_equilibrium
 from gyrostat.model import (
     GravityParams,
     InertiaParams,
@@ -23,6 +25,7 @@ from gyrostat.model import (
     Se3RotorState,
     So3RotorState,
     hamiltonian_so3,
+    model_layout,
 )
 from gyrostat.rng import SplitMix64
 
@@ -334,6 +337,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=f"{step} must be finite"):
             integrate(ModelKind.SO3, std_params, std_so3_state, **{step: value})
 
+    def test_step_count_overflow_is_rejected(self, std_params, std_so3_state):
+        # Both are finite, but t_end / dt is inf, which round() cannot take.
+        with pytest.raises(ValueError, match="t_end / dt must be finite"):
+            integrate(ModelKind.SO3, std_params, std_so3_state, dt=1e-300, t_end=1e10)
+
     def test_non_positive_step_messages(self, std_params, std_so3_state):
         with pytest.raises(ValueError, match="dt must be positive, got -1.0"):
             integrate(ModelKind.SO3, std_params, std_so3_state, dt=-1.0)
@@ -368,6 +376,53 @@ class TestIntegrate:
             t_end=0.1,
         )
         assert np.array_equal(a.states, b.states)
+
+
+class TestKernelLookup:
+    """The fields look the kernels up by name when they are built, so a
+    wrapper set on the module attribute sees every call."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, kind) -> list:
+        name = f"{kind.value}_field_kernel"
+        kernel = getattr(dynamics, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_rk4_calls_the_kernel_four_times_a_step(
+        self, monkeypatch, std_params, std_grav, std_so3_state, std_se3_state, kind
+    ):
+        state = std_se3_state if kind is ModelKind.SE3 else std_so3_state
+        calls = self._count_calls(monkeypatch, kind)
+        traj = integrate(kind, std_params, state, grav=std_grav, dt=1e-3, t_end=0.01)
+        assert traj.steps == 10
+        assert len(calls) == 4 * traj.steps
+
+    @pytest.mark.parametrize(
+        "kind, guess",
+        [
+            (ModelKind.SO3, [0.001, -0.002, 2.0, 0.0, 0.5]),
+            (ModelKind.SE3, [0.001, -0.002, 3.0, 0.002, 0.001, 0.8, 0.0, 1.0]),
+        ],
+    )
+    def test_newton_search_calls_the_kernel(
+        self, monkeypatch, std_params, std_grav, kind, guess
+    ):
+        lay = model_layout(kind)
+        guess = lay.from_vector(guess)
+        calls = self._count_calls(monkeypatch, kind)
+        result = find_equilibrium(kind, std_params, guess, grav=std_grav)
+        # One call at the guess and at least one trial per iteration.
+        assert result.iterations >= 1
+        assert len(calls) >= result.iterations + 1
+        assert calls[0] == lay.to_vector(guess).tolist()
 
 
 class TestDiagnostics:

@@ -61,6 +61,16 @@ class TestLayout:
             assert lay.to_vector(state).tobytes() == y.tobytes()
             assert lay.to_vector(lay.from_vector(lay.to_vector(state))).tobytes() == y.tobytes()
 
+    def test_constants_in_the_kernels_order(self, kind, std_params, std_grav):
+        lay = model_layout(kind)
+        want = [3.0, 2.0, 1.0, 1.0] + ([2.0, 0.0, 0.0, 1.0] if lay.gravity else [])
+        assert lay.constants(std_params, std_grav) == want
+        if lay.gravity:
+            with pytest.raises(ValueError, match="gravity parameters required for the se3"):
+                lay.constants(std_params, None)
+        else:
+            assert lay.constants(std_params, None) == want
+
     def test_lift_floats_follow_the_columns(self, kind):
         # A lift built by column name, every entry distinct but one -0.0,
         # flattens to its entries in column order, sign bit included.

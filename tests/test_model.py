@@ -50,6 +50,17 @@ class TestInertiaParams:
         )
         assert np.array_equal(p.i_bar, (3.0, 2.0, 1.0))
 
+    @pytest.mark.parametrize("jt", [(float("nan"), 0.5), (0.5, float("nan"))])
+    def test_rejects_nan_raw_rotor_moment(self, jt):
+        # NaN <= 0 and NaN > RAW_INERTIA_TOL are both false.
+        with pytest.raises(ValueError, match="raw moments must be positive"):
+            InertiaParams(
+                i_bar=(3.0, 2.0, 1.0),
+                j3=1.0,
+                i_carrier=(2.5, 1.5, 1.0),
+                j_rotor_transverse=jt,
+            )
+
     def test_raw_decomposition_inconsistent(self):
         with pytest.raises(ValueError):
             InertiaParams(

@@ -232,6 +232,10 @@ class TestHamiltonianField:
             exact = [*g.d_pi.tolist(), *d_gamma, g.d_alpha, g.d_l]
             assert np.allclose(fd_gradient(h, x), exact, rtol=0, atol=1e-8)
 
+    def test_se3_energy_requires_gravity(self, std_params):
+        with pytest.raises(ValueError, match="gravity parameters required for the se3 model"):
+            hamiltonian_field_se3(std_params, None)
+
     def test_reconstructed_field_matches_rhs_so3(self, std_params, std_so3_state):
         x = np.array([1.0, 2.0, 3.0, 0.0, 0.5])
         recon = hamiltonian_vector_field_via_bracket(

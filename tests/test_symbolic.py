@@ -67,12 +67,11 @@ def exactly_equal(a, b) -> bool:
 
 
 def so3_kernel_field() -> list:
-    # The kernel leaves out dl, which is identically zero.
-    return [*so3_field_kernel(SO3_COORDS, I1, I2, I3, J3), 0]
+    return so3_field_kernel(I1, I2, I3, J3, SO3_COORDS)
 
 
 def se3_kernel_field(mgh=MGH) -> list:
-    return [*se3_field_kernel(SE3_COORDS, I1, I2, I3, J3, mgh, C1, C2, C3), 0]
+    return se3_field_kernel(I1, I2, I3, J3, mgh, C1, C2, C3, SE3_COORDS)
 
 
 def test_so3_kernel_is_the_lie_poisson_field():
@@ -107,11 +106,11 @@ def reference_jacobian(gravity: bool) -> sp.Matrix:
 
 def so3_jacobian() -> sp.Matrix:
     # The hand-written Jacobians are lists of columns.
-    return sp.Matrix(_so3_field_jacobian(SO3_COORDS, I1, I2, I3, J3)).T
+    return sp.Matrix(_so3_field_jacobian(I1, I2, I3, J3, SO3_COORDS)).T
 
 
 def se3_jacobian(mgh=MGH) -> sp.Matrix:
-    return sp.Matrix(_se3_field_jacobian(SE3_COORDS, I1, I2, I3, J3, mgh, C1, C2, C3)).T
+    return sp.Matrix(_se3_field_jacobian(I1, I2, I3, J3, mgh, C1, C2, C3, SE3_COORDS)).T
 
 
 def matrices_exactly_equal(a: sp.Matrix, b: sp.Matrix) -> bool:
