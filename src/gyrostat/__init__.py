@@ -8,7 +8,7 @@ diagnostics, steady-motion residual checks with exact lift solving, a
 damped-Newton equilibrium finder, and a JSON/CSV command-line front end.
 """
 
-from .algebra import ConfigurationPoint, cross, orthonormality_residual
+from .algebra import ConfigurationPoint
 from .audit import bracket_oracle_audit
 from .dynamics import (
     ConstantControl,
@@ -54,7 +54,6 @@ from .model import (
     grad_h,
     hamiltonian_se3,
     hamiltonian_so3,
-    momenta_from_velocities,
     omega_from_momenta,
 )
 from .poisson import (

@@ -1,4 +1,4 @@
-"""Three-vector and rotation-matrix primitives shared across the package."""
+"""Three-vector and configuration primitives shared across the package."""
 
 from __future__ import annotations
 
@@ -8,11 +8,6 @@ import numpy as np
 
 __all__ = [
     "as_vec3",
-    "cross",
-    "orthonormality_residual",
-    "rot_x",
-    "rot_y",
-    "rot_z",
     "ConfigurationPoint",
 ]
 
@@ -27,50 +22,6 @@ def as_vec3(v) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"3-vector components must be finite, got {a}")
     return a
-
-
-def cross(a, b) -> np.ndarray:
-    """Cross product a x b of two 3-vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
-
-
-def orthonormality_residual(rotation) -> float:
-    """Scalar deviation of a 3x3 matrix from a proper rotation.
-
-    Returns ``max|R^T R - I| + |det R - 1|``.  Exactly orthonormal input
-    with unit determinant gives 0.
-    """
-    r = np.asarray(rotation, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
-    defect = r.T @ r - np.eye(3)
-    return float(np.max(np.abs(defect)) + abs(np.linalg.det(r) - 1.0))
-
-
-def rot_x(angle: float) -> np.ndarray:
-    """Rotation by `angle` about the first body axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    """Rotation by `angle` about the second body axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(angle: float) -> np.ndarray:
-    """Rotation by `angle` about the third body axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass

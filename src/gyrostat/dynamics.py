@@ -16,7 +16,8 @@ with ``Omega`` recovered from the momenta as in
 one slot per equation.
 
 These Lie-Poisson equations are written out once, in
-:func:`so3_field_kernel` and :func:`se3_field_kernel`; the state-based
+:func:`so3_field_kernel` and :func:`se3_field_kernel`: every field and
+every steady residual of the package evaluates them, and the state-based
 :func:`reduced_rhs_so3` and :func:`reduced_rhs_se3` are wrappers.
 
 Integration is fixed-step on the flattened phase vector: classical
@@ -35,8 +36,8 @@ What differs between the models is looked up, not branched on: the
 layout and the constants in :func:`gyrostat.model.model_layout`, and the
 kernel and its exact Jacobian by name.  One builder binds the constants
 to them and folds in a control law; the integrator,
-:func:`controlled_rhs`, the bracket audit and the equilibrium search each
-call it once.  The lift types live in :mod:`gyrostat.model` and are
+:func:`controlled_rhs`, the bracket audit, the equilibrium search and the
+steady residual each call it once.  The lift types live in :mod:`gyrostat.model` and are
 re-exported here.
 """
 
@@ -192,9 +193,9 @@ def so3_field_kernel(i1, i2, i3, j3, y):
 
     `y` unpacks into ``(Pi1, Pi2, Pi3, alpha, l)``: a flat sequence of
     floats gives floats, and a ``(5, n)`` block with one point per column
-    rows of n values.  Every field in this module evaluates these
-    expressions; ``tests/test_symbolic.py`` derives them from the energy
-    and the Lie-Poisson bracket.
+    rows of n values.  Every field and steady residual of the package
+    evaluates these expressions; ``tests/test_symbolic.py`` derives them
+    from the energy and the Lie-Poisson bracket.
     """
     p1, p2, p3, _alpha, l = y
     w1 = p1 / i1

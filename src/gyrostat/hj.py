@@ -2,34 +2,12 @@
 
 A candidate momentum field assigns reduced momenta ``gamma_bar`` to each
 configuration.  A constant (configuration-independent) assignment solves
-the steady equations exactly when the residual system below vanishes; the
-residual components are indexed in the package-wide flat order.
-
-Symmetric model, ``g = (g1..g5) = (Pi1, Pi2, Pi3, alpha, l)`` values::
-
-    r1 = ((i2 - i3) g2 g3 - i2 g2 g5) / (i2 i3)            + u1
-    r2 = ((i3 - i1) g3 g1 + i1 g1 g5) / (i3 i1)            + u2
-    r3 = ((i1 - i2) g1 g2) / (i1 i2)                       + u3
-    r4 = -(g3 - g5)/i3 + g5/j3                             + u4
-    r5 =                                                     u5
-
-Restoring-torque model, ``g = (g1..g8) = (Pi, Gamma, alpha, l)`` values::
-
-    r1 = ((i2 - i3) g2 g3 - i2 g2 g8) / (i2 i3) + mgh (g5 x3 - g6 x2) + u1
-    r2 = ((i3 - i1) g3 g1 + i1 g1 g8) / (i3 i1) + mgh (g6 x1 - g4 x3) + u2
-    r3 = ((i1 - i2) g1 g2) / (i1 i2)            + mgh (g4 x2 - g5 x1) + u3
-    r4 = (i2 g5 (g3 - g8) - i3 g6 g2) / (i2 i3)                       + u4
-    r5 = (i3 g6 g1 - i1 g4 (g3 - g8)) / (i3 i1)                       + u5
-    r6 = (i1 g4 g2 - i2 g5 g1) / (i1 i2)                              + u6
-    r7 = -(g3 - g8)/i3 + g8/j3                                        + u7
-    r8 =                                                                u8
-
-with ``x = chi``.  The lift-free parts coincide with the equations of
-motion evaluated at the same values; ``tests/test_symbolic.py`` derives
-them from the energy and the Lie-Poisson bracket.  The rotor-angle value
-(g4 for the symmetric model, g7 for the restoring one) never appears
-because the angle is cyclic.  The rotor-momentum lines constrain only the
-corresponding lift component.
+the steady equations exactly when the residual vanishes: the controlled
+field of :func:`gyrostat.dynamics.so3_field_kernel` or
+:func:`~gyrostat.dynamics.se3_field_kernel` at those values, with the lift
+added, indexed in the package-wide flat order.  The rotor-angle value never
+enters, because the angle is cyclic, and the rotor-momentum line is its
+lift component alone.
 
 :func:`find_equilibrium` iterates on lists of Python floats from the
 guess to the result, on the list field that
@@ -42,11 +20,9 @@ round otherwise: ``np.linalg.solve`` (LAPACK ``gesv``) on the reduced
 square system, and the line-search 2-norm as the square root of BLAS
 ``ddot``.
 
-The lift-free lines above are written once per model, as expressions on
-plain values in a dict keyed by :class:`ModelKind`; one residual routine
-checks the inputs, passes the constants of the layout's
-:meth:`~gyrostat.model.ModelLayout.constants` and adds the lift, and
-every residual here goes through it.  The functions take a kind (or, for
+Every residual here goes through one routine, which checks the inputs,
+evaluates the field that :func:`gyrostat.dynamics._flat_system` builds
+from the kernel, and adds the lift.  The functions take a kind (or, for
 :func:`solve_lift`, values of one model's length) and read the layout
 from :func:`gyrostat.model.model_layout`.
 """
@@ -55,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
+from operator import add
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -97,28 +74,6 @@ def _as_values(g, n: int, what: str) -> np.ndarray:
     return g
 
 
-# Each model's steady lines on plain values (floats, or sympy symbols in
-# the test suite), without the lift and the l line, which is its lift
-# entry alone.  The arguments are the values, then the layout's constants.
-_STEADY_LINES = {
-    ModelKind.SO3: lambda g1, g2, g3, _g4, g5, i1, i2, i3, j3: (
-        ((i2 - i3) * g2 * g3 - i2 * g2 * g5) / (i2 * i3),
-        ((i3 - i1) * g3 * g1 + i1 * g1 * g5) / (i3 * i1),
-        ((i1 - i2) * g1 * g2) / (i1 * i2),
-        -(g3 - g5) / i3 + g5 / j3,
-    ),
-    ModelKind.SE3: lambda g1, g2, g3, g4, g5, g6, _g7, g8, i1, i2, i3, j3, mgh, x1, x2, x3: (
-        ((i2 - i3) * g2 * g3 - i2 * g2 * g8) / (i2 * i3) + mgh * (g5 * x3 - g6 * x2),
-        ((i3 - i1) * g3 * g1 + i1 * g1 * g8) / (i3 * i1) + mgh * (g6 * x1 - g4 * x3),
-        ((i1 - i2) * g1 * g2) / (i1 * i2) + mgh * (g4 * x2 - g5 * x1),
-        (i2 * g5 * (g3 - g8) - i3 * g6 * g2) / (i2 * i3),
-        (i3 * g6 * g1 - i1 * g4 * (g3 - g8)) / (i3 * i1),
-        (i1 * g4 * g2 - i2 * g5 * g1) / (i1 * i2),
-        -(g3 - g8) / i3 + g8 / j3,
-    ),
-}
-
-
 def _residual(kind, gamma_bar, params, grav, lift) -> np.ndarray:
     """The steady residual of model `kind` at the values `gamma_bar`; a
     ``None`` lift is zero.  ValueError on values or a lift of the wrong
@@ -126,8 +81,9 @@ def _residual(kind, gamma_bar, params, grav, lift) -> np.ndarray:
     lay = model_layout(kind)
     g = _as_values(gamma_bar, lay.dim, "gamma_bar")
     u = np.zeros(lay.dim) if lift is None else _as_values(lift, lay.dim, "lift")
-    lines = _STEADY_LINES[kind](*g.tolist(), *lay.constants(params, grav))
-    return np.array([*(r + v for r, v in zip(lines, u)), u[-1]])
+    field, _jac = _flat_system(kind, params, grav, None)
+    # The l line is its lift entry alone, so a "solve" lift's -0.0 stays.
+    return np.array([*map(add, field(g.tolist())[:-1], u), u[-1]])
 
 
 def hj_residual_so3(gamma_bar, params: InertiaParams, lift=None) -> np.ndarray:

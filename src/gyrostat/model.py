@@ -47,7 +47,6 @@ __all__ = [
     "AngularVelocities",
     "OrbitLabel",
     "omega_from_momenta",
-    "momenta_from_velocities",
     "hamiltonian_so3",
     "hamiltonian_se3",
     "kinetic_energy",
@@ -283,17 +282,6 @@ def omega_from_momenta(state, params: InertiaParams) -> AngularVelocities:
     return AngularVelocities(omega=omega, alpha_dot=alpha_dot)
 
 
-def momenta_from_velocities(
-    omega, alpha_dot: float, params: InertiaParams
-) -> tuple[np.ndarray, float]:
-    """Forward momentum relations: body rates to ``(Pi, l)``."""
-    omega = as_vec3(omega)
-    i1, i2, i3 = params.i_bar
-    l = params.j3 * (omega[2] + float(alpha_dot))
-    pi = np.array([i1 * omega[0], i2 * omega[1], i3 * omega[2] + l])
-    return pi, l
-
-
 def kinetic_energy(p1, p2, p3, l, i1, i2, i3, j3):
     """``(Pi1^2/i1 + Pi2^2/i2 + (Pi3 - l)^2/i3 + l^2/j3) / 2`` on scalars.
 
@@ -357,9 +345,8 @@ def grad_h(
         but no `grav` is given.
     """
     lay = _state_layout(state)
+    lay.constants(params, grav)  # ValueError if the model needs grav
     vel = omega_from_momenta(state, params)
-    if lay.gravity and grav is None:
-        raise ValueError(f"gravity parameters required for an {lay.kind.value} state")
     d_gamma = grav.mgh * grav.chi if lay.gravity else None
     return HamiltonianGradient(
         d_pi=vel.omega, d_alpha=0.0, d_l=vel.alpha_dot, d_gamma=d_gamma

@@ -1,4 +1,4 @@
-"""Shared test utilities: seeded random fields and states."""
+"""Shared test utilities: seeded random fields and states, and a rotation."""
 
 import numpy as np
 
@@ -44,3 +44,9 @@ class QuadraticField:
 
 def random_point(rng: SplitMix64, dim: int, low: float = -5.0, high: float = 5.0):
     return np.array([rng.uniform(low, high) for _ in range(dim)])
+
+
+def rot_z(angle: float) -> np.ndarray:
+    """Rotation by `angle` about the third body axis."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

@@ -130,6 +130,18 @@ class TestBracketAudit:
         assert first == second
         assert json.loads(first)["seed"] == 42
 
+    @pytest.mark.parametrize("i1", [1e-308, 5e-324])
+    def test_overflowing_energy_is_a_numerical_failure(self, tmp_path, capsys, i1):
+        # Pi^2 / i1 overflows at the finite-difference probes of the oracle.
+        doc = dict(SO3_SCENARIO, inertia={"i_bar": [i1, 2.0, 1.0], "j3": 1.0})
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code = main(["bracket-audit", "--config", cfg, "--samples", "10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_TOLERANCE
+        assert captured.out == ""
+        assert captured.err.startswith("bracket audit failed: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_different_seed_changes_samples(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", SO3_SCENARIO)
         main(["bracket-audit", "--config", cfg, "--samples", "50", "--seed", "1"])

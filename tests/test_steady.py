@@ -1,7 +1,9 @@
 """`equilibrium` and `hj-check`: pinned bytes, and the Newton search
 against the ndarray search it replaced.
 
-The SHA-256 pins were recorded with the exact Newton Jacobian.
+The SHA-256 pins were recorded with the exact Newton Jacobian; the
+`hj-check` ones again when the steady residual began evaluating the field
+kernel, which moved residual entries by rounding.
 `_ref_find_equilibrium` below is a copy of the package's first, ndarray
 search with its central-difference Jacobian.  It stays the reference for
 every outcome: the same outcome type on each guess (the guesses whose type
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gyrostat.cli import main
+from gyrostat.cli import EXIT_OK, main
 from gyrostat.dynamics import (
     ConstantControl,
     ControlLiftSe3,
@@ -37,6 +39,8 @@ from gyrostat.hj import (
     _norm,
     _residual,
     find_equilibrium,
+    hj_residual_se3,
+    hj_residual_so3,
 )
 from gyrostat.model import (
     GravityParams,
@@ -52,6 +56,7 @@ from gyrostat.model import (
 )
 from gyrostat.poisson import fd_steps
 from gyrostat.rng import SplitMix64
+from gyrostat.scenario import parse_equilibrium_config, parse_hj_check_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -127,7 +132,7 @@ CASES = {
 # (exit code, SHA-256 of stdout, SHA-256 of stderr)
 PINNED_CLI = {
     "equilibrium_axis_spin.json": (0, "4cdf11a23f94928733f0944882874de157e3cd8400c59882e1b61c611ce66bc5", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "hj_check_axis_spin.json": (0, "fc8786921d08f084d81762f3cf1eb9331be1703291ae17bd319b6405dd42237f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hj_check_axis_spin.json": (0, "e30679d2fb90e2a59a63777fe5c742e7ec46eb24d8db0b265cf9da4814cbccce", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "so3_controlled": (0, "02d6b69a121faed1b985cf590b680dc281822abe326aab026223d5dbaa079589", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "so3_full_lift": (2, "1f84298050a66188697a0db3c9075bec2306681ab47f13b8957d39b2f4da24f0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "se3_upright": (0, "305df87e4a5bc771e8d362830505079620ce9e78fc579d7f35dff5ee1abfc5aa", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -135,8 +140,8 @@ PINNED_CLI = {
     "so3_max_iter_1": (0, "d44be636fe659905d1f876597b953d491d2824db336f20925e019469d97d0762", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "se3_max_iter_2": (2, "6f96525f55f8f407419813a3b4c185f4012c94dc63757dacd8c9506a5393a8bd", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "so3_singular": (2, "f62934069954c0658797457725a3b4eaea66490f4434d8d0ac66de26f8aa04e7", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "hj_so3_controlled_solve": (0, "275d14ac890d3867fa7675036ce4a7e7319f7e79ade7d8142629d71fb477e9f4", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "hj_se3_given": (0, "01c5df9946fc841e3eb84969055e57aaf1ceff14e484729ddb3126a480866968", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hj_so3_controlled_solve": (0, "4a01ccc1332282b3185b7e72fcd98404c603ed736d308f8a6d5027764ff8aa39", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hj_se3_given": (0, "cc48720656d274e50c12693d592869e0a956a39b66c55b343d95b9270bfa8750", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "hj_so3_singular": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "f603677438af85f8506963c3585e8febecd44bbe6507817ebff4c1f17f143580"),
     "so3_runs_off": (0, "2333f03dd82a678ec025fb563a19e866bddfda3821b9dd6b3f9a067dd9e7035b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
@@ -162,6 +167,32 @@ def _run(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", sorted(PINNED_CLI))
 def test_steady_bytes_are_pinned(tmp_path, capsys, name):
     assert _run(tmp_path, capsys, name) == PINNED_CLI[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if PINNED_CLI[n][0] == EXIT_OK))
+def test_recheck_gives_the_search_residual_norm(name):
+    # The search and hj_residual_* evaluate one expression, so the residual
+    # under the lift at the search's state is the norm it reported.
+    command, doc = CASES[name]
+    text = json.dumps(doc)
+    if command == "equilibrium":
+        cfg = parse_equilibrium_config(text)
+        guess, limits = cfg.guess, {"tol": cfg.tol, "max_iter": cfg.max_iter}
+    else:
+        cfg = parse_hj_check_config(text)
+        guess, limits = cfg.equilibrium_guess, {}
+    result = find_equilibrium(
+        cfg.model, cfg.inertia, guess, grav=cfg.gravity, control=cfg.control, **limits
+    )
+    lay = model_layout(cfg.model)
+    lift = cfg.control.lift_at(result.state)
+    u = None if lift is None else _lift_floats(lift, lay)
+    y = lay.to_vector(result.state)
+    if cfg.model == ModelKind.SO3:
+        residual = hj_residual_so3(y, cfg.inertia, u)
+    else:
+        residual = hj_residual_se3(y, cfg.inertia, cfg.gravity, u)
+    assert float(np.max(np.abs(residual))) == result.residual_norm
 
 
 def _ref_fd_jacobian(rhs, y):

@@ -20,20 +20,16 @@ PACKAGE = {
     "ScalarField", "Scenario", "ScenarioError", "Se3RotorState",
     "SingularJacobianError", "So3RotorState", "SplitMix64", "Trajectory",
     "ZeroControl", "bracket", "bracket_oracle_audit", "casimirs", "constant_field",
-    "coordinate_field", "cross", "diagnostics", "fd_gradient", "find_equilibrium",
+    "coordinate_field", "diagnostics", "fd_gradient", "find_equilibrium",
     "grad_h", "hamiltonian_field_se3", "hamiltonian_field_so3", "hamiltonian_se3",
     "hamiltonian_so3", "hamiltonian_vector_field_via_bracket", "hj_residual_se3",
-    "hj_residual_so3", "integrate", "momenta_from_velocities", "omega_from_momenta",
-    "orthonormality_residual", "parse_scenario", "reduced_rhs_se3",
-    "reduced_rhs_so3", "residual_field_report", "solve_lift", "step_midpoint",
-    "step_rk4",
+    "hj_residual_so3", "integrate", "omega_from_momenta", "parse_scenario",
+    "reduced_rhs_se3", "reduced_rhs_so3", "residual_field_report", "solve_lift",
+    "step_midpoint", "step_rk4",
 }
 
 MODULES = {
-    "algebra": {
-        "as_vec3", "cross", "orthonormality_residual", "rot_x", "rot_y", "rot_z",
-        "ConfigurationPoint",
-    },
+    "algebra": {"as_vec3", "ConfigurationPoint"},
     "audit": {"AUDIT_TOL", "SAMPLE_LOW", "SAMPLE_HIGH", "bracket_oracle_audit"},
     "dynamics": {
         "ControlLiftSo3", "ControlLiftSe3", "ControlLaw", "ZeroControl",
@@ -51,10 +47,9 @@ MODULES = {
     "model": {
         "ModelKind", "InertiaParams", "GravityParams", "So3RotorState",
         "Se3RotorState", "AngularVelocities", "OrbitLabel", "omega_from_momenta",
-        "momenta_from_velocities", "hamiltonian_so3", "hamiltonian_se3",
-        "kinetic_energy", "grad_h", "HamiltonianGradient", "casimirs",
-        "so3_state_to_vector", "so3_state_from_vector", "se3_state_to_vector",
-        "se3_state_from_vector",
+        "hamiltonian_so3", "hamiltonian_se3", "kinetic_energy", "grad_h",
+        "HamiltonianGradient", "casimirs", "so3_state_to_vector",
+        "so3_state_from_vector", "se3_state_to_vector", "se3_state_from_vector",
     },
     "poisson": {
         "FD_SCALE", "BracketKind", "ScalarField", "coordinate_field", "fd_steps",

@@ -9,11 +9,12 @@ component i being ``{x_i, H}``:
     dalpha/dt = dH/dl
     dl/dt     = -dH/dalpha
 
-The hand-written field kernels and the lift-free steady lines of
-``gyrostat.hj``, called on symbols, must differ from these by exactly 0,
-and so must the hand-written Jacobians the equilibrium search uses from
-sympy's Jacobian of the reference.  The reference never sees a
-hand-written derivative.
+The hand-written field kernels, called on symbols, must differ from these
+by exactly 0, and so must the hand-written Jacobians the equilibrium
+search uses from sympy's Jacobian of the reference.  The kernels are the
+only hand-written field: the integrators, the bracket audit and every
+steady residual of ``gyrostat.hj`` evaluate them.  The reference never
+sees a hand-written derivative.
 """
 
 import sympy as sp
@@ -24,8 +25,6 @@ from gyrostat.dynamics import (
     se3_field_kernel,
     so3_field_kernel,
 )
-from gyrostat.hj import _STEADY_LINES
-from gyrostat.model import ModelKind
 
 I1, I2, I3, J3, MGH, C1, C2, C3 = sp.symbols("i1 i2 i3 j3 mgh c1 c2 c3")
 PI = sp.Matrix(sp.symbols("p1 p2 p3"))
@@ -130,34 +129,3 @@ def test_jacobian_mgh_zero_degenerates_to_so3():
     ref_se3 = reference_jacobian(gravity=True).subs(MGH, 0).extract(slots, slots)
     assert matrices_exactly_equal(ref_se3, reference_jacobian(gravity=False))
     assert matrices_exactly_equal(se3_jacobian(mgh=0).extract(slots, slots), so3_jacobian())
-
-
-def so3_steady_lines() -> list:
-    # Without a lift the l line, its lift entry alone, is 0, as dl is.
-    return [*_STEADY_LINES[ModelKind.SO3](*SO3_COORDS, I1, I2, I3, J3), 0]
-
-
-def se3_steady_lines(mgh=MGH) -> list:
-    return [*_STEADY_LINES[ModelKind.SE3](*SE3_COORDS, I1, I2, I3, J3, mgh, C1, C2, C3), 0]
-
-
-def test_so3_steady_lines_are_the_lie_poisson_field():
-    ref = reference_field(gravity=False)
-    got = so3_steady_lines()
-    assert len(got) == len(ref) == 5
-    assert all(exactly_equal(a, b) for a, b in zip(got, ref))
-
-
-def test_se3_steady_lines_are_the_lie_poisson_field():
-    ref = reference_field(gravity=True)
-    got = se3_steady_lines()
-    assert len(got) == len(ref) == 8
-    assert all(exactly_equal(a, b) for a, b in zip(got, ref))
-
-
-def test_steady_lines_mgh_zero_degenerates_to_so3():
-    # The se3 Pi and alpha lines at mgh = 0 are the so3 ones.
-    slots = [0, 1, 2, 6]
-    got_se3 = se3_steady_lines(mgh=0)
-    got_so3 = so3_steady_lines()
-    assert all(exactly_equal(got_se3[i], b) for i, b in zip(slots, got_so3))
