@@ -18,7 +18,12 @@ search and the max-norm stop test run on floats, each in the operation
 order of ndarray arithmetic.  Two numpy calls remain, where Python would
 round otherwise: ``np.linalg.solve`` (LAPACK ``gesv``) on the reduced
 square system, and the line-search 2-norm as the square root of BLAS
-``ddot``.
+``ddot``.  A lift tangent to the Casimir levels (no control, or ``u_alpha``
+and ``u_l`` alone) is searched on the guess's Casimir leaf: the Newton
+system is bordered with the Casimir values, gradients and Hessians of
+:class:`gyrostat.model.ModelLayout`, which makes it regular where the
+leaf's equilibria are isolated, and a leaf with no equilibrium near the
+guess is a failure.
 
 Every residual here goes through one routine, which checks the inputs,
 evaluates the field that :func:`gyrostat.dynamics._flat_system` builds
@@ -31,13 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .algebra import ConfigurationPoint
-from .dynamics import ControlLaw, _flat_system
+from .dynamics import ConstantControl, ControlLaw, ZeroControl, _flat_system, _lift_floats
 from .model import (
     GravityParams,
     InertiaParams,
@@ -243,7 +248,8 @@ def _newton_direction(cols: list, f: list) -> list:
     """
     # A float is true unless it is 0.0 or -0.0, so a NaN entry is live.
     live_cols = [j for j, col in enumerate(cols) if any(col)]
-    live_rows = [i for i, row in enumerate(zip(*cols)) if any(row)]
+    rows = list(zip(*cols))
+    live_rows = [i for i, row in enumerate(rows) if any(row)]
     if len(live_rows) != len(live_cols):
         raise SingularJacobianError(
             "Jacobian has unequal counts of structurally zero rows and columns; "
@@ -252,7 +258,10 @@ def _newton_direction(cols: list, f: list) -> list:
     delta = [0.0] * len(f)
     if not live_rows:
         return delta
-    sub = [[cols[j][i] for j in live_cols] for i in live_rows]
+    # itemgetter picks a row's live entries in one call; given one index
+    # it returns the entry itself, not a 1-tuple.
+    pick = itemgetter(*live_cols) if len(live_cols) > 1 else lambda row: (row[live_cols[0]],)
+    sub = [pick(rows[i]) for i in live_rows]
     try:
         delta_live = np.linalg.solve(sub, [-f[i] for i in live_rows])
     except np.linalg.LinAlgError as err:
@@ -276,6 +285,58 @@ def _norm(f: list) -> float:
     return sqrt(a.dot(a))
 
 
+def _multipliers(control, lay) -> int:
+    """How many Casimir multipliers border the search: one per Casimir
+    when the lift is tangent to every Casimir level, else none.
+
+    No control and ``ConstantControl(None)`` are tangent.  A constant lift
+    is tangent when it is zero on every slot that a Casimir Hessian
+    touches: the Casimirs are quadratic forms, so their gradients live on
+    those slots alone.  A feedback law is never bordered.
+    """
+    if isinstance(control, ConstantControl) and control.lift is not None:
+        u = _lift_floats(control.lift, lay)
+        crossing = any(u[i] for entries in lay.casimir_hessians for i, _j, _v in entries)
+        return 0 if crossing else len(lay.casimir_names)
+    if control is None or isinstance(control, (ZeroControl, ConstantControl)):
+        return len(lay.casimir_names)
+    return 0
+
+
+def _bordered_system(rhs, jacobian, lay, level):
+    """The search's system on ``z = y + mu``, one multiplier per entry of
+    `level`: the residual ``z -> (F(y), G(z))`` and the Jacobian of ``G``.
+
+    ``G`` is ``F(y) + sum_k mu_k grad C_k(y)`` followed by
+    ``C_k(y) - level_k``, with the exact Jacobian
+    ``[[J + sum_k mu_k hess C_k, grad C], [grad C^T, 0]]``.  Without
+    multipliers ``G`` is ``F`` and the system is the plain one.
+    """
+    if not level:
+        return (lambda z: (rhs(z),) * 2), jacobian
+    dim, m = lay.dim, len(level)
+
+    def residual(z):
+        y = z[:dim]
+        f = g = rhs(y)
+        for mu, grad in zip(z[dim:], lay.casimir_gradients(y)):
+            g = [a + mu * b for a, b in zip(g, grad)]
+        return f, g + [c - c0 for c, c0 in zip(lay.casimir_values(y), level)]
+
+    def bordered_jacobian(z):
+        y = z[:dim]
+        cols = jacobian(y)
+        for mu, entries in zip(z[dim:], lay.casimir_hessians):
+            for i, j, v in entries:
+                cols[j][i] += mu * v
+        grads = lay.casimir_gradients(y)
+        for col, border in zip(cols, zip(*grads)):
+            col.extend(border)
+        return cols + [grad + [0.0] * m for grad in grads]
+
+    return residual, bordered_jacobian
+
+
 def find_equilibrium(
     kind: ModelKind,
     params: InertiaParams,
@@ -288,10 +349,27 @@ def find_equilibrium(
 ) -> EquilibriumResult:
     """Find a zero of the controlled equations by damped Newton iteration.
 
+    Relative equilibria come in families across the Casimir levels (the
+    symplectic leaves), which makes the plain square Newton system
+    singular at every solution.  Where the lift is tangent to those
+    levels (no control, or a constant lift that is zero on the ``Pi`` and
+    ``Gamma`` slots) the search therefore runs on the guess's leaf: the
+    system is bordered with one multiplier ``mu_k`` per Casimir ``C_k``,
+    as ``F(y) + sum_k mu_k grad C_k(y) = 0`` and ``C_k(y) = C_k(guess)``,
+    which is regular at an isolated equilibrium of the leaf.  At a zero of
+    it each ``mu_k`` is 0, as ``grad C_k . F`` vanishes.  A leaf with no
+    equilibrium near the guess is a failure.  A feedback law, or a
+    constant lift with a nonzero ``Pi`` or ``Gamma`` entry, gets the plain
+    system.
+
     The Jacobian is exact, but for a ``FeedbackControl`` lift, which is
-    central-differenced; each step is halved (up to
-    ``NEWTON_MAX_HALVINGS`` times) until the residual 2-norm decreases.  Convergence means a finite residual
-    max-norm below `tol`.  A guess that already satisfies the tolerance
+    central-differenced; structurally zero rows and columns are struck.
+    Each step is halved (up to ``NEWTON_MAX_HALVINGS`` times) until the
+    2-norm of the (bordered) residual decreases.  Convergence means a
+    finite max-norm of the controlled field ``F(y)`` below `tol`, which is
+    the reported ``residual_norm``, and on a bordered search each
+    ``C_k(y)`` within ``sqrt(tol) * max(1, |C_k(guess)|)`` of the guess's;
+    the multipliers are not read.  A guess that already satisfies it
     returns after zero iterations.
 
     The steps run on Python floats, bit for bit as on ndarrays.  Only
@@ -320,9 +398,17 @@ def find_equilibrium(
 
     rhs, jacobian = _flat_system(kind, params, grav, control)
     y = lay.to_vector(guess).tolist()
-    f = rhs(y)
+    level = lay.casimir_values(y)[: _multipliers(control, lay)]
+    residual, system_jacobian = _bordered_system(rhs, jacobian, lay, level)
+    z = y + [0.0] * len(level)
+    # The bound on the leaf residuals C_k(y) - C_k(guess), the tail of g.
+    slack = [sqrt(tol) * max(1.0, abs(c)) for c in level]
+    f, g = residual(z)
+    size = None  # the 2-norm of g, taken when a step first needs it
     iterations = 0
-    while (norm := _max_norm(f)) >= tol:
+    while (norm := _max_norm(f)) >= tol or any(
+        abs(r) > s for r, s in zip(g[lay.dim :], slack)
+    ):
         if iterations >= max_iter:
             raise NewtonConvergenceError(
                 f"no convergence after {max_iter} iterations; "
@@ -330,13 +416,14 @@ def find_equilibrium(
                 residual_norm=norm,
                 iterations=iterations,
             )
-        delta = _newton_direction(jacobian(y), f)
-        base = _norm(f)
+        delta = _newton_direction(system_jacobian(z), g)
+        if size is None:
+            size = _norm(g)
         scale = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
-            y_try = [a + scale * d for a, d in zip(y, delta)]
-            f_try = rhs(y_try)
-            if _norm(f_try) < base:
+            z_try = [a + scale * d for a, d in zip(z, delta)]
+            f_try, g_try = residual(z_try)
+            if (size_try := _norm(g_try)) < size:
                 break
             scale *= 0.5
         else:
@@ -346,7 +433,7 @@ def find_equilibrium(
                 residual_norm=norm,
                 iterations=iterations,
             )
-        y, f = y_try, f_try
+        z, f, g, size = z_try, f_try, g_try, size_try
         iterations += 1
     # NaN >= tol is false, so a NaN residual ends the loop; inf does not.
     if not isfinite(norm):
@@ -356,5 +443,5 @@ def find_equilibrium(
             iterations=iterations,
         )
     return EquilibriumResult(
-        state=lay.from_vector(y), residual_norm=norm, iterations=iterations
+        state=lay.from_vector(z[: lay.dim]), residual_norm=norm, iterations=iterations
     )

@@ -411,6 +411,14 @@ class ModelLayout:
     ``casimir_names``.  ``gravity`` tells whether the model has the
     advected direction ``Gamma`` and so needs a :class:`GravityParams`,
     whose potential ``mgh * Gamma . chi`` then adds to the energy.
+
+    The equilibrium search borders its Newton system with the smooth
+    Casimirs, one per name and with the same level sets: ``|Pi|^2 / 2``
+    for so3, ``Pi . Gamma`` and ``|Gamma|^2 / 2`` for se3.
+    ``casimir_values`` and ``casimir_gradients`` take a flat point and
+    return one value, and one dim-long gradient, per Casimir.  The
+    Hessians are constant: ``casimir_hessians`` holds, per Casimir, its
+    nonzero entries as ``(row, column, value)``.
     """
 
     kind: ModelKind
@@ -422,6 +430,9 @@ class ModelLayout:
     casimir_names: tuple
     gravity: bool
     casimirs: Callable[[np.ndarray], list]
+    casimir_values: Callable[[list], list]
+    casimir_gradients: Callable[[list], list]
+    casimir_hessians: tuple
 
     @property
     def dim(self) -> int:
@@ -455,6 +466,9 @@ _LAYOUTS = {
         casimir_names=("pi_norm",),
         gravity=False,
         casimirs=lambda s: [np.sqrt(np.vecdot(s[:, :3], s[:, :3]))],
+        casimir_values=lambda y: [(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) / 2],
+        casimir_gradients=lambda y: [[y[0], y[1], y[2], 0.0, 0.0]],
+        casimir_hessians=(((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)),),
     ),
     ModelKind.SE3: ModelLayout(
         kind=ModelKind.SE3,
@@ -469,6 +483,18 @@ _LAYOUTS = {
             np.vecdot(s[:, :3], s[:, 3:6]),
             np.sqrt(np.vecdot(s[:, 3:6], s[:, 3:6])),
         ],
+        casimir_values=lambda y: [
+            y[0] * y[3] + y[1] * y[4] + y[2] * y[5],
+            (y[3] * y[3] + y[4] * y[4] + y[5] * y[5]) / 2,
+        ],
+        casimir_gradients=lambda y: [
+            [y[3], y[4], y[5], y[0], y[1], y[2], 0.0, 0.0],
+            [0.0, 0.0, 0.0, y[3], y[4], y[5], 0.0, 0.0],
+        ],
+        casimir_hessians=(
+            ((0, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0), (3, 0, 1.0), (4, 1, 1.0), (5, 2, 1.0)),
+            ((3, 3, 1.0), (4, 4, 1.0), (5, 5, 1.0)),
+        ),
     ),
 }
 

@@ -44,7 +44,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import ConstantControl, ControlLaw, Trajectory, ZeroControl
+from .dynamics import MAX_STEPS, ConstantControl, ControlLaw, Trajectory, ZeroControl
 from .model import (
     GravityParams,
     InertiaParams,
@@ -305,6 +305,12 @@ def _parse_integrator(doc: dict) -> tuple:
     if not math.isfinite(t_end / dt):
         raise ScenarioError(
             f"field 'integrator.t_end' / 'integrator.dt' must be finite, got {t_end:g} / {dt:g}",
+            field="integrator",
+        )
+    if round(t_end / dt) > MAX_STEPS:
+        raise ScenarioError(
+            f"field 'integrator.t_end' / 'integrator.dt' asks for {t_end / dt:.3g} steps, "
+            f"more than MAX_STEPS = {MAX_STEPS}",
             field="integrator",
         )
     sample_every = block.get("sample_every", 10)

@@ -100,6 +100,17 @@ class TestSimulate:
         assert err.err.count("\n") == 1
         assert not out.exists() and not summary.exists()
 
+    def test_step_count_above_the_ceiling_is_usage_error(self, tmp_path, capsys):
+        # 1e100 steps: this used to run without end, writing nothing.
+        doc = {**SO3_SCENARIO, "integrator": {"dt": 1e-300, "t_end": 1e-200}}
+        code, out, summary = run_simulate(tmp_path, doc)
+        err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert err.out == ""
+        assert err.err.startswith("config error: ") and "MAX_STEPS" in err.err
+        assert err.err.count("\n") == 1
+        assert not out.exists() and not summary.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code = main([
             "simulate", "--config", str(tmp_path / "nope.json"),

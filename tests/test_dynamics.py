@@ -3,6 +3,7 @@ import pytest
 
 from gyrostat import dynamics
 from gyrostat.dynamics import (
+    MAX_STEPS,
     ConstantControl,
     ControlLiftSe3,
     ControlLiftSo3,
@@ -342,6 +343,22 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="t_end / dt must be finite"):
             integrate(ModelKind.SO3, std_params, std_so3_state, dt=1e-300, t_end=1e10)
 
+    @pytest.mark.parametrize("dt, t_end", [(1e-300, 1e-200), (1.0, MAX_STEPS + 1.0)])
+    def test_step_count_above_the_ceiling_is_rejected(self, std_params, std_so3_state, dt, t_end):
+        # Finite, but more steps than a run may take: fail up front instead
+        # of running without end.
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            integrate(ModelKind.SO3, std_params, std_so3_state, dt=dt, t_end=t_end)
+
+    def test_step_count_at_the_ceiling_is_accepted(self, std_params, std_so3_state, monkeypatch):
+        # round(t_end / dt) == MAX_STEPS passes the check; a small ceiling
+        # keeps the run short.
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 20)
+        traj = integrate(ModelKind.SO3, std_params, std_so3_state, dt=0.5, t_end=10.0)
+        assert traj.steps == 20
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            integrate(ModelKind.SO3, std_params, std_so3_state, dt=0.5, t_end=10.5)
+
     def test_non_positive_step_messages(self, std_params, std_so3_state):
         with pytest.raises(ValueError, match="dt must be positive, got -1.0"):
             integrate(ModelKind.SO3, std_params, std_so3_state, dt=-1.0)
@@ -408,7 +425,10 @@ class TestKernelLookup:
     @pytest.mark.parametrize(
         "kind, guess",
         [
-            (ModelKind.SO3, [0.001, -0.002, 2.0, 0.0, 0.5]),
+            # Not l = 0.5: that guess runs toward a family crossing, where
+            # the bordered system is singular (tests/test_steady.py case
+            # so3_family_crossing).
+            (ModelKind.SO3, [0.001, -0.002, 2.0, 0.0, 0.7]),
             (ModelKind.SE3, [0.001, -0.002, 3.0, 0.002, 0.001, 0.8, 0.0, 1.0]),
         ],
     )

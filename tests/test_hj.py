@@ -5,6 +5,7 @@ from gyrostat.algebra import ConfigurationPoint
 from gyrostat.dynamics import (
     ConstantControl,
     ControlLiftSe3,
+    ControlLiftSo3,
     reduced_rhs_se3,
     reduced_rhs_so3,
 )
@@ -245,9 +246,8 @@ class TestFindEquilibrium:
         assert rep.max_norm < 1e-10
 
     def test_non_convergence_reports_progress(self, std_params, std_grav, std_se3_state):
-        # This guess needs 19 exact Newton steps, so a budget of one runs
-        # out.  (With i3 = j3, as here, one exact step reaches an
-        # uncontrolled so3 equilibrium from a generic guess.)
+        # This guess needs more than one Newton step, so a budget of one
+        # runs out.
         with pytest.raises(NewtonConvergenceError) as exc:
             find_equilibrium(ModelKind.SE3, std_params, std_se3_state, grav=std_grav, max_iter=1)
         assert exc.value.iterations == 1
@@ -256,10 +256,14 @@ class TestFindEquilibrium:
     def test_singular_jacobian_detected(self, std_params):
         # A pure axis-3 state with an unbalanced rotor rate: two residual
         # rows are structurally zero but only the cyclic column is, so
-        # the reduced system cannot be square.
+        # the reduced system cannot be square.  The u_pi entry makes the
+        # lift cross the Casimir levels, so the system is not bordered (a
+        # bordered one is square here) and the constant lift leaves the
+        # Jacobian as it is.
         guess = So3RotorState(pi=(0.0, 0.0, 2.0), l=0.3)
-        with pytest.raises(SingularJacobianError):
-            find_equilibrium(ModelKind.SO3, std_params, guess)
+        pinned = ConstantControl(ControlLiftSo3(u_pi=(0.0, 0.0, 0.01)))
+        with pytest.raises(SingularJacobianError, match="unequal counts"):
+            find_equilibrium(ModelKind.SO3, std_params, guess, control=pinned)
 
     def test_guess_type_checked(self, std_params, std_se3_state):
         with pytest.raises(ValueError):

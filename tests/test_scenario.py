@@ -107,6 +107,13 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="dt"):
             scen(doc)
 
+    def test_step_count_above_the_ceiling(self):
+        doc = dict(SO3_MINIMAL)
+        doc["integrator"] = {"dt": 1e-300, "t_end": 1e-200}
+        with pytest.raises(ScenarioError, match="MAX_STEPS") as exc:
+            scen(doc)
+        assert exc.value.field == "integrator"
+
     def test_bad_sample_every(self):
         doc = dict(SO3_MINIMAL)
         doc["integrator"] = {"sample_every": 0}

@@ -15,8 +15,14 @@ search uses from sympy's Jacobian of the reference.  The kernels are the
 only hand-written field: the integrators, the bracket audit and every
 steady residual of ``gyrostat.hj`` evaluate them.  The reference never
 sees a hand-written derivative.
+
+The Casimirs the equilibrium search borders its Newton system with are
+checked the same way: the layout's gradients and Hessian entries are the
+derivatives of its Casimir values, and each Casimir annihilates the
+kernel field.
 """
 
+import pytest
 import sympy as sp
 
 from gyrostat.dynamics import (
@@ -25,6 +31,7 @@ from gyrostat.dynamics import (
     se3_field_kernel,
     so3_field_kernel,
 )
+from gyrostat.model import ModelKind, model_layout
 
 I1, I2, I3, J3, MGH, C1, C2, C3 = sp.symbols("i1 i2 i3 j3 mgh c1 c2 c3")
 PI = sp.Matrix(sp.symbols("p1 p2 p3"))
@@ -129,3 +136,40 @@ def test_jacobian_mgh_zero_degenerates_to_so3():
     ref_se3 = reference_jacobian(gravity=True).subs(MGH, 0).extract(slots, slots)
     assert matrices_exactly_equal(ref_se3, reference_jacobian(gravity=False))
     assert matrices_exactly_equal(se3_jacobian(mgh=0).extract(slots, slots), so3_jacobian())
+
+
+def layout_casimirs(kind):
+    """The layout's Casimir values, gradients and Hessians on symbols."""
+    coords = SE3_COORDS if kind is ModelKind.SE3 else SO3_COORDS
+    lay = model_layout(kind)
+    hessians = []
+    for entries in lay.casimir_hessians:
+        h = sp.zeros(len(coords), len(coords))
+        for i, j, v in entries:
+            h[i, j] = v
+        hessians.append(h)
+    return coords, lay.casimir_values(coords), lay.casimir_gradients(coords), hessians
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_layout_casimir_derivatives_are_exact(kind):
+    # The gradients and the Hessian entries the equilibrium search borders
+    # its Newton system with are the derivatives of the Casimir values, and
+    # each gradient is its Hessian times the point, so that a gradient lives
+    # on the slots its Hessian touches.
+    coords, values, gradients, hessians = layout_casimirs(kind)
+    assert len(values) == len(gradients) == len(hessians) == len(model_layout(kind).casimir_names)
+    for c, grad, hess in zip(values, gradients, hessians):
+        assert matrices_exactly_equal(sp.Matrix(grad), _grad(c, coords))
+        assert matrices_exactly_equal(hess, sp.Matrix(grad).jacobian(coords))
+        assert matrices_exactly_equal(hess * sp.Matrix(coords), sp.Matrix(grad))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_casimirs_annihilate_the_free_field(kind):
+    # grad C_k . F == 0 for the kernel field: each Casimir is constant along
+    # the free flow, so its levels are the leaves the search stays on.
+    coords, values, _gradients, _hessians = layout_casimirs(kind)
+    field = se3_kernel_field() if kind is ModelKind.SE3 else so3_kernel_field()
+    for c in values:
+        assert exactly_equal(_grad(c, coords).dot(sp.Matrix(field)), 0)
