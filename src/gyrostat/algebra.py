@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ def as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a.tolist())):
         raise ValueError(f"3-vector components must be finite, got {a}")
     return a
 

@@ -26,11 +26,15 @@ structure-friendlier alternative.  Feedback control laws are evaluated at
 every integrator substep state.  Step size never adapts; conserved-label
 drift is the accuracy diagnostic, not an error controller.
 
-:func:`integrate` steps and records on lists of Python floats in numpy's
+:func:`integrate` steps and records on tuples of Python floats in numpy's
 operation order, so it equals ndarray arithmetic bit for bit without its
-per-call cost on 5 or 8 slots.  The potential and the Casimirs are computed
-once per run over the stacked states.  The public :func:`controlled_rhs`,
-:func:`step_rk4` and :func:`step_midpoint` are ndarray adapters over it.
+per-call cost on 5 or 8 slots.  Its RK4 and midpoint steps are compiled
+once per phase-space dimension from one source template, with every slot
+unrolled into local names (as :mod:`dataclasses` writes out its methods),
+and add a constant lift slot by slot themselves.  The potential and the
+Casimirs are computed once per run over the stacked states.  The public
+:func:`controlled_rhs`, :func:`step_rk4` and :func:`step_midpoint` are
+ndarray adapters over the same field and steps.
 
 What differs between the models is looked up, not branched on: the
 layout and the constants in :func:`gyrostat.model.model_layout`, and the
@@ -43,8 +47,9 @@ re-exported here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import isfinite
 from operator import add
 from typing import Callable, Optional, Union
@@ -90,10 +95,12 @@ MIDPOINT_MAX_ITER = 50
 
 MAX_STEPS = 10**6
 """The most steps one :func:`integrate` run may take; ``round(t_end / dt)``
-above it is rejected up front.  A step costs ~11-13 us with RK4 and ~36 us
-with the implicit midpoint rule (so3 and se3 runs on one 2-CPU host), so
-a run at the ceiling takes up to ~40 s.  Every sample is kept in memory,
-~0.5 kB each for se3, so at ``sample_every = 1`` such a run holds ~0.5 GB.
+above it is rejected up front.  A step costs ~4-8 us with RK4 and ~16-19
+us with the implicit midpoint rule at five sweeps (so3 and se3 runs on one
+2-CPU host), so a run at the ceiling takes up to ~20 s; a feedback law
+adds ~50-60 us per field call (se3, a state built for the law at each).
+Every sample is kept in memory, ~0.5 kB each for se3, so at
+``sample_every = 1`` such a run holds ~0.5 GB.
 """
 
 
@@ -180,7 +187,10 @@ class Trajectory:
 
     ``states`` has one row per sample in the canonical flat order;
     ``casimirs`` has one column per conserved label, named by
-    ``casimir_names``.  ``steps`` counts completed integrator steps.
+    ``casimir_names``.  ``steps`` counts completed integrator steps, and
+    ``field_calls`` the field evaluations they took: four per RK4 step,
+    one per sweep of a midpoint step.  ``max_sweeps`` is the most sweeps
+    one midpoint step took, 0 for RK4.
     """
 
     kind: ModelKind
@@ -192,6 +202,8 @@ class Trajectory:
     casimirs: np.ndarray
     casimir_names: tuple
     steps: int
+    field_calls: int
+    max_sweeps: int
 
 
 def so3_field_kernel(i1, i2, i3, j3, y):
@@ -375,37 +387,72 @@ def controlled_rhs(
     return lambda y: np.array(rhs(y.tolist()))
 
 
-def _rk4(rhs, y: list, dt: float) -> list:
-    # The operation order of ndarray RK4, one slot at a time.
+# The steps on a dim-slot phase point, every slot unrolled into local
+# names: `<<e>>` stands for the tuple of `e` with `#` read as each slot
+# index in turn.  Each slot takes the operations, in the order, of
+# ndarray arithmetic, with a constant lift `u` added to each field value
+# as ConstantControl's field adds it.
+_STEPPER_TEMPLATE = """
+def rk4(f, u, y, dt):
+    <<Y#>> = y
+    if u is not None: <<U#>> = u
     h = 0.5 * dt
-    k1 = rhs(y)
-    k2 = rhs([a + h * k for a, k in zip(y, k1)])
-    k3 = rhs([a + h * k for a, k in zip(y, k2)])
-    k4 = rhs([a + dt * k for a, k in zip(y, k3)])
+    <<A#>> = f(y)
+    if u is not None: <<A#>> = <<A# + U#>>
+    <<B#>> = f((<<Y# + h * A#>>))
+    if u is not None: <<B#>> = <<B# + U#>>
+    <<C#>> = f((<<Y# + h * B#>>))
+    if u is not None: <<C#>> = <<C# + U#>>
+    <<D#>> = f((<<Y# + dt * C#>>))
+    if u is not None: <<D#>> = <<D# + U#>>
     w = dt / 6.0
-    out = [
-        a + w * (((p + 2.0 * q) + 2.0 * r) + s)
-        for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-    ]
-    if not all(map(isfinite, out)):
+    z = (<<Y# + w * (((A# + 2.0 * B#) + 2.0 * C#) + D#)>>)
+    if not all(map(isfinite, z)):
         raise IntegrationError("non-finite value in Runge-Kutta stage")
-    return out
+    return z
 
 
-def _midpoint(rhs, y: list, dt: float) -> list:
-    z = y
-    for _ in range(MIDPOINT_MAX_ITER):
-        k = rhs([0.5 * (a + b) for a, b in zip(y, z)])
-        z_new = [a + dt * b for a, b in zip(y, k)]
-        if not all(map(isfinite, z_new)):
+def midpoint(f, u, y, dt):
+    <<Y#>> = y
+    <<Z#>> = y
+    if u is not None: <<U#>> = u
+    for sweep in range(1, MIDPOINT_MAX_ITER + 1):
+        <<K#>> = f((<<0.5 * (Y# + Z#)>>))
+        if u is not None: <<K#>> = <<K# + U#>>
+        z = (<<Y# + dt * K#>>)
+        if not all(map(isfinite, z)):
             raise IntegrationError("non-finite value in midpoint iteration")
-        if max([abs(a - b) for a, b in zip(z_new, z)]) <= MIDPOINT_TOL:
-            return z_new
-        z = z_new
+        <<N#>> = z
+        if max((<<abs(N# - Z#)>>)) <= MIDPOINT_TOL:
+            return z, sweep
+        <<Z#>> = z
     raise IntegrationError(
         f"implicit midpoint failed to converge in {MIDPOINT_MAX_ITER} iterations "
         f"(dt={dt:g} likely too large)"
     )
+"""
+
+
+@cache
+def _steppers(dim: int):
+    """The RK4 and implicit midpoint steps on `dim` slots, compiled once.
+
+    ``rk4(f, u, y, dt)`` returns the next point as a tuple and
+    ``midpoint(f, u, y, dt)`` the next point and its sweep count.  `f`
+    maps a tuple of floats to `dim` field values and `u` is None or a
+    constant lift; `y` is any `dim`-long sequence of floats.  The source
+    differs between dimensions only by slot indices from ``range(dim)``.
+    """
+    if dim < 1:
+        raise ValueError(f"a phase point needs at least one slot, got {dim}")
+
+    def slots(match):
+        return "".join(f"{match[1].replace('#', str(i))}, " for i in range(dim))
+
+    source = re.sub("<<(.+?)>>", slots, _STEPPER_TEMPLATE)
+    namespace = {}
+    exec(compile(source, f"<{dim}-slot steppers>", "exec"), globals(), namespace)
+    return namespace["rk4"], namespace["midpoint"]
 
 
 def step_rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
@@ -417,7 +464,8 @@ def step_rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) 
         If any stage produces a non-finite value.
     """
     y = np.asarray(y, dtype=float).tolist()
-    return np.array(_rk4(lambda v: rhs(np.array(v)).tolist(), y, dt))
+    rk4 = _steppers(len(y))[0]
+    return np.array(rk4(lambda v: rhs(np.array(v)).tolist(), None, y, dt))
 
 
 def step_midpoint(
@@ -439,7 +487,9 @@ def step_midpoint(
         non-finite iterate.
     """
     y = np.asarray(y, dtype=float).tolist()
-    return np.array(_midpoint(lambda v: rhs(np.array(v)).tolist(), y, dt))
+    midpoint = _steppers(len(y))[1]
+    z, _sweeps = midpoint(lambda v: rhs(np.array(v)).tolist(), None, y, dt)
+    return np.array(z)
 
 
 def integrate(
@@ -492,8 +542,12 @@ def integrate(
         raise ValueError(
             f"{kind.value} model requires an {lay.state_type.__name__} initial state"
         )
-    y = lay.to_vector(initial).tolist()
-    rhs, _jac = _flat_system(kind, params, grav, control)
+    y = tuple(lay.to_vector(initial).tolist())
+    # The steps add a constant lift themselves, to the free field.
+    lift = control.lift if isinstance(control, ConstantControl) else None
+    f, _jac = _flat_system(kind, params, grav, None if lift is not None else control)
+    u = None if lift is None else _lift_floats(lift, lay)
+    rk4, midpoint = _steppers(lay.dim)
     n_steps = max(1, int(round(t_end / dt)))
     i1, i2, i3, j3 = lay.constants(params, grav)[:4]
 
@@ -522,15 +576,22 @@ def integrate(
             casimirs=np.column_stack(lay.casimirs(states)),
             casimir_names=lay.casimir_names,
             steps=steps_done,
+            field_calls=field_calls,
+            max_sweeps=max_sweeps,
         )
 
     record(0.0, y)
+    field_calls = max_sweeps = 0
     for step in range(1, n_steps + 1):
         try:
             if method == "rk4":
-                y = _rk4(rhs, y, dt)
+                y = rk4(f, u, y, dt)
+                field_calls += 4
             else:
-                y = _midpoint(rhs, y, dt)
+                y, sweeps = midpoint(f, u, y, dt)
+                field_calls += sweeps
+                if sweeps > max_sweeps:
+                    max_sweeps = sweeps
         except IntegrationError as err:
             err.time = step * dt
             err.partial = build(step - 1)

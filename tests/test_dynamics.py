@@ -232,6 +232,11 @@ class TestSteppers:
         assert np.max(np.abs(y1[:2] - expect)) < 1e-11
         assert y1[2] == 2.0
 
+    @pytest.mark.parametrize("stepper", [step_rk4, step_midpoint])
+    def test_empty_point_is_rejected(self, stepper):
+        with pytest.raises(ValueError, match="at least one slot, got 0"):
+            stepper(lambda y: y, np.array([]), 0.1)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_rk4_non_finite_raises(self):
         rhs = lambda y: y * 1e308  # noqa: E731
@@ -262,7 +267,7 @@ class TestSteppers:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_midpoint_reports_non_convergence(self, std_params):
         rhs = controlled_rhs(ModelKind.SO3, std_params, None, ZeroControl())
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError, match="^non-finite value in midpoint iteration$"):
             step_midpoint(rhs, np.array([1.0, 2.0, 3.0, 0.0, 0.5]), 50.0)
 
 
@@ -377,9 +382,67 @@ class TestIntegrate:
                 method="midpoint",
             )
         err = exc.value
-        assert err.time is not None
-        assert err.partial is not None
-        assert err.partial.states.shape[0] >= 1
+        # The first sweep at dt = 50 already overflows.
+        assert str(err) == "non-finite value in midpoint iteration"
+        assert err.time == 50.0
+        assert err.partial.steps == 0
+        assert err.partial.states.shape[0] == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "method, dt, control, step, message",
+        [
+            # RK4 is unstable at this step size; the state overflows.
+            ("rk4", 2.0, None, 5, "non-finite value in Runge-Kutta stage"),
+            # u_l drives l, and with it the spin rate, up until the
+            # fixed-point iteration no longer contracts.
+            (
+                "midpoint", 0.2, ControlLiftSo3(u_l=1.0), 36,
+                "implicit midpoint failed to converge in 50 iterations (dt=0.2 likely too large)",
+            ),
+        ],
+    )
+    def test_failure_time_and_partial_are_exact(
+        self, std_params, std_so3_state, method, dt, control, step, message
+    ):
+        control = ConstantControl(control)
+        with pytest.raises(IntegrationError) as exc:
+            integrate(
+                ModelKind.SO3, std_params, std_so3_state, control=control,
+                dt=dt, t_end=100 * dt, sample_every=1, method=method,
+            )
+        err = exc.value
+        assert str(err) == message
+        assert err.time == step * dt
+        assert err.partial.steps == step - 1
+        assert len(err.partial.states) == step
+        assert err.partial.times.tolist() == [k * dt for k in range(step)]
+        # The public steppers fail the same way from the last good state.
+        rhs = controlled_rhs(ModelKind.SO3, std_params, None, control)
+        stepper = step_rk4 if method == "rk4" else step_midpoint
+        with pytest.raises(IntegrationError) as exc:
+            stepper(rhs, err.partial.states[-1], dt)
+        assert str(exc.value) == message
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_partial_trajectory_counts_the_completed_steps(self, std_params, std_so3_state, method):
+        # A failed run counts the steps it completed, as a run that ends
+        # after them does: RK4 overflows here, midpoint stops contracting.
+        control = ConstantControl(ControlLiftSo3(u_l=1.0))
+        kw = dict(control=control, dt=0.2, sample_every=1, method=method)
+        with pytest.raises(IntegrationError) as exc:
+            integrate(ModelKind.SO3, std_params, std_so3_state, t_end=20.0, **kw)
+        partial = exc.value.partial
+        whole = integrate(ModelKind.SO3, std_params, std_so3_state, t_end=0.2 * partial.steps, **kw)
+        assert whole.steps == partial.steps > 0
+        assert (whole.field_calls, whole.max_sweeps) == (partial.field_calls, partial.max_sweeps)
+        if method == "rk4":
+            assert (partial.field_calls, partial.max_sweeps) == (4 * partial.steps, 0)
+        else:
+            assert partial.steps < partial.field_calls <= 50 * partial.steps
+            assert partial.max_sweeps * partial.steps >= partial.field_calls
 
     def test_zero_feedback_matches_zero_control(self, std_params, std_so3_state):
         fb = FeedbackControl(lambda state: ControlLiftSo3())
@@ -420,7 +483,36 @@ class TestKernelLookup:
         calls = self._count_calls(monkeypatch, kind)
         traj = integrate(kind, std_params, state, grav=std_grav, dt=1e-3, t_end=0.01)
         assert traj.steps == 10
-        assert len(calls) == 4 * traj.steps
+        assert len(calls) == 4 * traj.steps == traj.field_calls
+        assert traj.max_sweeps == 0
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_midpoint_under_a_lift_calls_the_kernel_once_a_sweep(
+        self, monkeypatch, std_params, std_grav, std_so3_state, std_se3_state, kind
+    ):
+        from test_simulate import _ref_midpoint
+
+        state = std_se3_state if kind is ModelKind.SE3 else std_so3_state
+        lift = model_layout(kind).lift_type(u_alpha=0.2, u_l=-0.05)
+        control = ConstantControl(lift)
+        # Built before the wrapper goes in, so these calls are not counted.
+        rhs = controlled_rhs(kind, std_params, std_grav, control)
+        calls = self._count_calls(monkeypatch, kind)
+        traj = integrate(
+            kind, std_params, state, grav=std_grav, control=control,
+            dt=1e-3, t_end=0.01, method="midpoint",
+        )
+        sweeps = []
+
+        def counted(y):
+            sweeps.append(y)
+            return rhs(y)
+
+        y = model_layout(kind).to_vector(state)
+        for _ in range(traj.steps):
+            y = _ref_midpoint(counted, y, 1e-3)
+        assert traj.steps == 10
+        assert len(calls) == len(sweeps) == traj.field_calls > 2 * traj.steps
 
     @pytest.mark.parametrize(
         "kind, guess",

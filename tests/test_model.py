@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gyrostat.model import (
+    ControlLiftSe3,
+    ControlLiftSo3,
     GravityParams,
     InertiaParams,
     ModelKind,
@@ -119,6 +121,40 @@ class TestStates:
         assert np.array_equal(v, [1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.5])
         back = se3_state_from_vector(v)
         assert np.array_equal(se3_state_to_vector(back), v)
+
+
+# One finite value per field; each vector entry and each scalar below is
+# replaced in turn by a non-finite value, which must be rejected.
+_FINITE = [
+    (So3RotorState, {"pi": (1.0, 2.0, 3.0), "alpha": 0.1, "l": 0.5}),
+    (Se3RotorState, {"pi": (1.0, 2.0, 3.0), "gamma": (0.0, 0.6, 0.8), "alpha": 0.1, "l": 0.5}),
+    (ControlLiftSo3, {"u_pi": (0.1, -0.2, 0.3), "u_alpha": 0.4, "u_l": -0.5}),
+    (
+        ControlLiftSe3,
+        {"u_pi": (0.1, -0.2, 0.3), "u_gamma": (0.01, 0.02, -0.03), "u_alpha": 0.4, "u_l": -0.5},
+    ),
+]
+_NON_FINITE_SLOTS = [
+    (cls, kw, name, i, bad)
+    for cls, kw in _FINITE
+    for name, v in kw.items()
+    for i in (range(3) if isinstance(v, tuple) else (None,))
+    for bad in (float("nan"), float("inf"), float("-inf"))
+]
+
+
+@pytest.mark.parametrize("cls, kw, name, i, bad", _NON_FINITE_SLOTS)
+def test_non_finite_slot_is_rejected(cls, kw, name, i, bad):
+    assert cls(**kw) is not None
+    if i is None:
+        scalars = [n for n, v in kw.items() if not isinstance(v, tuple)]
+        message = f"^{' and '.join(scalars)} must be finite$"
+        value = bad
+    else:
+        message = "^3-vector components must be finite, got "
+        value = tuple(bad if j == i else x for j, x in enumerate(kw[name]))
+    with pytest.raises(ValueError, match=message):
+        cls(**{**kw, name: value})
 
 
 class TestVelocities:

@@ -231,3 +231,51 @@ def test_public_steppers_equal_the_ndarray_formulas():
             got = step_midpoint(rhs, y, dt)
             assert isinstance(got, np.ndarray)
             assert got.tobytes() == _ref_midpoint(rhs, y, dt).tobytes()
+
+
+def _path_case(kind, control):
+    """Parameters, gravity, initial state and control law of one
+    `integrate` path; `control` names the law."""
+    params = InertiaParams(i_bar=(2.7, 1.9, 1.3), j3=0.7)
+    if kind == "se3":
+        grav = GravityParams(mgh=1.3, chi=(0.48, 0.6, 0.64))
+        initial = Se3RotorState(pi=(0.9, -1.7, 2.3), gamma=(0.36, -0.48, 0.8), alpha=0.1, l=0.45)
+        lift = lambda u_l: ControlLiftSe3(  # noqa: E731
+            u_pi=(0.01, -0.02, 0.03), u_gamma=(0.004, -0.001, -0.002), u_alpha=0.2, u_l=u_l
+        )
+        law = _feedback_se3
+    else:
+        grav = None
+        initial = So3RotorState(pi=(0.9, -1.7, 2.3), alpha=0.1, l=0.45)
+        lift = lambda u_l: ControlLiftSo3(u_pi=(0.01, -0.02, 0.03), u_alpha=0.2, u_l=u_l)  # noqa: E731
+        law = _feedback_so3
+    laws = {
+        "zero": ZeroControl(),
+        "constant": ConstantControl(lift(-0.05)),
+        "negative_zero_u_l": ConstantControl(lift(-0.0)),
+        "feedback": FeedbackControl(law),
+    }
+    return params, grav, initial, laws[control]
+
+
+@pytest.mark.parametrize("control", ["zero", "constant", "negative_zero_u_l", "feedback"])
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("kind", ["so3", "se3"])
+def test_integrate_equals_the_ndarray_formulas(kind, method, control):
+    # Every state of a 250-step run equals the reference step repeated on
+    # the public field, bit for bit.
+    params, grav, initial, law = _path_case(kind, control)
+    dt, n = 0.003, 250
+    traj = integrate(
+        ModelKind(kind), params, initial, grav=grav, control=law,
+        dt=dt, t_end=n * dt, sample_every=1, method=method,
+    )
+    assert traj.steps == n
+    rhs = controlled_rhs(ModelKind(kind), params, grav, law)
+    step = _ref_rk4 if method == "rk4" else _ref_midpoint
+    y = model_layout(ModelKind(kind)).to_vector(initial)
+    expect = [y]
+    for _ in range(n):
+        y = step(rhs, y, dt)
+        expect.append(y)
+    assert traj.states.tobytes() == np.array(expect).tobytes()
