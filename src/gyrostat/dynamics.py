@@ -51,6 +51,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, partial
 from math import isfinite
+from numbers import Integral
 from operator import add
 from typing import Callable, Optional, Union
 
@@ -67,7 +68,7 @@ from .model import (
     kinetic_energy,
     model_layout,
 )
-from .poisson import FD_SCALE
+from .poisson import fd_steps
 
 __all__ = [
     "ControlLiftSo3",
@@ -317,8 +318,12 @@ def _flat_system(kind, params, grav, control):
     # module's attribute sees every call.
     free = partial(globals()[f"{kind.value}_field_kernel"], *consts)
     jac = partial(globals()[f"_{kind.value}_field_jacobian"], *consts)
-    control = control if control is not None else ZeroControl()
-    if isinstance(control, ConstantControl) and control.lift is None:
+    if not isinstance(control, (ControlLaw, type(None))):
+        is_lift = isinstance(control, (ControlLiftSo3, ControlLiftSe3))
+        hint = "; wrap a lift in ConstantControl" if is_lift else ""
+        name = type(control).__name__
+        raise ValueError(f"control must be a ControlLaw or None, got {name}{hint}")
+    if control is None or isinstance(control, ConstantControl) and control.lift is None:
         control = ZeroControl()
 
     if isinstance(control, ZeroControl):
@@ -351,9 +356,7 @@ def _flat_system(kind, params, grav, control):
 def _fd_jacobian(rhs, y: list) -> list:
     """Central-difference Jacobian of `rhs` at `y` as a list of columns."""
     cols = []
-    for j, v in enumerate(y):
-        # fd_steps' rule; max(|v|, 1.0) keeps a NaN as np.maximum does.
-        h = FD_SCALE * max(abs(v), 1.0)
+    for j, (v, h) in enumerate(zip(y, fd_steps(np.array(y)).tolist())):
         probe = y.copy()
         probe[j] = v + h
         f_plus = rhs(probe)
@@ -379,8 +382,9 @@ def controlled_rhs(
     Raises
     ------
     ValueError
-        On a missing gravity block for se3, or a lift that belongs to the
-        other model: up front for a ``ConstantControl``, at the call for a
+        On a missing gravity block for se3, a control that is not a
+        ``ControlLaw`` or None, or a lift that belongs to the other model:
+        up front for a ``ConstantControl``, at the call for a
         ``FeedbackControl``.
     """
     rhs, _jac = _flat_system(kind, params, grav, control)
@@ -492,6 +496,33 @@ def step_midpoint(
     return np.array(z)
 
 
+def _step_count(dt, t_end, sample_every, method) -> int:
+    """The number of steps a run of :func:`integrate` takes,
+    ``max(1, round(t_end / dt))``; ValueError on settings it cannot run.
+
+    The one check of a run's settings: :mod:`gyrostat.scenario` calls it
+    on a config too, so both read ``MAX_STEPS`` at the call.
+    """
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if not isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt must be finite, got {t_end:g} / {dt:g}")
+    if round(t_end / dt) > MAX_STEPS:
+        raise ValueError(
+            f"t_end / dt asks for {t_end / dt:.3g} steps, more than MAX_STEPS = {MAX_STEPS}"
+        )
+    if isinstance(sample_every, bool) or not (
+        isinstance(sample_every, Integral) and sample_every >= 1
+    ):
+        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")
+    if method not in ("rk4", "midpoint"):
+        raise ValueError(f"method must be 'rk4' or 'midpoint', got {method!r}")
+    return max(1, int(round(t_end / dt)))
+
+
 def integrate(
     kind: ModelKind,
     params: InertiaParams,
@@ -506,8 +537,9 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step integration with per-sample conserved-label recording.
 
-    The run takes ``round(t_end / dt)`` steps of exactly `dt`; sample times
-    are exact step multiples.  Samples always include the initial state and
+    The run takes ``max(1, round(t_end / dt))`` steps of exactly `dt`, so
+    a `t_end` below ``dt / 2`` runs one step of `dt`; sample times are
+    exact step multiples.  Samples always include the initial state and
     the final step, plus every `sample_every`-th step in between.  A
     ``"midpoint"`` step is solved as in :func:`step_midpoint`.
 
@@ -517,26 +549,12 @@ def integrate(
         Propagated from a failing step, with ``time`` set to the failure
         time and ``partial`` holding the samples collected so far.
     ValueError
-        On bad step parameters (more than ``MAX_STEPS`` steps among them),
-        a state that does not match `kind`, or a control lift of the other
-        model.
+        On bad step parameters (more than ``MAX_STEPS`` steps, or a
+        `sample_every` that is not an integer >= 1, among them), a state
+        that does not match `kind`, a control that is not a ``ControlLaw``
+        or None, or a control lift of the other model.
     """
-    for name, value in (("dt", dt), ("t_end", t_end)):
-        if not isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if value <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    if not isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt must be finite, got {t_end:g} / {dt:g}")
-    if round(t_end / dt) > MAX_STEPS:
-        raise ValueError(
-            f"t_end / dt asks for {t_end / dt:.3g} steps, more than MAX_STEPS = {MAX_STEPS}"
-        )
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    if method not in ("rk4", "midpoint"):
-        raise ValueError(f"method must be 'rk4' or 'midpoint', got {method!r}")
-
+    n_steps = _step_count(dt, t_end, sample_every, method)
     lay = model_layout(kind)
     if not isinstance(initial, lay.state_type):
         raise ValueError(
@@ -548,7 +566,6 @@ def integrate(
     f, _jac = _flat_system(kind, params, grav, None if lift is not None else control)
     u = None if lift is None else _lift_floats(lift, lay)
     rk4, midpoint = _steppers(lay.dim)
-    n_steps = max(1, int(round(t_end / dt)))
     i1, i2, i3, j3 = lay.constants(params, grav)[:4]
 
     times = []

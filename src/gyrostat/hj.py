@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
+from numbers import Integral
 from operator import add, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
@@ -337,6 +338,15 @@ def _bordered_system(rhs, jacobian, lay, level):
     return residual, bordered_jacobian
 
 
+def _check_search(tol, max_iter) -> None:
+    """ValueError unless `tol` is finite and positive and `max_iter` an
+    integer >= 1: the search settings, checked here alone."""
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, Integral) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def find_equilibrium(
     kind: ModelKind,
     params: InertiaParams,
@@ -386,12 +396,12 @@ def find_equilibrium(
     SingularJacobianError
         If the reduced Newton system is singular.
     ValueError
-        On a `tol` that is not finite and positive, a guess that does not
-        match `kind`, a missing gravity block for se3, or a control lift
-        of the other model.
+        On a `tol` that is not finite and positive, a `max_iter` that is
+        not an integer >= 1, a guess that does not match `kind`, a missing
+        gravity block for se3, a control that is not a ``ControlLaw`` or
+        None, or a control lift of the other model.
     """
-    if not (isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_search(tol, max_iter)
     lay = model_layout(kind)
     if not isinstance(guess, lay.state_type):
         raise ValueError(f"{kind.value} search requires an {lay.state_type.__name__} guess")

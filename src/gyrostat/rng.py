@@ -13,6 +13,8 @@ with numpy uint64 arithmetic, bit for bit equal to the scalar stream.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 __all__ = ["SplitMix64"]
@@ -27,8 +29,9 @@ class SplitMix64:
     """Sequence of 64-bit words from a single 64-bit seed."""
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) <= _MASK:
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
+        # Python and numpy integers, not bools, floats or strings.
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed <= _MASK:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         self._state = int(seed)
 
     def next_u64(self) -> int:

@@ -44,7 +44,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import MAX_STEPS, ConstantControl, ControlLaw, Trajectory, ZeroControl
+from .dynamics import ConstantControl, ControlLaw, Trajectory, ZeroControl, _step_count
+from .hj import _check_search
 from .model import (
     GravityParams,
     InertiaParams,
@@ -54,6 +55,7 @@ from .model import (
     So3RotorState,
     model_layout,
 )
+from .rng import SplitMix64
 
 __all__ = [
     "ScenarioError",
@@ -99,11 +101,13 @@ def _number(value, where: str) -> float:
     return x
 
 
-def _positive(value, where: str) -> float:
-    x = _number(value, where)
-    if x <= 0.0:
-        raise ScenarioError(f"field '{where}' must be positive, got {x}", field=where)
-    return x
+def _ask(owner, what: str, field, *args, **kwargs):
+    """``owner(*args, **kwargs)``, its ValueError raised as a ScenarioError
+    on `field`: the routine that uses a value holds its rules."""
+    try:
+        return owner(*args, **kwargs)
+    except ValueError as err:
+        raise ScenarioError(f"invalid {what}: {err}", field=field) from err
 
 
 def _vector(value, n: int, where: str) -> np.ndarray:
@@ -139,10 +143,7 @@ def _parse_inertia(doc: dict) -> InertiaParams:
         kwargs["j_rotor_transverse"] = _vector(
             _require(block, "j_rotor_transverse", "inertia"), 2, "inertia.j_rotor_transverse"
         )
-    try:
-        return InertiaParams(i_bar=i_bar, j3=j3, **kwargs)
-    except ValueError as err:
-        raise ScenarioError(f"invalid inertia: {err}", field="inertia") from err
+    return _ask(InertiaParams, "inertia", "inertia", i_bar=i_bar, j3=j3, **kwargs)
 
 
 def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
@@ -176,10 +177,7 @@ def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
     kwargs = {}
     if chi is not None:
         kwargs["chi"] = _vector(chi, 3, "gravity.chi")
-    try:
-        return GravityParams(mgh=mgh, **kwargs)
-    except ValueError as err:
-        raise ScenarioError(f"invalid gravity: {err}", field="gravity") from err
+    return _ask(GravityParams, "gravity", "gravity", mgh=mgh, **kwargs)
 
 
 def _parse_initial(doc: dict, lay: ModelLayout):
@@ -294,47 +292,16 @@ def _parse_integrator(doc: dict) -> tuple:
             "field 'integrator' must be an object", field="integrator"
         )
     method = block.get("method", "rk4")
-    if method not in ("rk4", "midpoint"):
-        raise ScenarioError(
-            "field 'integrator.method' must be one of 'rk4', 'midpoint', "
-            f"got {method!r}",
-            field="integrator.method",
-        )
-    dt = _positive(block.get("dt", 1e-3), "integrator.dt")
-    t_end = _positive(block.get("t_end", 1.0), "integrator.t_end")
-    if not math.isfinite(t_end / dt):
-        raise ScenarioError(
-            f"field 'integrator.t_end' / 'integrator.dt' must be finite, got {t_end:g} / {dt:g}",
-            field="integrator",
-        )
-    if round(t_end / dt) > MAX_STEPS:
-        raise ScenarioError(
-            f"field 'integrator.t_end' / 'integrator.dt' asks for {t_end / dt:.3g} steps, "
-            f"more than MAX_STEPS = {MAX_STEPS}",
-            field="integrator",
-        )
+    dt = _number(block.get("dt", 1e-3), "integrator.dt")
+    t_end = _number(block.get("t_end", 1.0), "integrator.t_end")
     sample_every = block.get("sample_every", 10)
-    if isinstance(sample_every, bool) or not isinstance(sample_every, int):
-        raise ScenarioError(
-            "field 'integrator.sample_every' must be an integer",
-            field="integrator.sample_every",
-        )
-    if sample_every < 1:
-        raise ScenarioError(
-            f"field 'integrator.sample_every' must be >= 1, got {sample_every}",
-            field="integrator.sample_every",
-        )
+    _ask(_step_count, "integrator", "integrator", dt, t_end, sample_every, method)
     return method, dt, t_end, sample_every
 
 
 def _parse_seed(doc: dict) -> int:
     seed = doc.get("seed", 42)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("field 'seed' must be an integer", field="seed")
-    if not 0 <= seed < 2**64:
-        raise ScenarioError(
-            f"field 'seed' must fit in 64 bits, got {seed}", field="seed"
-        )
+    _ask(SplitMix64, "seed", "seed", seed)
     return seed
 
 
@@ -424,7 +391,11 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
             field="lift",
         )
 
-    tolerance = _positive(doc.get("tolerance", 1e-10), "tolerance")
+    tolerance = _number(doc.get("tolerance", 1e-10), "tolerance")
+    if tolerance <= 0.0:
+        raise ScenarioError(
+            f"field 'tolerance' must be positive, got {tolerance}", field="tolerance"
+        )
     return HjCheckConfig(
         model=lay.kind,
         inertia=inertia,
@@ -460,12 +431,9 @@ def parse_equilibrium_config(text: str) -> EquilibriumConfig:
     doc, lay, inertia, gravity = _parse_head(text)
     guess_vec = _vector(_require(doc, "guess", "the config"), lay.dim, "guess")
     control = _parse_control(doc, lay)
-    tol = _positive(doc.get("tol", 1e-12), "tol")
+    tol = _number(doc.get("tol", 1e-12), "tol")
     max_iter = doc.get("max_iter", 100)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise ScenarioError(
-            "field 'max_iter' must be a positive integer", field="max_iter"
-        )
+    _ask(_check_search, "search settings", None, tol, max_iter)
     return EquilibriumConfig(
         model=lay.kind,
         inertia=inertia,

@@ -364,6 +364,17 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="MAX_STEPS"):
             integrate(ModelKind.SO3, std_params, std_so3_state, dt=0.5, t_end=10.5)
 
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, "10", None])
+    def test_sample_every_must_be_an_integer(self, std_params, std_so3_state, value):
+        # 2.5 used to sample at steps 5 and 10, and True counted as 1.
+        with pytest.raises(ValueError, match="sample_every must be an integer >= 1"):
+            integrate(ModelKind.SO3, std_params, std_so3_state, t_end=0.01, sample_every=value)
+
+    def test_numpy_integer_sample_every_is_accepted(self, std_params, std_so3_state):
+        a = integrate(ModelKind.SO3, std_params, std_so3_state, t_end=0.01, sample_every=4)
+        b = integrate(ModelKind.SO3, std_params, std_so3_state, t_end=0.01, sample_every=np.int64(4))
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+
     def test_non_positive_step_messages(self, std_params, std_so3_state):
         with pytest.raises(ValueError, match="dt must be positive, got -1.0"):
             integrate(ModelKind.SO3, std_params, std_so3_state, dt=-1.0)
@@ -456,6 +467,39 @@ class TestIntegrate:
             t_end=0.1,
         )
         assert np.array_equal(a.states, b.states)
+
+
+NOT_A_LAW = [ControlLiftSo3(u_alpha=0.1), "zero", 0.0]
+
+
+class TestControlType:
+    """Anything but None or a ControlLaw fails up front, not with an
+    AttributeError at the first field call."""
+
+    @staticmethod
+    def _check(call, control):
+        name = type(control).__name__
+        with pytest.raises(ValueError, match=f"ControlLaw or None, got {name}") as exc:
+            call()
+        assert ("ConstantControl" in str(exc.value)) == (name == "ControlLiftSo3")
+
+    @pytest.mark.parametrize("control", NOT_A_LAW)
+    def test_integrate(self, std_params, std_so3_state, control):
+        self._check(
+            lambda: integrate(ModelKind.SO3, std_params, std_so3_state, control=control, t_end=0.01),
+            control,
+        )
+
+    @pytest.mark.parametrize("control", NOT_A_LAW)
+    def test_controlled_rhs(self, std_params, control):
+        self._check(lambda: controlled_rhs(ModelKind.SO3, std_params, None, control), control)
+
+    @pytest.mark.parametrize("control", NOT_A_LAW)
+    def test_find_equilibrium(self, std_params, std_so3_state, control):
+        self._check(
+            lambda: find_equilibrium(ModelKind.SO3, std_params, std_so3_state, control=control),
+            control,
+        )
 
 
 class TestKernelLookup:

@@ -265,6 +265,19 @@ class TestFindEquilibrium:
         with pytest.raises(SingularJacobianError, match="unequal counts"):
             find_equilibrium(ModelKind.SO3, std_params, guess, control=pinned)
 
+    @pytest.mark.parametrize("max_iter", [-1, 0, 2.5, True, "5", None])
+    def test_max_iter_must_be_a_positive_integer(self, std_params, std_so3_state, max_iter):
+        # -1, 2.5 and True used to end in "no convergence after ... iterations".
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            find_equilibrium(ModelKind.SO3, std_params, std_so3_state, max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_is_accepted(self, std_params, std_se3_state, std_grav):
+        with pytest.raises(NewtonConvergenceError) as exc:
+            find_equilibrium(
+                ModelKind.SE3, std_params, std_se3_state, grav=std_grav, max_iter=np.int64(1)
+            )
+        assert exc.value.iterations == 1
+
     def test_guess_type_checked(self, std_params, std_se3_state):
         with pytest.raises(ValueError):
             find_equilibrium(ModelKind.SO3, std_params, std_se3_state)

@@ -36,3 +36,15 @@ def test_counter_wraps_at_64_bits():
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         SplitMix64(1).uniforms(-1, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", [5.7, 5.0, "5", True, None, -1, 1 << 64])
+def test_seed_must_be_a_64_bit_integer(seed):
+    # 5.7 used to seed 5, and "5" was accepted.
+    with pytest.raises(ValueError, match="seed must be"):
+        SplitMix64(seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.uint64(MASK)])
+def test_numpy_integer_seed_is_its_value(seed):
+    assert SplitMix64(seed).next_u64() == SplitMix64(int(seed)).next_u64()

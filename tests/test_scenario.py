@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gyrostat import dynamics
 from gyrostat.dynamics import ConstantControl, ZeroControl, integrate
 from gyrostat.model import ModelKind, So3RotorState
 from gyrostat.scenario import (
@@ -111,6 +112,17 @@ class TestParseScenario:
         doc = dict(SO3_MINIMAL)
         doc["integrator"] = {"dt": 1e-300, "t_end": 1e-200}
         with pytest.raises(ScenarioError, match="MAX_STEPS") as exc:
+            scen(doc)
+        assert exc.value.field == "integrator"
+
+    def test_step_ceiling_is_read_when_parsing(self, monkeypatch):
+        # The parser asks integrate's rule, so a lowered ceiling holds for
+        # both: a config it accepts is one integrate runs.
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 2000)
+        doc = dict(SO3_MINIMAL, integrator={"dt": 1e-3, "t_end": 2.0})
+        assert scen(doc).t_end == 2.0
+        doc["integrator"] = {"dt": 1e-3, "t_end": 2.001}
+        with pytest.raises(ScenarioError, match="MAX_STEPS = 2000") as exc:
             scen(doc)
         assert exc.value.field == "integrator"
 
