@@ -158,7 +158,9 @@ def _combine(kind: BracketKind, gf: np.ndarray, gk: np.ndarray, x: np.ndarray) -
     """Evaluate the bracket's bilinear form on two gradients at x.
 
     Every operand may also be a ``(dim, n)`` block (or a ``(dim,)`` vector
-    shared by all columns); the form is then a row of n values.
+    shared by all columns); the form is then a row of n values.  `gf` may
+    be a coordinate covector of exact 0 and 1 markers, as
+    :func:`hamiltonian_vector_field_via_bracket` passes it.
     """
     dim = len(x)
 
@@ -235,6 +237,52 @@ def bracket(kind: BracketKind, f: ScalarField, k: ScalarField, x) -> float:
     return float(_combine(kind, gf, gk, x))
 
 
+class _Zero:
+    """An exact 0 in a coordinate covector: a product with it is zero and
+    a sum keeps the other operand, so the bracket terms it zeroes out are
+    never evaluated.  ``__array_ufunc__ = None`` makes ndarrays and numpy
+    scalars defer to the reflected operators."""
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __rsub__(self, other):
+        return other
+
+    def __neg__(self):
+        return self
+
+
+class _One:
+    """An exact 1 in a coordinate covector: a product with it is the other
+    operand."""
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return other
+
+    __rmul__ = __mul__
+
+
+_ZERO = _Zero()
+_ONE = _One()
+
+
 def hamiltonian_vector_field_via_bracket(
     kind: BracketKind, h: ScalarField, x
 ) -> np.ndarray:
@@ -242,7 +290,9 @@ def hamiltonian_vector_field_via_bracket(
 
     Component i is the bracket of the i-th coordinate function with h.
     The gradient of h is evaluated once and reused, so the cost is one
-    gradient plus `dim` bilinear-form evaluations.
+    gradient plus the bracket's nonzero terms: the coordinate covector e_i
+    goes to :func:`_combine` as exact 0 and 1 markers, which skip every
+    term e_i zeroes out and keep the others, in their order and rounding.
 
     `x` is one point of shape ``(dim,)`` or a block of shape ``(dim, n)``,
     one column per point (see :func:`fd_gradient`); the field has the
@@ -252,11 +302,12 @@ def hamiltonian_vector_field_via_bracket(
     _check_dims(kind, h.dim, x)
     gh = _gradient_of(h, x)
     out = np.empty_like(x)
-    basis = np.zeros(h.dim)
+    covector = [_ZERO] * h.dim
     for i in range(h.dim):
-        basis[:] = 0.0
-        basis[i] = 1.0
-        out[i] = _combine(kind, basis, gh, x)
+        covector[i] = _ONE
+        form = _combine(kind, covector, gh, x)
+        covector[i] = _ZERO
+        out[i] = 0.0 if form is _ZERO else form
     return out
 
 

@@ -13,6 +13,7 @@ with numpy uint64 arithmetic, bit for bit equal to the scalar stream.
 
 from __future__ import annotations
 
+import operator
 from numbers import Integral
 
 import numpy as np
@@ -23,6 +24,9 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# The most uint64 values an array can hold; numpy's uint64 arange comes back
+# empty, not failing, for some counts past it (2**63, for one).
+_MAX_COUNT = np.iinfo(np.intp).max // 8
 
 
 class SplitMix64:
@@ -53,15 +57,21 @@ class SplitMix64:
         """The next `n` values of :meth:`uniform` as a float64 array.
 
         Bit for bit equal to `n` successive ``uniform(low, high)`` calls,
-        and leaves the generator in the same state as they would.
+        and leaves the generator in the same state as they would; on an
+        error the state is untouched.
         """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        # Python and numpy integers, not bools, floats or strings.
+        try:
+            count = None if isinstance(n, bool) else operator.index(n)
+        except TypeError:
+            count = None
+        if count is None or not 0 <= count <= _MAX_COUNT:
+            raise ValueError(f"n must be an integer in [0, {_MAX_COUNT}], got {n!r}")
+        n = count
         # uint64 array arithmetic wraps mod 2**64, as the scalar path masks.
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= np.uint64(_GOLDEN)
         z += np.uint64(self._state)
-        self._state = (self._state + n * _GOLDEN) & _MASK
         t = np.empty_like(z)
         for shift, mix in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(z, np.uint64(shift), out=t)
@@ -74,4 +84,5 @@ class SplitMix64:
         u *= 2.0**-53
         u *= high - low
         u += low
+        self._state = (self._state + n * _GOLDEN) & _MASK
         return u

@@ -153,3 +153,29 @@ def test_rejects_bad_input():
         bracket_oracle_audit(ModelKind.SO3, PARAMS, samples=0)
     with pytest.raises(ValueError):
         bracket_oracle_audit(ModelKind.SE3, PARAMS, samples=10)
+
+
+@pytest.mark.parametrize("samples", [2.5, 3.0, True, False, "3", None])
+def test_samples_must_be_an_integer(samples):
+    # 2.5 used to fail in `range`, and True ran one sample reported as true.
+    with pytest.raises(ValueError, match="samples must be"):
+        bracket_oracle_audit(ModelKind.SO3, PARAMS, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [np.int64(3), np.uint8(3)])
+def test_numpy_integer_samples_is_its_value(samples):
+    report = bracket_oracle_audit(ModelKind.SE3, PARAMS, grav=GRAV, samples=samples)
+    assert type(report["samples"]) is int
+    assert json_text(report) == json_text(
+        bracket_oracle_audit(ModelKind.SE3, PARAMS, grav=GRAV, samples=3)
+    )
+
+
+@pytest.mark.parametrize("seed", [np.uint64(MAX_SEED), np.int64(42)])
+def test_numpy_integer_seed_is_reported_as_its_value(seed):
+    # A numpy seed used to reach the report as is, which json_text rejects.
+    report = bracket_oracle_audit(ModelKind.SO3, PARAMS, samples=3, seed=seed)
+    assert type(report["seed"]) is int
+    assert json_text(report) == json_text(
+        bracket_oracle_audit(ModelKind.SO3, PARAMS, samples=3, seed=int(seed))
+    )

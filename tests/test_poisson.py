@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from gyrostat.dynamics import reduced_rhs_se3, reduced_rhs_so3
+from gyrostat import audit
+from gyrostat.dynamics import _flat_system, reduced_rhs_se3, reduced_rhs_so3
 from gyrostat.model import ModelKind, grad_h, model_layout
 from gyrostat.poisson import (
     FD_SCALE,
     BracketKind,
     ScalarField,
+    _combine,
     bracket,
     coordinate_field,
     fd_gradient,
@@ -313,3 +315,109 @@ class TestBlocks:
         f = coordinate_field(5, 0)
         with pytest.raises(ValueError):
             bracket(RIGID, f, f, np.zeros((5, 3)))
+
+
+def _dense_vector_field(kind, h, x):
+    """Reference: the bilinear form on the dense coordinate basis e_i,
+    every term of the bracket evaluated, zeros included."""
+    x = np.asarray(x, dtype=float)
+    gh = fd_gradient(h, x) if h.grad is None else np.asarray(h.grad(x), dtype=float)
+    out = np.empty_like(x)
+    basis = np.zeros(h.dim)
+    for i in range(h.dim):
+        basis[:] = 0.0
+        basis[i] = 1.0
+        out[i] = _combine(kind, basis, gh, x)
+    return out
+
+
+def _block_quadratic(q):
+    """A quadratic field with an analytic gradient on points and blocks."""
+    return ScalarField(
+        dim=q.dim,
+        value=q.value,
+        grad=lambda x: (q.b if x.ndim == 1 else q.b[:, None]) + q.A @ x,
+    )
+
+
+class TestSparseCovectors:
+    """The oracle equals the dense-basis evaluation of the same bracket
+    form bit for bit (up to the sign of an exact zero, which == ignores)."""
+
+    @staticmethod
+    def _fields(params, grav):
+        rng = SplitMix64(71)
+        so3, se3 = hamiltonian_field_so3(params), hamiltonian_field_se3(params, grav)
+        quad5, quad8 = (_block_quadratic(QuadraticField(dim, rng)) for dim in (5, 8))
+        return [
+            (RIGID, so3),
+            (RIGID, quad5),
+            (CANONICAL, so3),
+            (CANONICAL, se3),
+            (CANONICAL, quad8),
+            (PROD5, so3),
+            (PROD5, quad5),
+            (HEAVY, se3),
+            (HEAVY, quad8),
+            (PROD8, se3),
+            (PROD8, quad8),
+        ]
+
+    @staticmethod
+    def _block(seed, dim, n):
+        # SplitMix64 samples, some slots exactly +-0 and one all-zero column.
+        x = SplitMix64(seed).uniforms(n * dim, -5.0, 5.0).reshape(n, dim).T.copy()
+        x[0, ::3] = 0.0
+        x[dim - 1, 1::4] = -0.0
+        x[dim - 2, ::5] = 0.0
+        x[:, 7] = 0.0
+        return x
+
+    def test_every_kind_equals_the_dense_basis(self, std_params, std_grav):
+        cases = self._fields(std_params, std_grav)
+        assert {kind for kind, _ in cases} == set(BracketKind)
+        for seed, (kind, h) in enumerate(cases, start=200):
+            x = self._block(seed, h.dim, 40)
+            v = hamiltonian_vector_field_via_bracket(kind, h, x)
+            assert v.dtype == np.float64 and v.shape == x.shape
+            assert np.array_equal(v, _dense_vector_field(kind, h, x)), kind
+            for j in (0, 1, 3, 7, 20):
+                point = hamiltonian_vector_field_via_bracket(kind, h, x[:, j])
+                assert point.dtype == np.float64 and point.shape == (h.dim,)
+                assert np.array_equal(point, _dense_vector_field(kind, h, x[:, j])), kind
+
+    def test_structurally_zero_rows_are_float_zeros(self, std_params, std_grav):
+        # Rows a coordinate covector zeroes out entirely: the momentum rows
+        # of the canonical bracket, (alpha, l) of the rigid body, and
+        # (alpha, l) of the heavy top.
+        zero_rows = {RIGID: [3, 4], CANONICAL: None, HEAVY: [6, 7]}
+        for kind, h in self._fields(std_params, std_grav):
+            if kind not in zero_rows:
+                continue
+            rows = zero_rows[kind] or list(range(h.dim - 2))
+            x = self._block(300, h.dim, 9)
+            for v in (
+                hamiltonian_vector_field_via_bracket(kind, h, x),
+                hamiltonian_vector_field_via_bracket(kind, h, x[:, 2]),
+            ):
+                assert v.dtype == np.float64
+                assert np.array_equal(v[rows], np.zeros_like(v[rows]))
+                assert np.any(np.delete(v, rows, axis=0) != 0.0)
+
+    def test_structural_zero_is_a_positive_zero(self, std_params):
+        # The dense basis left -0.0 where a zero met a negative gradient.
+        h, x = hamiltonian_field_so3(std_params), self._block(301, 5, 9)
+        assert np.signbit(_dense_vector_field(CANONICAL, h, x)[:3]).any()
+        assert not np.signbit(hamiltonian_vector_field_via_bracket(CANONICAL, h, x)[:3]).any()
+
+    @pytest.mark.parametrize("kind", [ModelKind.SO3, ModelKind.SE3])
+    def test_audit_discrepancy_is_bit_for_bit(self, monkeypatch, std_params, std_grav, kind):
+        grav = std_grav if model_layout(kind).gravity else None
+        bracket_kind, energy = audit._ORACLES[kind]
+        h = energy(std_params, grav)
+        field, _jac = _flat_system(kind, std_params, grav, None)
+        x = self._block(400, h.dim, 64)
+        rel = audit._worst_relative_discrepancy(field, bracket_kind, h, x.copy())
+        monkeypatch.setattr(audit, "hamiltonian_vector_field_via_bracket", _dense_vector_field)
+        dense = audit._worst_relative_discrepancy(field, bracket_kind, h, x.copy())
+        assert rel.tobytes() == dense.tobytes()

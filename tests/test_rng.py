@@ -48,3 +48,20 @@ def test_seed_must_be_a_64_bit_integer(seed):
 @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.uint64(MASK)])
 def test_numpy_integer_seed_is_its_value(seed):
     assert SplitMix64(seed).next_u64() == SplitMix64(int(seed)).next_u64()
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.uint64(3), np.int8(3)])
+def test_numpy_integer_count_is_its_value(n):
+    block, plain = SplitMix64(9), SplitMix64(9)
+    assert block.uniforms(n, 0.0, 1.0).tolist() == plain.uniforms(3, 0.0, 1.0).tolist()
+    assert block.next_u64() == plain.next_u64()
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, "2", True, None, -1, 1 << 63, 1 << 64])
+def test_count_must_be_a_non_negative_integer(n):
+    # np.int64(3) used to overflow in `n * golden`, 2.0 failed in `&`, True
+    # drew one value, and 2**63 returned no values and moved the state.
+    rng = SplitMix64(9)
+    with pytest.raises(ValueError, match="n must be"):
+        rng.uniforms(n, 0.0, 1.0)
+    assert rng.next_u64() == SplitMix64(9).next_u64()  # state untouched
