@@ -16,7 +16,6 @@ import functools
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -39,11 +38,16 @@ EXIT_TOLERANCE = 2
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as err:
+            raise ScenarioError(f"config is not valid UTF-8: {err}") from err
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
 
 
 def _json_number(x):
@@ -273,6 +277,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except FileNotFoundError as err:
         print(f"file not found: {err.filename}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as err:
+        # A directory or a denied permission; open() names the file, a
+        # failed write to an open file may not.
+        where = "" if err.filename is None else f"{err.filename}: "
+        print(f"file error: {where}{err.strerror or err}", file=sys.stderr)
         return EXIT_USAGE
     except EquilibriumError as err:
         print(f"equilibrium search failed: {err}", file=sys.stderr)

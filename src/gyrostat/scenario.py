@@ -30,9 +30,14 @@ state and lift types, the CSV columns) is read from the model's
 :func:`gyrostat.model.model_layout`.
 
 Emission is deterministic: CSV numbers use 17 significant digits (which
-round-trips 64-bit floats exactly) and JSON objects are written with
-sorted keys, so identical inputs produce identical bytes.  The CSV header
-is ``t``, the layout's columns, ``energy`` and its Casimir names.
+round-trips 64-bit floats exactly), so identical inputs produce identical
+bytes.  The CSV header is ``t``, the layout's columns, ``energy`` and its
+Casimir names.  JSON reports come from :func:`json_text`, which writes
+the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline
+itself: sorted keys, two-space indent, ``float.__repr__`` numbers with
+json's ``NaN`` and ``Infinity`` words, ASCII-escaped strings.  It takes
+str, None, bool, int, float (numpy.float64 included), list, tuple and
+dict with str keys, and raises TypeError on anything else.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 import numpy as np
@@ -458,6 +464,61 @@ def trajectory_csv(traj: Trajectory) -> str:
     return "\n".join([header, *(row.format(*r) for r in rows.tolist())]) + "\n"
 
 
+# float.__repr__'s words for the values JSON has no number for.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _put_json(obj, nl: str, out: list) -> None:
+    """Append `obj`'s JSON text to `out`, at the indent `nl` (a newline
+    and the indent's spaces), as ``json.dumps`` writes it: the same type
+    checks in the same order, and the same spellings."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_FLOAT_WORDS.get(text, text))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _put_json(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        # A key that is not a str fails the sort or the quoting: TypeError.
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _put_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def json_text(obj) -> str:
-    """Deterministic JSON rendering: sorted keys, fixed separators."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, byte
+    for byte, for trees of str, None, bool, int, float (numpy.float64
+    included), list, tuple and dict with str keys; anything else raises
+    TypeError.  (json indents only in its pure-Python encoder, which this
+    outruns.)"""
+    out = []
+    _put_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gyrostat.cli
 from gyrostat.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
 
 SO3_SCENARIO = {
@@ -119,6 +120,66 @@ class TestSimulate:
         ])
         assert code == EXIT_USAGE
         assert "not found" in capsys.readouterr().err
+
+
+def _one_line_error(capsys, code, prefix):
+    """The CLI exited 1 with one stderr line starting with `prefix`."""
+    err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert err.out == ""
+    assert err.err.startswith(prefix)
+    assert err.err.count("\n") == 1
+    return err.err
+
+
+class TestFileErrors:
+    """Config bytes and file paths the CLI cannot use: one line, exit 1.
+    Each of these used to end in a traceback."""
+
+    COMMANDS = ["simulate", "bracket-audit", "hj-check", "equilibrium"]
+
+    @staticmethod
+    def _argv(command, cfg, tmp_path):
+        argv = [command, "--config", str(cfg)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o.csv"), "--summary", str(tmp_path / "s.json")]
+        return argv
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_not_utf8(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"model": "so3\xff"}')
+        code = main(self._argv(command, cfg, tmp_path))
+        _one_line_error(capsys, code, "config error: config is not valid UTF-8: ")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_is_a_directory(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.mkdir()
+        code = main(self._argv(command, cfg, tmp_path))
+        assert str(cfg) in _one_line_error(capsys, code, "file error: ")
+
+    def test_unreadable_config(self, tmp_path, capsys, monkeypatch):
+        # Run as root, a chmod 000 file stays readable: deny in open().
+        cfg = write_json(tmp_path / "cfg.json", SO3_SCENARIO)
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(gyrostat.cli, "open", denied, raising=False)
+        code = main(self._argv("simulate", cfg, tmp_path))
+        err = _one_line_error(capsys, code, "file error: ")
+        assert cfg in err and "Permission denied" in err
+
+    @pytest.mark.parametrize("option", ["--out", "--summary"])
+    def test_output_is_a_directory(self, tmp_path, capsys, option):
+        cfg = write_json(tmp_path / "cfg.json", SO3_SCENARIO)
+        target = tmp_path / "dir"
+        target.mkdir()
+        argv = self._argv("simulate", cfg, tmp_path)
+        argv[argv.index(option) + 1] = str(target)
+        code = main(argv)
+        assert str(target) in _one_line_error(capsys, code, "file error: ")
 
 
 class TestBracketAudit:

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrostat import dynamics
 from gyrostat.dynamics import ConstantControl, ZeroControl, integrate
@@ -279,3 +281,48 @@ class TestSerialization:
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
         assert json.loads(text) == {"b": 1, "a": [1.5, None, True]}
+
+
+# JSON trees with the values a report can hold and the awkward ones json
+# spells its own way: NaN, infinities, -0.0, subnormals, numpy.float64,
+# big ints, non-ASCII text and control characters, empty containers.
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308])
+    | st.text()
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_TREES)
+def test_json_text_is_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value", [np.int64(3), np.bool_(True), {1.5}, b"bytes"], ids=repr
+)
+def test_json_text_rejects_what_json_dumps_rejects(value):
+    for obj in (value, [value], {"key": value}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            json_text(obj)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)], ids=repr)
+def test_json_text_takes_only_str_keys(key):
+    with pytest.raises(TypeError):
+        json_text({key: 0})

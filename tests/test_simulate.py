@@ -85,23 +85,26 @@ def _simulate(tmp_path, name):
         code = main(
             ["simulate", "--config", str(cfg), "--out", str(out), "--summary", str(summary)]
         )
-    doc = json.loads(summary.read_text(encoding="utf-8"))
+    text = summary.read_text(encoding="utf-8")
+    doc = json.loads(text)
     del doc["wall_time_s"]
-    return code, out.read_text(encoding="utf-8"), doc
+    return code, out.read_text(encoding="utf-8"), doc, text
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CLI))
 def test_simulate_bytes_are_pinned(tmp_path, name):
-    code, csv, doc = _simulate(tmp_path, name)
+    code, csv, doc, written = _simulate(tmp_path, name)
     summary = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert (code, _sha(csv.encode()), _sha(summary.encode())) == PINNED_CLI[name]
+    # The pin re-renders the summary; the bytes written must be that form.
+    assert written == json.dumps(json.loads(written), sort_keys=True, indent=2) + "\n"
 
 
 def test_overflowing_rotor_momentum_energy_is_inf(tmp_path):
     # A square beyond the float range is an infinite energy, whichever
     # momentum it comes from: the run fails as a numerical failure with
     # a one-row partial CSV, as a huge Pi1 does.
-    code, csv, doc = _simulate(tmp_path, "huge_l")
+    code, csv, doc, _ = _simulate(tmp_path, "huge_l")
     assert code == EXIT_TOLERANCE
     rows = csv.strip().split("\n")[1:]
     assert len(rows) == 1
