@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 
@@ -45,54 +46,60 @@ def _read_text(path: str) -> str:
             raise ScenarioError(f"config is not valid UTF-8: {err}") from err
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-
-
 def _json_number(x):
     """`x`, or None where it is None or not finite: JSON has no NaN or
     infinity."""
     return x if x is not None and math.isfinite(x) else None
 
 
+def _drift(stats) -> dict:
+    return {"abs": _json_number(stats.max_abs), "rel": _json_number(stats.max_rel)}
+
+
 def cmd_simulate(config_path: str, out_path: str, summary_path: str) -> int:
     scenario = parse_scenario(_read_text(config_path))
-    failures = []
-    started = time.perf_counter()
-    try:
-        traj = integrate(
-            scenario.model,
-            scenario.inertia,
-            scenario.initial,
-            grav=scenario.gravity,
-            control=scenario.control,
-            dt=scenario.dt,
-            t_end=scenario.t_end,
-            sample_every=scenario.sample_every,
-            method=scenario.method,
-        )
-    except IntegrationError as err:
-        traj = err.partial
-        failures.append({"time": err.time, "error": str(err)})
-    wall = time.perf_counter() - started
+    # Opened before the run, which may take MAX_STEPS steps, so that a path
+    # it cannot write fails first.
+    with (
+        open(out_path, "w", encoding="utf-8", newline="") as out,
+        open(summary_path, "w", encoding="utf-8", newline="") as summary_file,
+    ):
+        failures = []
+        started = time.perf_counter()
+        try:
+            traj = integrate(
+                scenario.model,
+                scenario.inertia,
+                scenario.initial,
+                grav=scenario.gravity,
+                control=scenario.control,
+                dt=scenario.dt,
+                t_end=scenario.t_end,
+                sample_every=scenario.sample_every,
+                method=scenario.method,
+            )
+        except IntegrationError as err:
+            traj = err.partial
+            failures.append({"time": err.time, "error": str(err)})
+        wall = time.perf_counter() - started
 
-    _write_text(out_path, trajectory_csv(traj))
-    diag = diagnostics(traj)
-    summary = {
-        "scenario": scenario.echo_dict(),
-        "drifts": {
-            "energy": {"abs": diag.energy.max_abs, "rel": diag.energy.max_rel},
-            "casimirs": [
-                {"name": name, "abs": stats.max_abs, "rel": stats.max_rel}
-                for name, stats in diag.casimirs.items()
-            ],
-        },
-        "steps": traj.steps,
-        "failures": failures,
-        "wall_time_s": wall,
-    }
-    _write_text(summary_path, json_text(summary))
+        # One file named by both options ends as the summary, written last.
+        if not os.path.samestat(os.fstat(out.fileno()), os.fstat(summary_file.fileno())):
+            out.write(trajectory_csv(traj))
+        diag = diagnostics(traj)
+        summary = {
+            "scenario": scenario.echo_dict(),
+            "drifts": {
+                "energy": _drift(diag.energy),
+                "casimirs": [
+                    {"name": name, **_drift(stats)} for name, stats in diag.casimirs.items()
+                ],
+            },
+            "steps": traj.steps,
+            "failures": failures,
+            "wall_time_s": wall,
+        }
+        summary_file.write(json_text(summary))
 
     if failures:
         print(

@@ -149,11 +149,8 @@ class IntegrationError(RuntimeError):
 
 
 def _state_rhs(kind, state, params, grav, lift) -> np.ndarray:
-    lay = model_layout(kind)
-    if not isinstance(state, lay.state_type):
-        raise ValueError(f"{kind.value} model requires an {lay.state_type.__name__}")
-    rhs = controlled_rhs(kind, params, grav, ConstantControl(lift))
-    return rhs(lay.to_vector(state))
+    y = model_layout(kind).to_vector(state)
+    return controlled_rhs(kind, params, grav, ConstantControl(lift))(y)
 
 
 def reduced_rhs_so3(
@@ -286,19 +283,6 @@ def _se3_field_jacobian(i1, i2, i3, j3, mgh, c1, c2, c3, y):
     ]
 
 
-def _lift_floats(lift, lay) -> list:
-    """The entries of `lift` as floats in the flat order, which is its
-    fields' declaration order; ValueError if it is not the lift type of
-    the layout `lay`, e.g. a lift of the other model."""
-    if not isinstance(lift, lay.lift_type):
-        raise ValueError(
-            f"{lay.kind.value} model needs a {lay.lift_type.__name__} lift, "
-            f"got {type(lift).__name__}"
-        )
-    # __post_init__ makes the scalar fields floats and the others ndarrays.
-    return [x for v in vars(lift).values() for x in ((v,) if type(v) is float else v.tolist())]
-
-
 def _flat_system(kind, params, grav, control):
     """The controlled field and its Jacobian, as functions from a list of
     floats to a list of floats and to a list of columns.
@@ -331,7 +315,7 @@ def _flat_system(kind, params, grav, control):
     # free(y) ends in dl = 0.0, so a lift adds u_l to 0.0: a -0.0 entry
     # gives 0.0 there.
     if isinstance(control, ConstantControl):
-        u = _lift_floats(control.lift, lay)
+        u = lay.lift_floats(control.lift)
         return (lambda y: list(map(add, free(y), u))), jac
 
     def rhs(y):
@@ -339,11 +323,11 @@ def _flat_system(kind, params, grav, control):
         lift = control.lift_at(lay.from_vector(y))
         if lift is None:
             return d
-        return list(map(add, d, _lift_floats(lift, lay)))
+        return list(map(add, d, lay.lift_floats(lift)))
 
     def lift(y):
         u = control.lift_at(lay.from_vector(y))
-        return [0.0] * lay.dim if u is None else _lift_floats(u, lay)
+        return [0.0] * lay.dim if u is None else lay.lift_floats(u)
 
     # A zero difference leaves the entry as it is, -0.0 included, so a law
     # that returns None gives the free Jacobian bit for bit.
@@ -556,15 +540,11 @@ def integrate(
     """
     n_steps = _step_count(dt, t_end, sample_every, method)
     lay = model_layout(kind)
-    if not isinstance(initial, lay.state_type):
-        raise ValueError(
-            f"{kind.value} model requires an {lay.state_type.__name__} initial state"
-        )
     y = tuple(lay.to_vector(initial).tolist())
     # The steps add a constant lift themselves, to the free field.
     lift = control.lift if isinstance(control, ConstantControl) else None
     f, _jac = _flat_system(kind, params, grav, None if lift is not None else control)
-    u = None if lift is None else _lift_floats(lift, lay)
+    u = None if lift is None else lay.lift_floats(lift)
     rk4, midpoint = _steppers(lay.dim)
     i1, i2, i3, j3 = lay.constants(params, grav)[:4]
 
@@ -580,9 +560,12 @@ def integrate(
     def build(steps_done):
         states = np.array(rows)
         energy = np.array(kinetic)
-        if lay.gravity:
-            # np.vecdot is BLAS ddot per row, as np.dot is in hamiltonian_se3.
-            energy = energy + grav.mgh * np.vecdot(states[:, 3:6], grav.chi)
+        # An overflowing state's labels are inf or NaN; numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if lay.gravity:
+                # np.vecdot is BLAS ddot per row, as np.dot is in hamiltonian_se3.
+                energy = energy + grav.mgh * np.vecdot(states[:, 3:6], grav.chi)
+            labels = np.column_stack(lay.casimirs(states))
         return Trajectory(
             kind=kind,
             params=params,
@@ -590,7 +573,7 @@ def integrate(
             times=np.array(times),
             states=states,
             energy=energy,
-            casimirs=np.column_stack(lay.casimirs(states)),
+            casimirs=labels,
             casimir_names=lay.casimir_names,
             steps=steps_done,
             field_calls=field_calls,
@@ -640,7 +623,8 @@ class DiagnosticsSummary:
 
 def _drift_stats(series: np.ndarray) -> DriftStats:
     ref = series[0]
-    worst = np.abs(series - ref).max()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        worst = np.abs(series - ref).max()
     return DriftStats(
         max_abs=float(worst),
         max_rel=float(worst / max(1.0, abs(float(ref)))),

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import ConfigurationPoint
-from .dynamics import ConstantControl, ControlLaw, ZeroControl, _flat_system, _lift_floats
+from .dynamics import ConstantControl, ControlLaw, ZeroControl, _flat_system
 from .model import (
     GravityParams,
     InertiaParams,
@@ -296,7 +296,7 @@ def _multipliers(control, lay) -> int:
     those slots alone.  A feedback law is never bordered.
     """
     if isinstance(control, ConstantControl) and control.lift is not None:
-        u = _lift_floats(control.lift, lay)
+        u = lay.lift_floats(control.lift)
         crossing = any(u[i] for entries in lay.casimir_hessians for i, _j, _v in entries)
         return 0 if crossing else len(lay.casimir_names)
     if control is None or isinstance(control, (ZeroControl, ConstantControl)):
@@ -403,11 +403,8 @@ def find_equilibrium(
     """
     _check_search(tol, max_iter)
     lay = model_layout(kind)
-    if not isinstance(guess, lay.state_type):
-        raise ValueError(f"{kind.value} search requires an {lay.state_type.__name__} guess")
-
-    rhs, jacobian = _flat_system(kind, params, grav, control)
     y = lay.to_vector(guess).tolist()
+    rhs, jacobian = _flat_system(kind, params, grav, control)
     level = lay.casimir_values(y)[: _multipliers(control, lay)]
     residual, system_jacobian = _bordered_system(rhs, jacobian, lay, level)
     z = y + [0.0] * len(level)

@@ -53,10 +53,6 @@ __all__ = [
     "grad_h",
     "HamiltonianGradient",
     "casimirs",
-    "so3_state_to_vector",
-    "so3_state_from_vector",
-    "se3_state_to_vector",
-    "se3_state_from_vector",
     "ModelLayout",
     "model_layout",
 ]
@@ -283,14 +279,11 @@ def omega_from_momenta(state, params: InertiaParams) -> AngularVelocities:
 
 
 def kinetic_energy(p1, p2, p3, l, i1, i2, i3, j3):
-    """``(Pi1^2/i1 + Pi2^2/i2 + (Pi3 - l)^2/i3 + l^2/j3) / 2`` on scalars.
-
-    An overflowing square gives ``inf``, on Python floats as on numpy ones.
-    """
-    try:
-        return 0.5 * (p1**2 / i1 + p2**2 / i2 + (p3 - l) ** 2 / i3 + l**2 / j3)
-    except OverflowError:
-        return math.inf
+    """``(Pi1^2/i1 + Pi2^2/i2 + (Pi3 - l)^2/i3 + l^2/j3) / 2`` on scalars or
+    arrays, squared as products as numpy squares an array (``x**2`` on a
+    float is libm ``pow``, which may round otherwise); overflow is ``inf``."""
+    d = p3 - l
+    return 0.5 * (p1 * p1 / i1 + p2 * p2 / i2 + d * d / i3 + l * l / j3)
 
 
 def hamiltonian_so3(state: So3RotorState, params: InertiaParams) -> float:
@@ -368,8 +361,6 @@ def casimirs(state, kind: ModelKind) -> OrbitLabel:
         match it.
     """
     lay = model_layout(kind)
-    if not isinstance(state, lay.state_type):
-        raise ValueError(f"kind {kind.value} requires an {lay.state_type.__name__}")
     labels = lay.casimirs(lay.to_vector(state)[np.newaxis])
     return OrbitLabel(
         kind=kind,
@@ -377,37 +368,16 @@ def casimirs(state, kind: ModelKind) -> OrbitLabel:
     )
 
 
-def so3_state_to_vector(state: So3RotorState) -> np.ndarray:
-    """Flatten to the canonical (Pi1, Pi2, Pi3, alpha, l) order."""
-    return np.array([*state.pi, state.alpha, state.l])
-
-
-def so3_state_from_vector(y) -> So3RotorState:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (5,):
-        raise ValueError(f"expected a 5-vector, got shape {y.shape}")
-    return So3RotorState(pi=y[:3], alpha=y[3], l=y[4])
-
-
-def se3_state_to_vector(state: Se3RotorState) -> np.ndarray:
-    """Flatten to the canonical (Pi, Gamma, alpha, l) order."""
-    return np.array([*state.pi, *state.gamma, state.alpha, state.l])
-
-
-def se3_state_from_vector(y) -> Se3RotorState:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (8,):
-        raise ValueError(f"expected an 8-vector, got shape {y.shape}")
-    return Se3RotorState(pi=y[:3], gamma=y[3:6], alpha=y[6], l=y[7])
-
-
 @dataclass(frozen=True)
 class ModelLayout:
     """How the phase point of one model is laid out, as a flat vector.
 
     The fields of ``state_type`` and of ``lift_type``, taken in declaration
-    order, fill ``columns`` in order.  ``casimirs`` maps stacked
-    ``(n, dim)`` states to one length-n array per name in
+    order, fill ``columns`` in order.  :meth:`to_vector`, :meth:`from_vector`
+    and :meth:`lift_floats` are the package's only conversions between
+    those types and floats, and its only check that a state or lift is the
+    model's; ``split`` builds a state from a flat ``dim``-vector.  ``casimirs``
+    maps stacked ``(n, dim)`` states to one length-n array per name in
     ``casimir_names``.  ``gravity`` tells whether the model has the
     advected direction ``Gamma`` and so needs a :class:`GravityParams`,
     whose potential ``mgh * Gamma . chi`` then adds to the energy.
@@ -424,8 +394,7 @@ class ModelLayout:
     kind: ModelKind
     state_type: type
     lift_type: type
-    to_vector: Callable[[object], np.ndarray]
-    from_vector: Callable[[object], object]
+    split: Callable[[np.ndarray], object]
     columns: tuple
     casimir_names: tuple
     gravity: bool
@@ -441,6 +410,30 @@ class ModelLayout:
     @property
     def csv_header(self) -> str:
         return ",".join(("t", *self.columns, "energy", *self.casimir_names))
+
+    def _floats(self, obj, want: type, what: str) -> list:
+        """The fields of `obj` in declaration order, as floats; ValueError
+        unless `obj` is a `want`, e.g. a `what` of the other model."""
+        if not isinstance(obj, want):
+            got = type(obj).__name__
+            raise ValueError(f"{self.kind.value} model needs a {want.__name__} {what}, got {got}")
+        # __post_init__ makes the scalar fields floats and the others ndarrays.
+        return [x for v in vars(obj).values() for x in ((v,) if type(v) is float else v.tolist())]
+
+    def to_vector(self, state) -> np.ndarray:
+        """`state` as a flat vector; ValueError unless a ``state_type``."""
+        return np.array(self._floats(state, self.state_type, "state"))
+
+    def from_vector(self, y):
+        """The ``state_type`` at `y`; ValueError unless a flat ``dim``-vector."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.dim,):
+            raise ValueError(f"expected a {self.dim}-vector, got shape {y.shape}")
+        return self.split(y)
+
+    def lift_floats(self, lift) -> list:
+        """`lift` as a flat list of floats; ValueError unless a ``lift_type``."""
+        return self._floats(lift, self.lift_type, "lift")
 
     def constants(self, params: InertiaParams, grav: Optional[GravityParams]) -> list:
         """The constants of the field kernels, as floats in their order:
@@ -460,8 +453,7 @@ _LAYOUTS = {
         kind=ModelKind.SO3,
         state_type=So3RotorState,
         lift_type=ControlLiftSo3,
-        to_vector=so3_state_to_vector,
-        from_vector=so3_state_from_vector,
+        split=lambda y: So3RotorState(pi=y[:3], alpha=y[3], l=y[4]),
         columns=("Pi1", "Pi2", "Pi3", "alpha", "l"),
         casimir_names=("pi_norm",),
         gravity=False,
@@ -474,8 +466,7 @@ _LAYOUTS = {
         kind=ModelKind.SE3,
         state_type=Se3RotorState,
         lift_type=ControlLiftSe3,
-        to_vector=se3_state_to_vector,
-        from_vector=se3_state_from_vector,
+        split=lambda y: Se3RotorState(pi=y[:3], gamma=y[3:6], alpha=y[6], l=y[7]),
         columns=("Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3", "alpha", "l"),
         casimir_names=("pi_dot_gamma", "gamma_norm"),
         gravity=True,

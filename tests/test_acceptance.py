@@ -34,8 +34,7 @@ from gyrostat.model import (
     ModelKind,
     Se3RotorState,
     So3RotorState,
-    se3_state_to_vector,
-    so3_state_to_vector,
+    model_layout,
 )
 from gyrostat.poisson import BracketKind, ScalarField, bracket
 from gyrostat.rng import SplitMix64
@@ -197,7 +196,7 @@ def test_criterion_6_equilibrium_solutions():
         So3RotorState(pi=(2.0, 1e-3, 1e-3), alpha=0.0, l=0.0),
     )
     so3_rep = residual_field_report(
-        constant_field(ModelKind.SO3, so3_state_to_vector(so3_res.state)),
+        constant_field(ModelKind.SO3, model_layout(ModelKind.SO3).to_vector(so3_res.state)),
         _configs(),
         so3_params,
     )
@@ -220,7 +219,7 @@ def test_criterion_6_equilibrium_solutions():
         control=ConstantControl(ControlLiftSe3(u_alpha=1.0)),
     )
     se3_rep = residual_field_report(
-        constant_field(ModelKind.SE3, se3_state_to_vector(se3_res.state)),
+        constant_field(ModelKind.SE3, model_layout(ModelKind.SE3).to_vector(se3_res.state)),
         _configs(),
         PARAMS,
         grav=GRAV,

@@ -12,8 +12,7 @@ from gyrostat.model import (
     GravityParams,
     InertiaParams,
     ModelKind,
-    se3_state_from_vector,
-    so3_state_from_vector,
+    model_layout,
 )
 from gyrostat.poisson import (
     BracketKind,
@@ -75,9 +74,9 @@ def _scan_audit(kind, params, grav, samples, seed):
     for index in range(samples):
         x = np.array([rng.uniform(-5.0, 5.0) for _ in range(dim)])
         if kind == ModelKind.SO3:
-            direct = reduced_rhs_so3(so3_state_from_vector(x), params)
+            direct = reduced_rhs_so3(model_layout(ModelKind.SO3).from_vector(x), params)
         else:
-            direct = reduced_rhs_se3(se3_state_from_vector(x), params, grav)
+            direct = reduced_rhs_se3(model_layout(ModelKind.SE3).from_vector(x), params, grav)
         via = hamiltonian_vector_field_via_bracket(bk, h, x)
         rel = float(np.max(np.abs(direct - via) / np.maximum(1.0, np.abs(direct))))
         if rel > worst:

@@ -60,6 +60,13 @@ class TestSimulate:
         header = out.read_text().split("\n", 1)[0]
         assert header.startswith("t,Pi1,Pi2,Pi3,Gamma1")
 
+    def test_one_file_for_both_outputs_ends_as_the_summary(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", SO3_SCENARIO)
+        both = tmp_path / "both.txt"
+        code = main(["simulate", "--config", cfg, "--out", str(both), "--summary", str(both)])
+        assert code == EXIT_OK
+        assert json.loads(both.read_text(encoding="utf-8"))["steps"] == 500
+
     def test_csv_deterministic(self, tmp_path):
         _, out1, sum1 = run_simulate(tmp_path, SE3_SCENARIO, tag="a")
         _, out2, sum2 = run_simulate(tmp_path, SE3_SCENARIO, tag="b")
@@ -180,6 +187,18 @@ class TestFileErrors:
         argv[argv.index(option) + 1] = str(target)
         code = main(argv)
         assert str(target) in _one_line_error(capsys, code, "file error: ")
+
+    @pytest.mark.parametrize("option", ["--out", "--summary"])
+    def test_output_path_is_checked_before_the_run(self, tmp_path, capsys, monkeypatch, option):
+        # A run may take up to MAX_STEPS steps: an unusable path fails first.
+        runs = []
+        monkeypatch.setattr(gyrostat.cli, "integrate", lambda *a, **k: runs.append(a))
+        cfg = write_json(tmp_path / "cfg.json", SO3_SCENARIO)
+        argv = self._argv("simulate", cfg, tmp_path)
+        argv[argv.index(option) + 1] = str(tmp_path)
+        code = main(argv)
+        assert str(tmp_path) in _one_line_error(capsys, code, "file error: ")
+        assert runs == []
 
 
 class TestBracketAudit:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from gyrostat.audit import bracket_oracle_audit
-from gyrostat.dynamics import _lift_floats, integrate
+from gyrostat.dynamics import (
+    ConstantControl,
+    FeedbackControl,
+    integrate,
+    reduced_rhs_se3,
+    reduced_rhs_so3,
+)
 from gyrostat.hj import (
     GammaBarField,
     constant_field,
@@ -13,6 +19,8 @@ from gyrostat.hj import (
     residual_field_report,
 )
 from gyrostat.model import (
+    ControlLiftSe3,
+    ControlLiftSo3,
     ModelKind,
     Se3RotorState,
     So3RotorState,
@@ -85,7 +93,7 @@ class TestLayout:
                     entries.setdefault(name, []).append(v)
                 else:
                     entries[name] = v
-            flat = _lift_floats(lay.lift_type(**entries), lay)
+            flat = lay.lift_floats(lay.lift_type(**entries))
             assert all(type(x) is float for x in flat)
             assert np.array(flat).tobytes() == np.array(values).tobytes()
 
@@ -99,6 +107,64 @@ class TestLayout:
             label = casimirs(lay.from_vector(row), kind)
             for name, col in zip(lay.casimir_names, cols):
                 assert np.float64(getattr(label, name)).tobytes() == col[i].tobytes()
+
+
+def _reduced_rhs(kind, state, params, grav, lift=None):
+    if kind is ModelKind.SO3:
+        return reduced_rhs_so3(state, params, lift)
+    return reduced_rhs_se3(state, params, grav, lift)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+class TestOtherModel:
+    """A state or lift of the other model is a ValueError wherever it goes:
+    never an AttributeError, and never a result."""
+
+    @pytest.fixture
+    def own_and_other(self, kind, std_so3_state, std_se3_state):
+        states = {ModelKind.SO3: std_so3_state, ModelKind.SE3: std_se3_state}
+        lifts = {
+            ModelKind.SO3: ControlLiftSo3(u_pi=(0.1, 0.0, 0.0), u_alpha=0.2),
+            ModelKind.SE3: ControlLiftSe3(u_gamma=(0.1, 0.0, 0.0), u_alpha=0.2),
+        }
+        other = ModelKind.SE3 if kind is ModelKind.SO3 else ModelKind.SO3
+        return states[kind], states[other], lifts[other]
+
+    def test_state(self, kind, own_and_other, std_params, std_grav):
+        lay = model_layout(kind)
+        _own, state, lift = own_and_other
+        calls = [
+            lambda: lay.to_vector(state),
+            lambda: lay.to_vector(lift),
+            lambda: lay.lift_floats(state),
+            lambda: integrate(kind, std_params, state, grav=std_grav, t_end=0.01),
+            lambda: find_equilibrium(kind, std_params, state, grav=std_grav),
+            lambda: _reduced_rhs(kind, state, std_params, std_grav),
+            lambda: casimirs(state, kind),
+            lambda: casimirs(lift, kind),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
+    def test_lift(self, kind, own_and_other, std_params, std_grav):
+        lay = model_layout(kind)
+        own, _state, lift = own_and_other
+        with pytest.raises(ValueError, match="lift"):
+            lay.lift_floats(lift)
+        for control in (ConstantControl(lift), FeedbackControl(lambda _s: lift)):
+            with pytest.raises(ValueError, match="lift"):
+                integrate(kind, std_params, own, grav=std_grav, control=control, t_end=0.01)
+            with pytest.raises(ValueError, match="lift"):
+                find_equilibrium(kind, std_params, own, grav=std_grav, control=control)
+        with pytest.raises(ValueError, match="lift"):
+            _reduced_rhs(kind, own, std_params, std_grav, lift)
+
+    def test_vector_length(self, kind):
+        lay = model_layout(kind)
+        for n in (lay.dim - 1, lay.dim + 1, 13 - lay.dim):
+            with pytest.raises(ValueError, match=f"{lay.dim}-vector"):
+                lay.from_vector([0.5] * n)
 
 
 @pytest.mark.parametrize("bad", ["so3", "se3", None, 3])

@@ -281,6 +281,16 @@ class TestBlocks:
             for j in range(x.shape[1]):
                 assert np.array_equal(g[:, j], fd_gradient(h, x[:, j]))
 
+    @pytest.mark.parametrize("seed", [42, 7, 99])
+    def test_fd_gradient_is_columnwise_exact_on_audit_blocks(self, std_params, std_grav, seed):
+        # The energy squares as a product on floats and on blocks alike,
+        # so every column of a full audit block is its own call, bit for bit.
+        for _, h in self._cases(std_params, std_grav):
+            x = self._block(seed, h.dim, 1000)
+            g = fd_gradient(h, x)
+            for j in range(x.shape[1]):
+                assert g[:, j].tobytes() == fd_gradient(h, x[:, j]).tobytes()
+
     def test_vector_field_is_columnwise_exact(self, std_params, std_grav):
         for kind, h in self._cases(std_params, std_grav):
             x = self._block(12, h.dim, 37)

@@ -34,7 +34,6 @@ from gyrostat.dynamics import (
     ControlLiftSo3,
     FeedbackControl,
     ZeroControl,
-    _lift_floats,
     controlled_rhs,
 )
 from gyrostat.hj import (
@@ -57,10 +56,6 @@ from gyrostat.model import (
     So3RotorState,
     casimirs,
     model_layout,
-    se3_state_from_vector,
-    se3_state_to_vector,
-    so3_state_from_vector,
-    so3_state_to_vector,
 )
 from gyrostat.poisson import fd_steps
 from gyrostat.rng import SplitMix64
@@ -211,7 +206,7 @@ def test_recheck_gives_the_search_residual_norm(name):
     )
     lay = model_layout(cfg.model)
     lift = cfg.control.lift_at(result.state)
-    u = None if lift is None else _lift_floats(lift, lay)
+    u = None if lift is None else lay.lift_floats(lift)
     y = lay.to_vector(result.state)
     if cfg.model == ModelKind.SO3:
         residual = hj_residual_so3(y, cfg.inertia, u)
@@ -257,12 +252,9 @@ def _ref_newton_direction(jac, f):
 def _ref_find_equilibrium(kind, params, guess, grav=None, control=None, tol=1e-12, max_iter=100):
     # The ndarray search of the package's first version, with its
     # central-difference Jacobian, kept as the reference.
-    if kind == ModelKind.SO3:
-        to_vec, from_vec = so3_state_to_vector, so3_state_from_vector
-    else:
-        to_vec, from_vec = se3_state_to_vector, se3_state_from_vector
+    lay = model_layout(kind)
     rhs = controlled_rhs(kind, params, grav, control)
-    y = to_vec(guess)
+    y = lay.to_vector(guess)
     f = rhs(y)
     iterations = 0
     while float(np.max(np.abs(f))) >= tol:
@@ -292,7 +284,7 @@ def _ref_find_equilibrium(kind, params, guess, grav=None, control=None, tol=1e-1
             )
         y, f = y_try, f_try
         iterations += 1
-    return from_vec(y), float(np.max(np.abs(f))), iterations
+    return lay.from_vector(y), float(np.max(np.abs(f))), iterations
 
 
 def _outcome(search, kind, params, guess, grav, control, max_iter=100):
@@ -306,8 +298,7 @@ def _outcome(search, kind, params, guess, grav, control, max_iter=100):
         state, norm, iterations = result
     else:
         state, norm, iterations = result.state, result.residual_norm, result.iterations
-    to_vec = so3_state_to_vector if kind == ModelKind.SO3 else se3_state_to_vector
-    return to_vec(state).tobytes(), np.float64(norm).tobytes(), iterations
+    return model_layout(kind).to_vector(state).tobytes(), np.float64(norm).tobytes(), iterations
 
 
 def _outcome_type(outcome) -> str:
@@ -344,7 +335,7 @@ def _assert_equilibrium_on_the_leaf(kind, params, guess, grav, control, state):
     lay = model_layout(kind)
     y = lay.to_vector(state)
     lift = None if control is None else control.lift_at(state)
-    u = None if lift is None else _lift_floats(lift, lay)
+    u = None if lift is None else lay.lift_floats(lift)
     assert float(np.max(np.abs(_residual(kind, y, params, grav, u)))) < 1e-12
     for before, after in zip(_leaf(guess, kind), _leaf(state, kind)):
         assert abs(after - before) <= LEAF_REL_BOUND * max(1.0, abs(before))
@@ -368,7 +359,7 @@ def _agrees_with_reference(
             _assert_equilibrium_on_the_leaf(kind, params, guess, grav, control, lay.from_vector(y))
         else:
             lift = None if control is None else control.lift_at(lay.from_vector(y))
-            u = None if lift is None else _lift_floats(lift, lay)
+            u = None if lift is None else lay.lift_floats(lift)
             residual = _residual(kind, y, params, grav, u)
             assert float(np.max(np.abs(residual))) < 1e-12
             if _outcome_type(ref) == "converged":

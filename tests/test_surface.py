@@ -48,8 +48,7 @@ MODULES = {
         "ModelKind", "InertiaParams", "GravityParams", "So3RotorState",
         "Se3RotorState", "AngularVelocities", "OrbitLabel", "omega_from_momenta",
         "hamiltonian_so3", "hamiltonian_se3", "kinetic_energy", "grad_h",
-        "HamiltonianGradient", "casimirs", "so3_state_to_vector",
-        "so3_state_from_vector", "se3_state_to_vector", "se3_state_from_vector",
+        "HamiltonianGradient", "casimirs",
     },
     "poisson": {
         "FD_SCALE", "BracketKind", "ScalarField", "coordinate_field", "fd_steps",
