@@ -12,9 +12,12 @@ Samples are drawn and checked in blocks of at most ``BLOCK_SAMPLES`` = 1024,
 as ``(dim, n)`` arrays with one phase point per column.  The stream is the
 same as one draw per component in order, and the report is the one a
 sample-by-sample scan gives, ties going to the earliest sample.  A block
-array is at most 8 x 1024 doubles (64 KiB), and only one block is alive at
-a time: an se3 audit peaks near 0.3 MiB of traced memory (299 KiB at 1000
-samples, 315 KiB at 20000; ``tracemalloc``).
+array is at most 8 x 1024 doubles (64 KiB), laid out in C order so that
+every row operation reads contiguous memory, and only one block is alive
+at a time.  The largest array is the block's finite-difference probes,
+8 x 8 x 1024 doubles (512 KiB; see :func:`gyrostat.poisson.fd_gradient`):
+an se3 audit peaks near 0.95 MiB of traced memory (940 KiB at 1000
+samples, 971 KiB at 20000; so3 472 and 491 KiB; ``tracemalloc``).
 """
 
 from __future__ import annotations
@@ -90,7 +93,9 @@ def bracket_oracle_audit(
         n = min(BLOCK_SAMPLES, samples - start)
         # Draws run sample by sample, components in order: row k of the
         # (n, dim) reshape is sample k, so its transpose has one per column.
-        x = rng.uniforms(n * dim, SAMPLE_LOW, SAMPLE_HIGH).reshape(n, dim).T
+        x = np.ascontiguousarray(
+            rng.uniforms(n * dim, SAMPLE_LOW, SAMPLE_HIGH).reshape(n, dim).T
+        )
         rel = _worst_relative_discrepancy(direct_field, bracket_kind, h, x)
         # argmax takes the first of equal maxima and the strict > keeps the
         # earlier block: the first occurrence overall, as a scan would.

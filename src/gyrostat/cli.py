@@ -118,8 +118,9 @@ def cmd_simulate(config_path: str, out_path: str, summary_path: str) -> int:
 def cmd_bracket_audit(config_path: str, samples: int, seed) -> int:
     scenario = parse_scenario(_read_text(config_path))
     try:
-        # The line below reports an overflow; numpy need not warn of it too.
-        with np.errstate(over="ignore"):
+        # The line below reports an overflow, or the NaN of two energy terms
+        # overflowing with opposite signs; numpy need not warn of it too.
+        with np.errstate(over="ignore", invalid="ignore"):
             report = bracket_oracle_audit(
                 scenario.model,
                 scenario.inertia,

@@ -447,7 +447,32 @@ class ModelLayout:
         return consts
 
 
-# np.vecdot is BLAS ddot per row, bit for bit np.dot and np.linalg.norm.
+_TINY = np.finfo(float).tiny
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of the ``(n, 3)`` array `v`.
+
+    ``sqrt(v . v)``, np.vecdot being BLAS ddot per row, bit for bit np.dot
+    and np.linalg.norm.  A finite row whose sum of squares overflows, or
+    falls below the smallest normal double while the row is nonzero, is
+    divided by its largest magnitude first, so its norm is the double it
+    is, not inf or 0; every other row keeps its bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.vecdot(v, v)
+        norms = np.sqrt(sq)
+        out_of_range = np.flatnonzero((sq == np.inf) | (sq < _TINY))
+        if out_of_range.size:
+            w = v[out_of_range]
+            top = np.max(np.abs(w), axis=1)
+            keep = (top > 0.0) & (top < np.inf)
+            w = w[keep] / top[keep, np.newaxis]
+            norms[out_of_range[keep]] = top[keep] * np.sqrt(np.vecdot(w, w))
+    return norms
+
+
+# np.vecdot is BLAS ddot per row, bit for bit np.dot.
 _LAYOUTS = {
     ModelKind.SO3: ModelLayout(
         kind=ModelKind.SO3,
@@ -457,7 +482,7 @@ _LAYOUTS = {
         columns=("Pi1", "Pi2", "Pi3", "alpha", "l"),
         casimir_names=("pi_norm",),
         gravity=False,
-        casimirs=lambda s: [np.sqrt(np.vecdot(s[:, :3], s[:, :3]))],
+        casimirs=lambda s: [_row_norms(s[:, :3])],
         casimir_values=lambda y: [(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) / 2],
         casimir_gradients=lambda y: [[y[0], y[1], y[2], 0.0, 0.0]],
         casimir_hessians=(((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)),),
@@ -472,7 +497,7 @@ _LAYOUTS = {
         gravity=True,
         casimirs=lambda s: [
             np.vecdot(s[:, :3], s[:, 3:6]),
-            np.sqrt(np.vecdot(s[:, 3:6], s[:, 3:6])),
+            _row_norms(s[:, 3:6]),
         ],
         casimir_values=lambda y: [
             y[0] * y[3] + y[1] * y[4] + y[2] * y[5],

@@ -75,9 +75,11 @@ class ScalarField:
         Phase-space dimension, 5 or 8.
     value : callable
         Maps a phase vector of length `dim` to a float.  The energy fields
-        also map a ``(dim, n)`` block, one point per column, to n values;
+        also map a ``(dim, m)`` block, one point per column, to m values;
         block callers rely on that and on the result not being a view of
-        the argument.
+        the argument.  :func:`fd_gradient` calls it twice per ``(dim, n)``
+        block, each time on a ``(dim, dim * n)`` block of probes that it
+        rewrites between the calls.
     grad : callable, optional
         Analytic gradient, same input, returns a vector of length `dim`.
         When absent, bracket evaluations fall back to finite differences.
@@ -119,33 +121,56 @@ def fd_gradient(f: ScalarField, x) -> np.ndarray:
     analytic gradient is limited only by cancellation in the quotient.
 
     `x` is one point of shape ``(dim,)`` or a block of shape ``(dim, n)``,
-    one column per point, and the gradient has the shape of `x`.  A block
-    needs a field whose ``value`` maps each row to a row of n values (the
-    energy fields do) and gives, column for column, exactly the gradients
+    one column per point, and the gradient has the shape of `x`.  A point
+    costs ``2 * dim`` field calls, one coordinate moved at a time.  A block
+    costs two: every probe of every column is stacked into one
+    ``(dim, dim * n)`` block, column ``i * n + j`` being point j with
+    coordinate i moved, first up and then down by its step.  So a block
+    needs a field whose ``value`` maps each row to a row of values (the
+    energy fields do), and gives, column for column, exactly the gradients
     of n single-point calls.
 
     Raises
     ------
     ValueError
-        If the field returns a non-finite value at a probe point.
+        If the field returns a non-finite value at a probe point, naming
+        the lowest coordinate whose probes gave one.
     """
     x = np.asarray(x, dtype=float)
     steps = fd_steps(x)
-    grad = np.empty_like(x)
-    # One probe copy, one coordinate row moved at a time and put back.
-    probe = x.copy()
-    for i, h in enumerate(steps):
-        probe[i] = x[i] + h
-        fp = f.value(probe)
-        probe[i] = x[i] - h
-        fm = f.value(probe)
-        probe[i] = x[i]
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise ValueError(
-                f"non-finite field value near x while probing component {i}"
-            )
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
+    if x.ndim == 1:
+        grad = np.empty_like(x)
+        # One probe copy, one coordinate moved at a time and put back.
+        probe = x.copy()
+        for i, h in enumerate(steps):
+            probe[i] = x[i] + h
+            fp = f.value(probe)
+            probe[i] = x[i] - h
+            fm = f.value(probe)
+            probe[i] = x[i]
+            if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+                raise ValueError(
+                    f"non-finite field value near x while probing component {i}"
+                )
+            grad[i] = (fp - fm) / (2.0 * h)
+        return grad
+    dim = x.shape[0]
+    # probe[i] is the block with row i moved, through the view `moved` of
+    # the rows probe[i, i]; the field reads the + probes before the - probes
+    # overwrite them.
+    probe = np.repeat(x[:, np.newaxis], dim, axis=1)
+    stacked = probe.reshape(dim, -1)
+    moved = probe.reshape(dim * dim, *x.shape[1:])[:: dim + 1]
+    np.add(x, steps, out=moved)
+    fp = np.reshape(f.value(stacked), x.shape)
+    np.subtract(x, steps, out=moved)
+    fm = np.reshape(f.value(stacked), x.shape)
+    # Checked before the quotient, which would turn inf - inf into a NaN.
+    finite = (np.isfinite(fp) & np.isfinite(fm)).reshape(dim, -1).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite field value near x while probing component {i}")
+    return (fp - fm) / (2.0 * steps)
 
 
 def _gradient_of(f: ScalarField, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -227,6 +228,24 @@ class TestBracketAudit:
         doc = dict(SO3_SCENARIO, inertia={"i_bar": [i1, 2.0, 1.0], "j3": 1.0})
         cfg = write_json(tmp_path / "cfg.json", doc)
         code = main(["bracket-audit", "--config", cfg, "--samples", "10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_TOLERANCE
+        assert captured.out == ""
+        assert captured.err.startswith("bracket audit failed: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_energy_overflowing_both_ways_fails_without_a_warning(self, tmp_path, capsys):
+        # Kinetic energy +inf and potential -inf at one probe: their sum is
+        # NaN, which the failure line reports; numpy need not warn of it.
+        doc = dict(
+            SE3_SCENARIO,
+            inertia={"i_bar": [1e-308, 2.0, 1.0], "j3": 1.0},
+            gravity={"mgh": 1e308, "chi": [0.0, 0.0, 1.0]},
+        )
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bracket-audit", "--config", cfg])
         captured = capsys.readouterr()
         assert code == EXIT_TOLERANCE
         assert captured.out == ""

@@ -1,3 +1,4 @@
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from gyrostat.model import (
     model_layout,
     omega_from_momenta,
 )
+from gyrostat.rng import SplitMix64
 
 
 class TestInertiaParams:
@@ -225,6 +227,40 @@ class TestCasimirs:
         lab = casimirs(std_se3_state, ModelKind.SE3)
         assert lab.pi_dot_gamma == 1.0
         assert lab.gamma_norm == 1.0
+
+    # Vectors whose norm is a finite nonzero double although the plain sum
+    # of their squares overflows or underflows.
+    EXTREME = [
+        (1e160, 2.0, 3.0),
+        (-1e300, 1e300, 0.0),
+        (1.7976931348623157e308, 0.0, 0.0),
+        (1e-170, 0.0, 0.0),
+        (3e-160, 4e-160, 0.0),
+        (5e-324, -5e-324, 5e-324),
+    ]
+
+    @pytest.mark.parametrize("v", EXTREME)
+    def test_norms_do_not_overflow_or_underflow(self, v):
+        want = math.hypot(*v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            so3 = casimirs(So3RotorState(pi=v), ModelKind.SO3)
+            se3 = casimirs(Se3RotorState(pi=(1.0, 2.0, 3.0), gamma=v), ModelKind.SE3)
+        assert so3.pi_norm == pytest.approx(want, rel=4e-16, abs=0.0)
+        assert se3.gamma_norm == pytest.approx(want, rel=4e-16, abs=0.0)
+
+    def test_norm_rows_keep_their_bits(self):
+        # Only the rows whose sum of squares is out of range are rescaled:
+        # the others stay sqrt(Pi . Pi), and a zero row stays 0.
+        rng = SplitMix64(5)
+        rows = np.array(
+            [[rng.uniform(-1e3, 1e3) for _ in range(5)] for _ in range(20)]
+            + [[0.0] * 5, [*self.EXTREME[0], 0.0, 0.0]]
+        )
+        (norms,) = model_layout(ModelKind.SO3).casimirs(rows)
+        plain = np.sqrt(np.vecdot(rows[:21, :3], rows[:21, :3]))
+        assert norms[:21].tobytes() == plain.tobytes()
+        assert norms[21] == 1e160
 
     def test_kind_mismatch(self, std_so3_state, std_se3_state):
         with pytest.raises(ValueError):

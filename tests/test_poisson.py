@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gyrostat import audit
 from gyrostat.dynamics import _flat_system, reduced_rhs_se3, reduced_rhs_so3
-from gyrostat.model import ModelKind, grad_h, model_layout
+from gyrostat.model import InertiaParams, ModelKind, grad_h, model_layout
 from gyrostat.poisson import (
     FD_SCALE,
     BracketKind,
@@ -273,13 +275,40 @@ class TestBlocks:
         # Laid out as the audit draws it: sample-major, then transposed.
         return SplitMix64(seed).uniforms(n * dim, -5.0, 5.0).reshape(n, dim).T
 
+    @staticmethod
+    def _counted(h):
+        """`h` with a value that records the shape of every argument."""
+        shapes = []
+
+        def value(x):
+            shapes.append(np.shape(x))
+            return h.value(x)
+
+        return ScalarField(dim=h.dim, value=value), shapes
+
     def test_fd_gradient_is_columnwise_exact(self, std_params, std_grav):
-        for _, h in self._cases(std_params, std_grav):
-            x = self._block(11, h.dim, 37)
-            g = fd_gradient(h, x)
-            assert g.shape == x.shape
-            for j in range(x.shape[1]):
-                assert np.array_equal(g[:, j], fd_gradient(h, x[:, j]))
+        # A block is two field calls, on every + probe and then every -
+        # probe of every column; a point is one call per probe.
+        for n in (1, 2, 37):
+            for _, h in self._cases(std_params, std_grav):
+                f, shapes = self._counted(h)
+                x = self._block(11, h.dim, n)
+                g = fd_gradient(f, x)
+                assert g.shape == x.shape
+                assert shapes == [(h.dim, h.dim * n)] * 2
+                for j in range(n):
+                    shapes.clear()
+                    assert g[:, j].tobytes() == fd_gradient(f, x[:, j]).tobytes()
+                    assert shapes == [(h.dim,)] * (2 * h.dim)
+
+    def test_block_bytes_do_not_depend_on_its_memory_layout(self, std_params, std_grav):
+        for kind, h in self._cases(std_params, std_grav):
+            x = self._block(14, h.dim, 37)
+            assert not x.flags.c_contiguous
+            c = np.ascontiguousarray(x)
+            assert fd_gradient(h, x).tobytes() == fd_gradient(h, c).tobytes()
+            v = hamiltonian_vector_field_via_bracket(kind, h, x)
+            assert v.tobytes() == hamiltonian_vector_field_via_bracket(kind, h, c).tobytes()
 
     @pytest.mark.parametrize("seed", [42, 7, 99])
     def test_fd_gradient_is_columnwise_exact_on_audit_blocks(self, std_params, std_grav, seed):
@@ -315,6 +344,32 @@ class TestBlocks:
         with pytest.raises(ValueError, match="non-finite"):
             fd_gradient(f, x)
         assert np.array_equal(fd_gradient(f, x[:, :3]), np.zeros((5, 3)))
+
+    def test_fd_gradient_names_the_lowest_non_finite_component(self):
+        # Column 0 goes non-finite only at the + probe of component 3,
+        # column 2 only at the - probe of component 1.
+        f = ScalarField(
+            dim=5, value=lambda v: np.where((v[3] > 4.0) | (v[1] < -4.0), np.inf, v[1] * v[3])
+        )
+        x = np.zeros((5, 3))
+        x[3, 0] = 4.0
+        x[1, 2] = -4.0
+        with pytest.raises(ValueError, match="probing component 1$"):
+            fd_gradient(f, x)
+        with pytest.raises(ValueError, match="probing component 3$"):
+            fd_gradient(f, x[:, :2])
+        with pytest.raises(ValueError, match="probing component 3$"):
+            fd_gradient(f, x[:, 0])
+
+    def test_overflowing_block_raises_without_a_warning(self):
+        # Pi1^2 / i1 overflows at every probe of most columns; the quotient
+        # of two infinities would warn "invalid value", so it is never taken.
+        h = hamiltonian_field_so3(InertiaParams(i_bar=(1e-308, 2.0, 1.0), j3=1.0))
+        x = self._block(15, h.dim, 37)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="probing component 0$"):
+                fd_gradient(h, x)
 
     def test_block_shapes_checked(self, std_params):
         h = hamiltonian_field_so3(std_params)

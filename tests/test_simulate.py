@@ -6,7 +6,9 @@ the operation order of a stage, an update or a record shows here.  The
 ``so3_free_spin`` and ``tilted`` CSV pins were recorded again when the
 kinetic energy began squaring as products (the energy column moved in
 its last bits), and the ``huge_pi1`` summary pin when non-finite drifts
-began to be written as null.
+began to be written as null.  Both ``huge_pi1`` pins were recorded again
+when ``|Pi|`` stopped overflowing where its square does: the CSV's
+``pi_norm`` reads 1e+160, not inf, and the summary's drift 0.0, not null.
 """
 
 import hashlib
@@ -68,7 +70,7 @@ PINNED_CLI = {
     "se3_heavy_top": (0, "8ef2cd23f0bd1486537961ecdb6a3f7bafdd52b57fe30e686fd3deae12ac28ff", "d8e91d7c020da5a3597e475d83c655ca27e37ff4cc9d6c8d277a489b252e6cc2"),
     "se3_driven_rotor": (0, "a1aa7c5716bc93bd26cb42ab6cf4ae5084fc61ad62190ffc61f04d58f93b41de", "4c4f444e9ef469ddc073668450c9b9d1269f96f0a531fdb4c74db1082667578a"),
     "tilted": (0, "e4fbd6582051a515cee89c94213fdfb20161c6d044ebf46641b53a88fd3e9cdb", "ab4c79d02897a81bdad98554374f131050df236d68ee3c358adb4ae704b62f54"),
-    "huge_pi1": (2, "c635c79a6e22d0da0ce1f5f68677ae59ad25279e701342ad4f48c7c817de620c", "140d3f424d4e6439ec2274a25188fe8faa4c381cfe3b2da07eb6ef85b4625f1d"),
+    "huge_pi1": (2, "b9cdebaa56c77cf4f87d76b47a7610bce49d81c9b45dff5cb6b20c0b4d4819ef", "4e40ce438a4fac148d11327ba3a9d1a084d97bfba81a5ad4fcf518fafa08d200"),
 }
 
 
