@@ -31,10 +31,10 @@ operation order, so it equals ndarray arithmetic bit for bit without its
 per-call cost on 5 or 8 slots.  Its RK4 and midpoint steps are compiled
 once per phase-space dimension from one source template, with every slot
 unrolled into local names (as :mod:`dataclasses` writes out its methods),
-and add a constant lift slot by slot themselves.  The potential and the
-Casimirs are computed once per run over the stacked states.  The public
-:func:`controlled_rhs`, :func:`step_rk4` and :func:`step_midpoint` are
-ndarray adapters over the same field and steps.
+and add a constant lift slot by slot themselves.  The model's layout
+computes the energy and the Casimirs once per run, over the stacked
+states.  The public :func:`controlled_rhs`, :func:`step_rk4` and
+:func:`step_midpoint` are ndarray adapters over the same field and steps.
 
 What differs between the models is looked up, not branched on: the
 layout and the constants in :func:`gyrostat.model.model_layout`, and the
@@ -65,7 +65,6 @@ from .model import (
     ModelKind,
     Se3RotorState,
     So3RotorState,
-    kinetic_energy,
     model_layout,
 )
 from .poisson import fd_steps
@@ -546,41 +545,25 @@ def integrate(
     f, _jac = _flat_system(kind, params, grav, None if lift is not None else control)
     u = None if lift is None else lay.lift_floats(lift)
     rk4, midpoint = _steppers(lay.dim)
-    i1, i2, i3, j3 = lay.constants(params, grav)[:4]
 
-    times = []
-    rows = []
-    kinetic = []
-
-    def record(t, y):
-        times.append(t)
-        rows.append(y)
-        kinetic.append(kinetic_energy(y[0], y[1], y[2], y[-1], i1, i2, i3, j3))
+    times, rows = [0.0], [y]
 
     def build(steps_done):
         states = np.array(rows)
-        energy = np.array(kinetic)
-        # An overflowing state's labels are inf or NaN; numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if lay.gravity:
-                # np.vecdot is BLAS ddot per row, as np.dot is in hamiltonian_se3.
-                energy = energy + grav.mgh * np.vecdot(states[:, 3:6], grav.chi)
-            labels = np.column_stack(lay.casimirs(states))
         return Trajectory(
             kind=kind,
             params=params,
             grav=grav,
             times=np.array(times),
             states=states,
-            energy=energy,
-            casimirs=labels,
+            energy=lay.energy(states, params, grav),
+            casimirs=np.column_stack(lay.casimirs(states)),
             casimir_names=lay.casimir_names,
             steps=steps_done,
             field_calls=field_calls,
             max_sweeps=max_sweeps,
         )
 
-    record(0.0, y)
     field_calls = max_sweeps = 0
     for step in range(1, n_steps + 1):
         try:
@@ -597,7 +580,8 @@ def integrate(
             err.partial = build(step - 1)
             raise
         if step % sample_every == 0 or step == n_steps:
-            record(step * dt, y)
+            times.append(step * dt)
+            rows.append(y)
     return build(n_steps)
 
 

@@ -290,9 +290,11 @@ def hamiltonian_so3(state: So3RotorState, params: InertiaParams) -> float:
     """Reduced energy of the symmetric model.
 
     ``H = (Pi1^2/i1 + Pi2^2/i2 + (Pi3 - l)^2/i3 + l^2/j3) / 2``; the
-    rotor angle is cyclic and does not enter.
+    rotor angle is cyclic and does not enter.  ValueError unless `state`
+    is a :class:`So3RotorState`.
     """
-    return kinetic_energy(*state.pi, state.l, *params.i_bar, params.j3)
+    lay = model_layout(ModelKind.SO3)
+    return float(lay.energy(lay.to_vector(state)[np.newaxis], params, None)[0])
 
 
 def hamiltonian_se3(
@@ -301,11 +303,11 @@ def hamiltonian_se3(
     """Reduced energy of the restoring-torque model.
 
     The kinetic part coincides with :func:`hamiltonian_so3` on ``(Pi, l)``;
-    the potential adds ``mgh * Gamma . chi``.
+    the potential adds ``mgh * Gamma . chi``.  ValueError unless `state`
+    is a :class:`Se3RotorState`, or if `grav` is None.
     """
-    return kinetic_energy(*state.pi, state.l, *params.i_bar, params.j3) + grav.mgh * float(
-        np.dot(state.gamma, grav.chi)
-    )
+    lay = model_layout(ModelKind.SE3)
+    return float(lay.energy(lay.to_vector(state)[np.newaxis], params, grav)[0])
 
 
 @dataclass(frozen=True)
@@ -362,10 +364,7 @@ def casimirs(state, kind: ModelKind) -> OrbitLabel:
     """
     lay = model_layout(kind)
     labels = lay.casimirs(lay.to_vector(state)[np.newaxis])
-    return OrbitLabel(
-        kind=kind,
-        **{name: float(v[0]) for name, v in zip(lay.casimir_names, labels)},
-    )
+    return OrbitLabel(kind=kind, **{n: float(v[0]) for n, v in zip(lay.casimir_names, labels)})
 
 
 @dataclass(frozen=True)
@@ -378,9 +377,9 @@ class ModelLayout:
     those types and floats, and its only check that a state or lift is the
     model's; ``split`` builds a state from a flat ``dim``-vector.  ``casimirs``
     maps stacked ``(n, dim)`` states to one length-n array per name in
-    ``casimir_names``.  ``gravity`` tells whether the model has the
-    advected direction ``Gamma`` and so needs a :class:`GravityParams`,
-    whose potential ``mgh * Gamma . chi`` then adds to the energy.
+    ``casimir_names``, and :meth:`energy` to their energies.  ``gravity``
+    tells whether the model has the advected direction ``Gamma`` and so
+    needs a :class:`GravityParams`, whose potential adds to the energy.
 
     The equilibrium search borders its Newton system with the smooth
     Casimirs, one per name and with the same level sets: ``|Pi|^2 / 2``
@@ -446,6 +445,18 @@ class ModelLayout:
             consts += [grav.mgh, *grav.chi.tolist()]
         return consts
 
+    def energy(
+        self, states: np.ndarray, params: InertiaParams, grav: Optional[GravityParams]
+    ) -> np.ndarray:
+        """The energy of each stacked ``(n, dim)`` state: :func:`kinetic_energy`,
+        plus ``mgh * Gamma . chi`` with gravity (np.vecdot, bit for bit np.dot).
+        ValueError as :meth:`constants`; an overflow is inf or NaN, unwarned."""
+        c = self.constants(params, grav)
+        s = states.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            kinetic = kinetic_energy(s[0], s[1], s[2], s[-1], *c[:4])
+            return kinetic + c[4] * np.vecdot(states[:, 3:6], c[5:]) if self.gravity else kinetic
+
 
 _TINY = np.finfo(float).tiny
 
@@ -472,7 +483,23 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-# np.vecdot is BLAS ddot per row, bit for bit np.dot.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a . b`` per row of the ``(n, 3)`` arrays `a` and `b`, by np.vecdot.
+    A finite pair of rows whose product overflows is divided by their
+    largest magnitudes, which are then multiplied back one at a time, the
+    smaller first, so a zero stays zero; every other row keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.vecdot(a, b)
+        rows = np.flatnonzero(~np.isfinite(dots))
+        if rows.size:
+            ta, tb = np.max(np.abs(a[rows]), axis=1), np.max(np.abs(b[rows]), axis=1)
+            keep = (ta < np.inf) & (tb < np.inf)
+            rows, ta, tb = rows[keep], ta[keep], tb[keep]
+            d = np.vecdot(a[rows] / ta[:, np.newaxis], b[rows] / tb[:, np.newaxis])
+            dots[rows] = d * np.minimum(ta, tb) * np.maximum(ta, tb)
+    return dots
+
+
 _LAYOUTS = {
     ModelKind.SO3: ModelLayout(
         kind=ModelKind.SO3,
@@ -495,10 +522,7 @@ _LAYOUTS = {
         columns=("Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3", "alpha", "l"),
         casimir_names=("pi_dot_gamma", "gamma_norm"),
         gravity=True,
-        casimirs=lambda s: [
-            np.vecdot(s[:, :3], s[:, 3:6]),
-            _row_norms(s[:, 3:6]),
-        ],
+        casimirs=lambda s: [_row_dots(s[:, :3], s[:, 3:6]), _row_norms(s[:, 3:6])],
         casimir_values=lambda y: [
             y[0] * y[3] + y[1] * y[4] + y[2] * y[5],
             (y[3] * y[3] + y[4] * y[4] + y[5] * y[5]) / 2,

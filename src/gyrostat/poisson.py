@@ -121,14 +121,15 @@ def fd_gradient(f: ScalarField, x) -> np.ndarray:
     analytic gradient is limited only by cancellation in the quotient.
 
     `x` is one point of shape ``(dim,)`` or a block of shape ``(dim, n)``,
-    one column per point, and the gradient has the shape of `x`.  A point
-    costs ``2 * dim`` field calls, one coordinate moved at a time.  A block
-    costs two: every probe of every column is stacked into one
-    ``(dim, dim * n)`` block, column ``i * n + j`` being point j with
-    coordinate i moved, first up and then down by its step.  So a block
-    needs a field whose ``value`` maps each row to a row of values (the
-    energy fields do), and gives, column for column, exactly the gradients
-    of n single-point calls.
+    one column per point, and the gradient has the shape of `x`.  Every
+    probe of every column is stacked into one ``(dim, dim * n)`` block,
+    column ``i * n + j`` being point j with coordinate i moved, first up
+    and then down by its step.  A block costs two field calls, so it needs
+    a field whose ``value`` maps each row to a row of values (the energy
+    fields do), and gives, column for column, exactly the gradients of n
+    single-point calls.  A point costs ``2 * dim``: ``value`` gets the
+    ``dim`` columns of its probe block one at a time, each as a
+    contiguous vector, so a field of single points serves.
 
     Raises
     ------
@@ -138,33 +139,18 @@ def fd_gradient(f: ScalarField, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     steps = fd_steps(x)
-    if x.ndim == 1:
-        grad = np.empty_like(x)
-        # One probe copy, one coordinate moved at a time and put back.
-        probe = x.copy()
-        for i, h in enumerate(steps):
-            probe[i] = x[i] + h
-            fp = f.value(probe)
-            probe[i] = x[i] - h
-            fm = f.value(probe)
-            probe[i] = x[i]
-            if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-                raise ValueError(
-                    f"non-finite field value near x while probing component {i}"
-                )
-            grad[i] = (fp - fm) / (2.0 * h)
-        return grad
+    value = f.value if x.ndim > 1 else lambda block: [f.value(p) for p in block.T.copy()]
     dim = x.shape[0]
-    # probe[i] is the block with row i moved, through the view `moved` of
-    # the rows probe[i, i]; the field reads the + probes before the - probes
+    # probe[:, i] is x with row i moved, through the view `moved` of the
+    # rows probe[i, i]; the field reads the + probes before the - probes
     # overwrite them.
     probe = np.repeat(x[:, np.newaxis], dim, axis=1)
     stacked = probe.reshape(dim, -1)
     moved = probe.reshape(dim * dim, *x.shape[1:])[:: dim + 1]
     np.add(x, steps, out=moved)
-    fp = np.reshape(f.value(stacked), x.shape)
+    fp = np.reshape(value(stacked), x.shape)
     np.subtract(x, steps, out=moved)
-    fm = np.reshape(f.value(stacked), x.shape)
+    fm = np.reshape(value(stacked), x.shape)
     # Checked before the quotient, which would turn inf - inf into a NaN.
     finite = (np.isfinite(fp) & np.isfinite(fm)).reshape(dim, -1).all(axis=1)
     if not finite.all():
@@ -174,9 +160,7 @@ def fd_gradient(f: ScalarField, x) -> np.ndarray:
 
 
 def _gradient_of(f: ScalarField, x: np.ndarray) -> np.ndarray:
-    if f.grad is not None:
-        return np.asarray(f.grad(x), dtype=float)
-    return fd_gradient(f, x)
+    return fd_gradient(f, x) if f.grad is None else np.asarray(f.grad(x), dtype=float)
 
 
 def _combine(kind: BracketKind, gf: np.ndarray, gk: np.ndarray, x: np.ndarray) -> float:
@@ -223,12 +207,12 @@ def _combine(kind: BracketKind, gf: np.ndarray, gk: np.ndarray, x: np.ndarray) -
         return rigid() + canonical()
     if kind == BracketKind.HEAVY_TOP_SE3:
         return heavy_top()
-    if kind == BracketKind.PRODUCT_SE3:
-        return heavy_top() + canonical()
-    raise ValueError(f"unknown bracket kind {kind!r}")
+    return heavy_top() + canonical()
 
 
 def _check_dims(kind: BracketKind, dim: int, x: np.ndarray) -> None:
+    if not isinstance(kind, BracketKind):
+        raise ValueError(f"unknown bracket kind {kind!r}")
     want = _KIND_DIM[kind]
     if want is not None and dim != want:
         raise ValueError(
@@ -249,7 +233,8 @@ def bracket(kind: BracketKind, f: ScalarField, k: ScalarField, x) -> float:
     Raises
     ------
     ValueError
-        On dimension mismatch between `kind`, the fields, and `x`.
+        On a `kind` that is not a BracketKind, or on dimension mismatch
+        between `kind`, the fields, and `x`.
     """
     if f.dim != k.dim:
         raise ValueError(f"field dimensions differ: {f.dim} vs {k.dim}")
@@ -344,12 +329,8 @@ def hamiltonian_field_so3(params: InertiaParams) -> ScalarField:
     differences, which keeps bracket-based reconstructions independent of
     the hand-written derivatives in :mod:`gyrostat.dynamics`.
     """
-    i1, i2, i3, j3 = model_layout(ModelKind.SO3).constants(params, None)
-
-    def value(x) -> float:
-        return kinetic_energy(x[0], x[1], x[2], x[4], i1, i2, i3, j3)
-
-    return ScalarField(dim=_DIM_SO3, value=value)
+    c = model_layout(ModelKind.SO3).constants(params, None)
+    return ScalarField(dim=_DIM_SO3, value=lambda x: kinetic_energy(x[0], x[1], x[2], x[4], *c))
 
 
 def hamiltonian_field_se3(params: InertiaParams, grav: GravityParams) -> ScalarField:

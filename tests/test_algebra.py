@@ -48,3 +48,9 @@ def test_configuration_point_rejects_nan_rotation():
     # A NaN defect compares false against the tolerance.
     with pytest.raises(ValueError, match="orthonormal"):
         ConfigurationPoint(rotation=np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("angle", [float("nan"), float("inf")])
+def test_configuration_point_rejects_non_finite_rotor_angle(angle):
+    with pytest.raises(ValueError, match="rotor_angle must be finite"):
+        ConfigurationPoint(rotation=np.eye(3), rotor_angle=angle)

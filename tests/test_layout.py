@@ -25,6 +25,8 @@ from gyrostat.model import (
     Se3RotorState,
     So3RotorState,
     casimirs,
+    hamiltonian_se3,
+    hamiltonian_so3,
     model_layout,
 )
 from gyrostat.rng import SplitMix64
@@ -108,6 +110,21 @@ class TestLayout:
             for name, col in zip(lay.casimir_names, cols):
                 assert np.float64(getattr(label, name)).tobytes() == col[i].tobytes()
 
+    def test_energy_matches_the_state_function(self, kind, std_params, std_grav):
+        lay = model_layout(kind)
+        rng = SplitMix64(13)
+        rows = [[rng.uniform(-3.0, 3.0) for _ in range(lay.dim)] for _ in range(50)]
+        energy = lay.energy(np.array(rows), std_params, std_grav)
+        for i, row in enumerate(rows):
+            e = _hamiltonian(kind, lay.from_vector(row), std_params, std_grav)
+            assert np.float64(e).tobytes() == energy[i].tobytes()
+
+
+def _hamiltonian(kind, state, params, grav):
+    if kind is ModelKind.SO3:
+        return hamiltonian_so3(state, params)
+    return hamiltonian_se3(state, params, grav)
+
 
 def _reduced_rhs(kind, state, params, grav, lift=None):
     if kind is ModelKind.SO3:
@@ -142,10 +159,23 @@ class TestOtherModel:
             lambda: _reduced_rhs(kind, state, std_params, std_grav),
             lambda: casimirs(state, kind),
             lambda: casimirs(lift, kind),
+            lambda: _hamiltonian(kind, state, std_params, std_grav),
+            lambda: _hamiltonian(kind, lift, std_params, std_grav),
         ]
         for call in calls:
             with pytest.raises(ValueError):
                 call()
+
+    def test_energy_needs_its_gravity(self, kind, own_and_other, std_params):
+        # The energy's checks are the layout's: without a gravity block an
+        # se3 state's energy is a ValueError, not an AttributeError, and an
+        # so3 state's needs none.
+        own, _state, _lift = own_and_other
+        if model_layout(kind).gravity:
+            with pytest.raises(ValueError, match="gravity parameters required"):
+                hamiltonian_se3(own, std_params, None)
+        else:
+            assert hamiltonian_so3(own, std_params) == pytest.approx(53.0 / 12.0, rel=1e-15)
 
     def test_lift(self, kind, own_and_other, std_params, std_grav):
         lay = model_layout(kind)

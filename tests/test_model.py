@@ -61,6 +61,21 @@ class TestInertiaParams:
                 j_rotor_transverse=jt,
             )
 
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            ({"i_carrier": (2.5, 1.5, 1.0)}, "must be given together"),
+            ({"j_rotor_transverse": (0.5, 0.5)}, "must be given together"),
+            (
+                {"i_carrier": (2.5, 1.5, 1.0), "j_rotor_transverse": (0.5, 0.5, 0.5)},
+                "exactly two moments",
+            ),
+        ],
+    )
+    def test_rejects_malformed_raw_moments(self, raw, match):
+        with pytest.raises(ValueError, match=match):
+            InertiaParams(i_bar=(3.0, 2.0, 1.0), j3=1.0, **raw)
+
     def test_raw_decomposition_inconsistent(self):
         with pytest.raises(ValueError):
             InertiaParams(
@@ -261,6 +276,37 @@ class TestCasimirs:
         plain = np.sqrt(np.vecdot(rows[:21, :3], rows[:21, :3]))
         assert norms[:21].tobytes() == plain.tobytes()
         assert norms[21] == 1e160
+
+    @pytest.mark.parametrize(
+        "pi, gamma, want",
+        [
+            ((1e200, -1e200, 0.0), (1e200, 1e200, 0.0), 0.0),
+            ((1e200, 1e200, 1e100), (1e200, -1e200, 1e100), 1e200),
+            ((-1e300, 0.0, 0.0), (1e300, 0.0, 0.0), -math.inf),
+            ((1.7976931348623157e308, 1.0, 0.0), (4.0, 1e-300, 0.0), math.inf),
+        ],
+    )
+    def test_pi_dot_gamma_terms_overflowing(self, pi, gamma, want):
+        # The terms of Pi . Gamma overflow; the dot product is the double
+        # it is (a zero stays zero), without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            label = casimirs(Se3RotorState(pi=pi, gamma=gamma), ModelKind.SE3)
+        assert label.pi_dot_gamma == pytest.approx(want, rel=4e-16, abs=0.0)
+
+    def test_dot_rows_keep_their_bits(self):
+        # Only the finite rows whose Pi . Gamma is not finite are rescaled;
+        # the others, and a row holding an infinity, stay np.vecdot's.
+        rng = SplitMix64(6)
+        rows = np.array(
+            [[rng.uniform(-1e3, 1e3) for _ in range(8)] for _ in range(20)]
+            + [[1e200, -1e200, 0.0, 1e200, 1e200, 0.0, 0.0, 0.0]]
+            + [[math.inf, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]]
+        )
+        dots, _norms = model_layout(ModelKind.SE3).casimirs(rows)
+        plain = np.vecdot(rows[:20, :3], rows[:20, 3:6])
+        assert dots[:20].tobytes() == plain.tobytes()
+        assert dots[20] == 0.0 and dots[21] == math.inf
 
     def test_kind_mismatch(self, std_so3_state, std_se3_state):
         with pytest.raises(ValueError):

@@ -52,6 +52,37 @@ def test_fd_gradient_matches_analytic_quadratic():
         )
 
 
+@pytest.mark.parametrize("dim", [5, 8])
+def test_fd_gradient_of_a_point_probes_one_coordinate_at_a_time(dim):
+    # A point goes through the block code, its probe block handed to a
+    # field of single points one contiguous column at a time: every + probe,
+    # then every - probe, with the bits of the coordinate-at-a-time quotient.
+    rng = SplitMix64(21)
+    for _ in range(20):
+        q = QuadraticField(dim, rng)
+        x = random_point(rng, dim, -50.0, 50.0)
+        seen = []
+
+        def value(p):
+            assert p.shape == (dim,) and p.flags.c_contiguous
+            seen.append(p.copy())
+            return q.value(p)
+
+        g = fd_gradient(ScalarField(dim=dim, value=value), x)
+        steps = fd_steps(x)
+        want = []
+        for sign in (1.0, -1.0):
+            for i in range(dim):
+                probe = x.copy()
+                probe[i] = x[i] + sign * steps[i]
+                want.append(probe)
+        assert np.array(seen).tobytes() == np.array(want).tobytes()
+        quotient = [
+            (q.value(want[i]) - q.value(want[dim + i])) / (2.0 * steps[i]) for i in range(dim)
+        ]
+        assert g.tobytes() == np.array(quotient).tobytes()
+
+
 def test_fd_gradient_rejects_non_finite():
     f = ScalarField(dim=5, value=lambda x: float("nan"))
     with pytest.raises(ValueError):
@@ -215,6 +246,19 @@ class TestDimensionChecks:
         f = coordinate_field(5, 0)
         with pytest.raises(ValueError):
             bracket(RIGID, f, f, np.zeros(8))
+
+    def test_field_dimensions_differ(self):
+        with pytest.raises(ValueError, match="field dimensions differ: 5 vs 8"):
+            bracket(CANONICAL, coordinate_field(5, 0), coordinate_field(8, 0), np.zeros(5))
+
+    @pytest.mark.parametrize("kind", ["product_so3", None, ModelKind.SO3], ids=repr)
+    def test_unknown_kind(self, kind):
+        # Not a KeyError from the kind table: the documented ValueError.
+        f = coordinate_field(5, 0)
+        with pytest.raises(ValueError, match="unknown bracket kind"):
+            bracket(kind, f, f, np.zeros(5))
+        with pytest.raises(ValueError, match="unknown bracket kind"):
+            hamiltonian_vector_field_via_bracket(kind, f, np.zeros(5))
 
 
 class TestHamiltonianField:

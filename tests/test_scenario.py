@@ -42,6 +42,15 @@ SE3_FULL = {
 }
 
 
+# Locked moments with their raw carrier and rotor parts, which agree.
+RAW_INERTIA = {
+    "i_bar": [3.0, 2.0, 1.0],
+    "j3": 1.0,
+    "i_carrier": [2.5, 1.5, 1.0],
+    "j_rotor_transverse": [0.5, 0.5],
+}
+
+
 def scen(doc):
     return parse_scenario(json.dumps(doc))
 
@@ -71,6 +80,29 @@ class TestParseScenario:
         doc = dict(SE3_FULL)
         doc["gravity"] = {"m": 2.0, "g": 0.5, "h": 2.0, "chi": [0, 0, 1]}
         assert scen(doc).gravity.mgh == 2.0
+
+    def test_consistent_raw_moments(self):
+        s = scen(dict(SO3_MINIMAL, inertia=RAW_INERTIA))
+        assert np.array_equal(s.inertia.i_carrier, [2.5, 1.5, 1.0])
+        assert s.inertia.j_rotor_transverse == (0.5, 0.5)
+
+    def test_explicit_zero_control(self):
+        assert isinstance(scen(dict(SE3_FULL, control={"kind": "zero"})).control, ZeroControl)
+
+    @pytest.mark.parametrize(
+        "block, value, field",
+        [
+            ("inertia", {**RAW_INERTIA, "i_carrier": [2.5, 1.5, 1.1]}, "inertia"),
+            ("gravity", {"m": 2.0, "g": 0.5, "chi": [0, 0, 1]}, "gravity"),
+            ("gravity", {"chi": [0, 0, 1]}, "gravity"),
+            ("control", "constant", "control"),
+            ("control", [{"kind": "zero"}], "control"),
+        ],
+    )
+    def test_malformed_block_rejected(self, block, value, field):
+        with pytest.raises(ScenarioError) as exc:
+            scen(dict(SE3_FULL, **{block: value}))
+        assert exc.value.field == field
 
     def test_unknown_model_names_alternatives(self):
         doc = dict(SO3_MINIMAL, model="so4")
@@ -214,6 +246,17 @@ class TestHjCheckConfig:
                 "gamma": [1, 2, 3, 0, 0.5],
                 "lift": "exact",
             }))
+
+    @pytest.mark.parametrize("tolerance", [0.0, -0.0, -1e-10])
+    def test_tolerance_must_be_positive(self, tolerance):
+        with pytest.raises(ScenarioError, match="must be positive") as exc:
+            parse_hj_check_config(json.dumps({
+                "model": "so3",
+                "inertia": {"i_bar": [3, 2, 1], "j3": 1},
+                "gamma": [1, 2, 3, 0, 0.5],
+                "tolerance": tolerance,
+            }))
+        assert exc.value.field == "tolerance"
 
     def test_gamma_length_checked(self):
         with pytest.raises(ScenarioError, match="gamma"):
