@@ -33,15 +33,15 @@ once per phase-space dimension from one source template, with every slot
 unrolled into local names (as :mod:`dataclasses` writes out its methods),
 and add a constant lift slot by slot themselves.  The model's layout
 computes the energy and the Casimirs once per run, over the stacked
-states.  The public :func:`controlled_rhs`, :func:`step_rk4` and
-:func:`step_midpoint` are ndarray adapters over the same field and steps.
+states.  The public :func:`step_rk4` and :func:`step_midpoint` are
+ndarray adapters over the same steps.
 
 What differs between the models is looked up, not branched on: the
 layout and the constants in :func:`gyrostat.model.model_layout`, and the
 kernel and its exact Jacobian by name.  One builder binds the constants
-to them and folds in a control law; the integrator,
-:func:`controlled_rhs`, the bracket audit, the equilibrium search and the
-steady residual each call it once.  The lift types live in :mod:`gyrostat.model` and are
+to them and folds in a control law; the integrator, the state wrappers,
+the bracket audit, the equilibrium search and the steady residual each
+call it once.  The lift types live in :mod:`gyrostat.model` and are
 re-exported here.
 """
 
@@ -149,7 +149,8 @@ class IntegrationError(RuntimeError):
 
 def _state_rhs(kind, state, params, grav, lift) -> np.ndarray:
     y = model_layout(kind).to_vector(state)
-    return controlled_rhs(kind, params, grav, ConstantControl(lift))(y)
+    field, _jac = _flat_system(kind, params, grav, ConstantControl(lift))
+    return np.array(field(y.tolist()))
 
 
 def reduced_rhs_so3(
@@ -160,8 +161,8 @@ def reduced_rhs_so3(
     """Controlled equations of the symmetric model at one state, as a flat
     5-vector in the canonical (Pi1, Pi2, Pi3, alpha, l) order.
 
-    A wrapper over :func:`controlled_rhs`; ValueError if `state` or `lift`
-    belongs to the other model.
+    A wrapper over the field of ``_flat_system``; ValueError if `state` or
+    `lift` belongs to the other model.
     """
     return _state_rhs(ModelKind.SO3, state, params, None, lift)
 
@@ -286,14 +287,20 @@ def _flat_system(kind, params, grav, control):
     """The controlled field and its Jacobian, as functions from a list of
     floats to a list of floats and to a list of columns.
 
-    Validates as :func:`controlled_rhs`.  The control enters the field as
-    one addition per slot, the lift's entries turned into floats once for
-    a ``ConstantControl`` and at every call for a ``FeedbackControl``.
-    Without control the field is the model's kernel with its constants
-    bound, which also takes a ``(dim, n)`` block.  The Jacobian is exact
-    for the free field, nothing is added for a constant lift, and central
-    differences of the lift alone are added for a ``FeedbackControl`` (a
-    ``None`` lift is zero).
+    ``ConstantControl(None)`` is no control, as is ``ZeroControl``.  The
+    control enters the field as one addition per slot, the lift's entries
+    turned into floats once for a ``ConstantControl`` and at every call
+    for a ``FeedbackControl``.  Without control the field is the model's
+    kernel with its constants bound, which also takes a ``(dim, n)``
+    block.  The Jacobian is exact for the free field, nothing is added for
+    a constant lift, and central differences of the lift alone are added
+    for a ``FeedbackControl`` (a ``None`` lift is zero).
+
+    ValueError on a missing gravity block for se3, a control that is not a
+    ``ControlLaw`` or None, a law that gives no lift (no ``lift_at`` of its
+    own, or a feedback law that is not callable), or a lift of the other
+    model: up front for a ``ConstantControl``, at the call for a
+    ``FeedbackControl``.
     """
     lay = model_layout(kind)
     consts = lay.constants(params, grav)
@@ -301,13 +308,17 @@ def _flat_system(kind, params, grav, control):
     # module's attribute sees every call.
     free = partial(globals()[f"{kind.value}_field_kernel"], *consts)
     jac = partial(globals()[f"_{kind.value}_field_jacobian"], *consts)
+    name = type(control).__name__
     if not isinstance(control, (ControlLaw, type(None))):
         is_lift = isinstance(control, (ControlLiftSo3, ControlLiftSe3))
         hint = "; wrap a lift in ConstantControl" if is_lift else ""
-        name = type(control).__name__
         raise ValueError(f"control must be a ControlLaw or None, got {name}{hint}")
     if control is None or isinstance(control, ConstantControl) and control.lift is None:
         control = ZeroControl()
+    if type(control).lift_at is ControlLaw.lift_at:
+        raise ValueError(f"control {name} gives no lift: it defines no lift_at")
+    if type(control).lift_at is FeedbackControl.lift_at and not callable(control.law):
+        raise ValueError(f"a FeedbackControl law must be callable, got {type(control.law).__name__}")
 
     if isinstance(control, ZeroControl):
         return free, jac
@@ -347,31 +358,6 @@ def _fd_jacobian(rhs, y: list) -> list:
         d = 2.0 * h
         cols.append([(a - b) / d for a, b in zip(f_plus, rhs(probe))])
     return cols
-
-
-def controlled_rhs(
-    kind: ModelKind,
-    params: InertiaParams,
-    grav: Optional[GravityParams],
-    control: Optional[ControlLaw],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-hand side on flat vectors, with the control law folded in.
-
-    The state-based :func:`reduced_rhs_so3` / :func:`reduced_rhs_se3` are
-    wrappers over it, not an independent cross-check; the reference for
-    the field kernels is the symbolic derivation in the test suite.
-    ``ConstantControl(None)`` is no control, as is ``ZeroControl``.
-
-    Raises
-    ------
-    ValueError
-        On a missing gravity block for se3, a control that is not a
-        ``ControlLaw`` or None, or a lift that belongs to the other model:
-        up front for a ``ConstantControl``, at the call for a
-        ``FeedbackControl``.
-    """
-    rhs, _jac = _flat_system(kind, params, grav, control)
-    return lambda y: np.array(rhs(y.tolist()))
 
 
 # The steps on a dim-slot phase point, every slot unrolled into local

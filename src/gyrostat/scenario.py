@@ -167,6 +167,10 @@ def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
     if not isinstance(block, dict):
         raise ScenarioError("field 'gravity' must be an object", field="gravity")
     if "mgh" in block:
+        if "m" in block or "g" in block or "h" in block:
+            raise ScenarioError(
+                "field 'gravity' takes either 'mgh' or 'm', 'g', 'h', not both", field="gravity"
+            )
         mgh = _number(block["mgh"], "gravity.mgh")
     elif all(k in block for k in ("m", "g", "h")):
         mgh = (
@@ -212,6 +216,11 @@ def _parse_control(doc: dict, lay: ModelLayout) -> ControlLaw:
         raise ScenarioError("field 'control' must be an object", field="control")
     kind = block.get("kind", "zero")
     if kind == "zero":
+        for key in ("u_pi", "u_gamma", "u_alpha", "u_l"):
+            if key in block:
+                raise ScenarioError(
+                    f"field 'control.{key}' needs \"kind\": \"constant\"", field=f"control.{key}"
+                )
         return ZeroControl()
     if kind != "constant":
         raise ScenarioError(

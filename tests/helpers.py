@@ -1,7 +1,9 @@
-"""Shared test utilities: seeded random fields and states, and a rotation."""
+"""Shared test utilities: seeded random fields and states, a rotation, and
+the controlled field on ndarrays."""
 
 import numpy as np
 
+from gyrostat.dynamics import _flat_system
 from gyrostat.poisson import ScalarField
 from gyrostat.rng import SplitMix64
 
@@ -50,3 +52,11 @@ def rot_z(angle: float) -> np.ndarray:
     """Rotation by `angle` about the third body axis."""
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def ndarray_field(kind, params, grav, control):
+    """The package's controlled field on flat ndarrays, for the ndarray
+    references and the public step adapters; validates as the field
+    builder does."""
+    field, _jac = _flat_system(kind, params, grav, control)
+    return lambda y: np.array(field(y.tolist()))

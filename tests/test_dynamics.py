@@ -7,10 +7,10 @@ from gyrostat.dynamics import (
     ConstantControl,
     ControlLiftSe3,
     ControlLiftSo3,
+    ControlLaw,
     FeedbackControl,
     IntegrationError,
     ZeroControl,
-    controlled_rhs,
     diagnostics,
     integrate,
     reduced_rhs_se3,
@@ -30,7 +30,7 @@ from gyrostat.model import (
 )
 from gyrostat.rng import SplitMix64
 
-from helpers import random_point
+from helpers import ndarray_field, random_point
 
 
 class TestReducedRhs:
@@ -109,9 +109,9 @@ class TestReducedRhs:
 
 
 class TestControlledRhs:
-    """The flat-vector right-hand side must agree bitwise with the
-    state-based one, which wraps it; the independent reference for the
-    field kernels is tests/test_symbolic.py."""
+    """The field builder's field on flat vectors must agree bitwise with
+    the state-based right-hand side, which wraps it; the independent
+    reference for the field kernels is tests/test_symbolic.py."""
 
     def test_bitwise_agreement(self, std_params, std_grav):
         rng = SplitMix64(99)
@@ -127,12 +127,12 @@ class TestControlledRhs:
             )
         )
         fns = [
-            (controlled_rhs(ModelKind.SO3, std_params, None, ZeroControl()), None),
-            (controlled_rhs(ModelKind.SO3, std_params, None, ctrl_s), ctrl_s),
+            (ndarray_field(ModelKind.SO3, std_params, None, ZeroControl()), None),
+            (ndarray_field(ModelKind.SO3, std_params, None, ctrl_s), ctrl_s),
         ]
         fns_e = [
-            (controlled_rhs(ModelKind.SE3, std_params, std_grav, ZeroControl()), None),
-            (controlled_rhs(ModelKind.SE3, std_params, std_grav, ctrl_e), ctrl_e),
+            (ndarray_field(ModelKind.SE3, std_params, std_grav, ZeroControl()), None),
+            (ndarray_field(ModelKind.SE3, std_params, std_grav, ctrl_e), ctrl_e),
         ]
         for _ in range(100):
             x5 = random_point(rng, 5)
@@ -159,14 +159,14 @@ class TestControlledRhs:
             seen.append(state)
             return ControlLiftSo3(u_l=0.1)
 
-        fn = controlled_rhs(ModelKind.SO3, std_params, None, FeedbackControl(law))
+        fn = ndarray_field(ModelKind.SO3, std_params, None, FeedbackControl(law))
         out = fn(np.array([1.0, 2.0, 3.0, 0.0, 0.5]))
         assert out[4] == 0.1
         assert isinstance(seen[0], So3RotorState)
 
     def test_se3_requires_gravity(self, std_params):
         with pytest.raises(ValueError):
-            controlled_rhs(ModelKind.SE3, std_params, None, ZeroControl())
+            ndarray_field(ModelKind.SE3, std_params, None, ZeroControl())
 
     @pytest.mark.parametrize(
         "kind, lift",
@@ -180,7 +180,7 @@ class TestControlledRhs:
     ):
         control = ConstantControl(lift)
         with pytest.raises(ValueError, match="lift"):
-            controlled_rhs(kind, std_params, std_grav, control)
+            ndarray_field(kind, std_params, std_grav, control)
         initial = std_so3_state if kind == ModelKind.SO3 else std_se3_state
         with pytest.raises(ValueError, match="lift"):
             integrate(kind, std_params, initial, grav=std_grav, control=control)
@@ -204,7 +204,7 @@ class TestControlledRhs:
             integrate(
                 kind, std_params, initial, grav=std_grav, control=control, t_end=0.01
             )
-        rhs = controlled_rhs(kind, std_params, std_grav, control)
+        rhs = ndarray_field(kind, std_params, std_grav, control)
         with pytest.raises(ValueError, match="lift"):
             rhs(random_point(SplitMix64(5), 5 if kind == ModelKind.SO3 else 8))
 
@@ -214,8 +214,8 @@ class TestControlledRhs:
             def lift_at(self, state):
                 raise AssertionError("lift looked up on the no-control path")
 
-        rhs = controlled_rhs(kind, std_params, std_grav, NoLiftAt(lift=None))
-        free = controlled_rhs(kind, std_params, std_grav, ZeroControl())
+        rhs = ndarray_field(kind, std_params, std_grav, NoLiftAt(lift=None))
+        free = ndarray_field(kind, std_params, std_grav, ZeroControl())
         x = random_point(SplitMix64(7), dim)
         assert np.array_equal(rhs(x), free(x))
 
@@ -224,7 +224,7 @@ class TestSteppers:
     def test_rk4_one_step_vs_rotation(self, axisym_params):
         # With equal transverse moments and l=0 the transverse momentum
         # pair rotates rigidly at rate (Pi3 - l)/i3 - Pi3/i1 = 1.
-        rhs = controlled_rhs(ModelKind.SO3, axisym_params, None, ZeroControl())
+        rhs = ndarray_field(ModelKind.SO3, axisym_params, None, ZeroControl())
         y0 = np.array([1.0, 0.0, 2.0, 0.0, 0.0])
         dt = 1e-2
         y1 = step_rk4(rhs, y0, dt)
@@ -244,7 +244,7 @@ class TestSteppers:
             step_rk4(rhs, np.ones(5), 10.0)
 
     def test_midpoint_conserves_quadratic_invariants(self, std_params):
-        rhs = controlled_rhs(ModelKind.SO3, std_params, None, ZeroControl())
+        rhs = ndarray_field(ModelKind.SO3, std_params, None, ZeroControl())
         y = np.array([1.0, 2.0, 3.0, 0.0, 0.5])
         h0 = hamiltonian_so3(
             So3RotorState(pi=tuple(y[:3]), alpha=y[3], l=y[4]), std_params
@@ -260,13 +260,13 @@ class TestSteppers:
 
     def test_midpoint_fixes_equilibrium(self, std_params):
         # Axis-3 spin with the rotor rate matched so alpha is steady.
-        rhs = controlled_rhs(ModelKind.SO3, std_params, None, ZeroControl())
+        rhs = ndarray_field(ModelKind.SO3, std_params, None, ZeroControl())
         y = np.array([0.0, 0.0, 3.0, 0.0, 1.5])
         assert np.array_equal(step_midpoint(rhs, y, 1e-2), y)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_midpoint_reports_non_convergence(self, std_params):
-        rhs = controlled_rhs(ModelKind.SO3, std_params, None, ZeroControl())
+        rhs = ndarray_field(ModelKind.SO3, std_params, None, ZeroControl())
         with pytest.raises(IntegrationError, match="^non-finite value in midpoint iteration$"):
             step_midpoint(rhs, np.array([1.0, 2.0, 3.0, 0.0, 0.5]), 50.0)
 
@@ -430,7 +430,7 @@ class TestIntegrate:
         assert len(err.partial.states) == step
         assert err.partial.times.tolist() == [k * dt for k in range(step)]
         # The public steppers fail the same way from the last good state.
-        rhs = controlled_rhs(ModelKind.SO3, std_params, None, control)
+        rhs = ndarray_field(ModelKind.SO3, std_params, None, control)
         stepper = step_rk4 if method == "rk4" else step_midpoint
         with pytest.raises(IntegrationError) as exc:
             stepper(rhs, err.partial.states[-1], dt)
@@ -491,8 +491,8 @@ class TestControlType:
         )
 
     @pytest.mark.parametrize("control", NOT_A_LAW)
-    def test_controlled_rhs(self, std_params, control):
-        self._check(lambda: controlled_rhs(ModelKind.SO3, std_params, None, control), control)
+    def test_flat_system(self, std_params, control):
+        self._check(lambda: dynamics._flat_system(ModelKind.SO3, std_params, None, control), control)
 
     @pytest.mark.parametrize("control", NOT_A_LAW)
     def test_find_equilibrium(self, std_params, std_so3_state, control):
@@ -500,6 +500,39 @@ class TestControlType:
             lambda: find_equilibrium(ModelKind.SO3, std_params, std_so3_state, control=control),
             control,
         )
+
+
+class _NoLiftAt(ControlLaw):
+    """A law that does not say which lift it gives."""
+
+
+NO_LIFT = [
+    pytest.param(ControlLaw(), "control ControlLaw gives no lift", id="base_law"),
+    pytest.param(_NoLiftAt(), "control _NoLiftAt gives no lift", id="no_lift_at"),
+    pytest.param(FeedbackControl(3), "FeedbackControl law must be callable, got int", id="feedback_int"),
+]
+
+
+class TestLawWithoutLift:
+    """A law that cannot give a lift fails up front with ValueError, not
+    with NotImplementedError or TypeError at the first field call."""
+
+    @pytest.fixture(autouse=True)
+    def _no_field_call(self, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("field called before the control was checked")
+
+        monkeypatch.setattr(dynamics, "so3_field_kernel", kernel)
+
+    @pytest.mark.parametrize("control, message", NO_LIFT)
+    def test_integrate(self, std_params, std_so3_state, control, message):
+        with pytest.raises(ValueError, match=message):
+            integrate(ModelKind.SO3, std_params, std_so3_state, control=control, t_end=0.01)
+
+    @pytest.mark.parametrize("control, message", NO_LIFT)
+    def test_find_equilibrium(self, std_params, std_so3_state, control, message):
+        with pytest.raises(ValueError, match=message):
+            find_equilibrium(ModelKind.SO3, std_params, std_so3_state, control=control)
 
 
 class TestKernelLookup:
@@ -540,7 +573,7 @@ class TestKernelLookup:
         lift = model_layout(kind).lift_type(u_alpha=0.2, u_l=-0.05)
         control = ConstantControl(lift)
         # Built before the wrapper goes in, so these calls are not counted.
-        rhs = controlled_rhs(kind, std_params, std_grav, control)
+        rhs = ndarray_field(kind, std_params, std_grav, control)
         calls = self._count_calls(monkeypatch, kind)
         traj = integrate(
             kind, std_params, state, grav=std_grav, control=control,

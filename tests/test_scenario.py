@@ -97,6 +97,15 @@ class TestParseScenario:
             ("gravity", {"chi": [0, 0, 1]}, "gravity"),
             ("control", "constant", "control"),
             ("control", [{"kind": "zero"}], "control"),
+            # Lift entries need "kind": "constant"; a zero block that names
+            # one, with or without its kind, is an error on that entry.
+            ("control", {"u_alpha": 0.3}, "control.u_alpha"),
+            ("control", {"kind": "zero", "u_l": 0.1}, "control.u_l"),
+            ("control", {"u_alpha": "not a number"}, "control.u_alpha"),
+            ("control", {"kind": "zero", "u_pi": [0.1, 0.0, 0.0]}, "control.u_pi"),
+            ("control", {"u_gamma": [0.1, 0.0, 0.0]}, "control.u_gamma"),
+            # Gravity is mgh or the factors m, g, h, never both.
+            ("gravity", {"mgh": 2.0, "m": "abc", "g": None, "h": [1]}, "gravity"),
         ],
     )
     def test_malformed_block_rejected(self, block, value, field):
@@ -179,10 +188,11 @@ class TestParseScenario:
             scen(doc)
 
     def test_u_gamma_on_so3_rejected(self):
-        doc = dict(SO3_MINIMAL)
-        doc["control"] = {"kind": "constant", "u_gamma": [1, 0, 0]}
-        with pytest.raises(ScenarioError, match="u_gamma"):
-            scen(doc)
+        # With or without "kind": "constant"; a zero block drops no entry.
+        for control in ({"kind": "constant", "u_gamma": [1, 0, 0]}, {"u_gamma": [1, 0, 0]}):
+            with pytest.raises(ScenarioError, match="u_gamma") as exc:
+                scen(dict(SO3_MINIMAL, control=control))
+            assert exc.value.field == "control.u_gamma"
 
     def test_negative_seed_rejected(self):
         doc = dict(SO3_MINIMAL, seed=-1)

@@ -27,7 +27,6 @@ from gyrostat.dynamics import (
     FeedbackControl,
     IntegrationError,
     ZeroControl,
-    controlled_rhs,
     integrate,
     step_midpoint,
     step_rk4,
@@ -44,7 +43,7 @@ from gyrostat.model import (
 )
 from gyrostat.rng import SplitMix64
 
-from helpers import random_point
+from helpers import ndarray_field, random_point
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -238,12 +237,12 @@ def _fields(params, grav):
     lift5 = ControlLiftSo3(u_pi=(0.1, -0.2, 0.3), u_alpha=0.4, u_l=-0.5)
     lift8 = ControlLiftSe3(u_pi=(0.1, -0.2, 0.3), u_gamma=(0.01, 0.02, -0.03), u_alpha=0.4, u_l=-0.5)
     return [
-        (5, controlled_rhs(ModelKind.SO3, params, None, ZeroControl())),
-        (5, controlled_rhs(ModelKind.SO3, params, None, ConstantControl(lift5))),
-        (5, controlled_rhs(ModelKind.SO3, params, None, FeedbackControl(_feedback_so3))),
-        (8, controlled_rhs(ModelKind.SE3, params, grav, ZeroControl())),
-        (8, controlled_rhs(ModelKind.SE3, params, grav, ConstantControl(lift8))),
-        (8, controlled_rhs(ModelKind.SE3, params, grav, FeedbackControl(_feedback_se3))),
+        (5, ndarray_field(ModelKind.SO3, params, None, ZeroControl())),
+        (5, ndarray_field(ModelKind.SO3, params, None, ConstantControl(lift5))),
+        (5, ndarray_field(ModelKind.SO3, params, None, FeedbackControl(_feedback_so3))),
+        (8, ndarray_field(ModelKind.SE3, params, grav, ZeroControl())),
+        (8, ndarray_field(ModelKind.SE3, params, grav, ConstantControl(lift8))),
+        (8, ndarray_field(ModelKind.SE3, params, grav, FeedbackControl(_feedback_se3))),
     ]
 
 
@@ -293,7 +292,7 @@ def _path_case(kind, control):
 @pytest.mark.parametrize("kind", ["so3", "se3"])
 def test_integrate_equals_the_ndarray_formulas(kind, method, control):
     # Every state of a 250-step run equals the reference step repeated on
-    # the public field, bit for bit.
+    # the field builder's field, bit for bit.
     params, grav, initial, law = _path_case(kind, control)
     dt, n = 0.003, 250
     traj = integrate(
@@ -301,7 +300,7 @@ def test_integrate_equals_the_ndarray_formulas(kind, method, control):
         dt=dt, t_end=n * dt, sample_every=1, method=method,
     )
     assert traj.steps == n
-    rhs = controlled_rhs(ModelKind(kind), params, grav, law)
+    rhs = ndarray_field(ModelKind(kind), params, grav, law)
     step = _ref_rk4 if method == "rk4" else _ref_midpoint
     y = model_layout(ModelKind(kind)).to_vector(initial)
     expect = [y]

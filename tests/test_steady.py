@@ -34,7 +34,6 @@ from gyrostat.dynamics import (
     ControlLiftSo3,
     FeedbackControl,
     ZeroControl,
-    controlled_rhs,
 )
 from gyrostat.hj import (
     NEWTON_MAX_HALVINGS,
@@ -60,6 +59,8 @@ from gyrostat.model import (
 from gyrostat.poisson import fd_steps
 from gyrostat.rng import SplitMix64
 from gyrostat.scenario import parse_equilibrium_config, parse_hj_check_config
+
+from helpers import ndarray_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -253,7 +254,7 @@ def _ref_find_equilibrium(kind, params, guess, grav=None, control=None, tol=1e-1
     # The ndarray search of the package's first version, with its
     # central-difference Jacobian, kept as the reference.
     lay = model_layout(kind)
-    rhs = controlled_rhs(kind, params, grav, control)
+    rhs = ndarray_field(kind, params, grav, control)
     y = lay.to_vector(guess)
     f = rhs(y)
     iterations = 0
