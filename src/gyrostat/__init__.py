@@ -42,19 +42,15 @@ from .hj import (
     solve_lift,
 )
 from .model import (
-    AngularVelocities,
     GravityParams,
-    HamiltonianGradient,
     InertiaParams,
     ModelKind,
     OrbitLabel,
     Se3RotorState,
     So3RotorState,
     casimirs,
-    grad_h,
     hamiltonian_se3,
     hamiltonian_so3,
-    omega_from_momenta,
 )
 from .poisson import (
     BracketKind,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +27,16 @@ def as_vec3(v) -> np.ndarray:
 
 @dataclass
 class ConfigurationPoint:
-    """Unreduced configuration: carrier attitude, position, rotor angle.
+    """Unreduced configuration: carrier attitude and rotor angle.
 
     The attitude matrix must be orthonormal with unit determinant to
     within ``ROTATION_TOL`` in each part.  Reduced fields and residual
-    reports are evaluated at configuration points like this one; the
-    translation slot is kept for models where position matters and is
-    simply carried along otherwise.
+    reports are evaluated at configuration points like this one.  Neither
+    model's energy depends on the carrier's position, so the point carries
+    none.
     """
 
     rotation: np.ndarray
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     rotor_angle: float = 0.0
 
     def __post_init__(self):
@@ -57,7 +56,6 @@ class ConfigurationPoint:
             raise ValueError(
                 f"rotation must have determinant 1: |det - 1| = {det_defect:.3e}"
             )
-        self.translation = as_vec3(self.translation)
         self.rotor_angle = float(self.rotor_angle)
         if not np.isfinite(self.rotor_angle):
             raise ValueError("rotor_angle must be finite")

@@ -11,9 +11,9 @@ and the restoring-torque model adds the advected direction
     dPi/dt    = Pi x Omega + mgh * Gamma x chi  + u_pi
     dGamma/dt = Gamma x Omega                   + u_gamma
 
-with ``Omega`` recovered from the momenta as in
-:func:`gyrostat.model.omega_from_momenta`.  Control lifts enter additively,
-one slot per equation.
+with the body rate ``Omega = (Pi1/i1, Pi2/i2, (Pi3 - l)/i3)`` recovered
+from the momenta through the locked inertias ``i_bar``.  Control lifts
+enter additively, one slot per equation.
 
 These Lie-Poisson equations are written out once, in
 :func:`so3_field_kernel` and :func:`se3_field_kernel`: every field and

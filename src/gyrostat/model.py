@@ -1,4 +1,4 @@
-"""Parameters, states, control lifts, Hamiltonians, and momentum relations.
+"""Parameters, states, control lifts, Hamiltonians, and Casimirs.
 
 Two reduced models of a rigid carrier with a single internal rotor spinning
 about the third body axis are supported:
@@ -22,8 +22,10 @@ read it from there instead of branching on the kind.
 
 Locked inertias ``i_bar = (I1 + J1, I2 + J2, I3)`` combine carrier inertia
 ``I`` with the rotor's transverse inertia; ``j3`` is the rotor's axial
-moment.  The raw carrier/rotor moments may be supplied alongside ``i_bar``
-for bookkeeping, in which case they must be consistent with it.
+moment.  These four numbers are the whole inertia input: the body rate
+``Omega = (Pi1/i1, Pi2/i2, (Pi3 - l)/i3)`` is written out where it is
+used, in the field kernels of :mod:`gyrostat.dynamics` and their exact
+Jacobians.
 """
 
 from __future__ import annotations
@@ -44,20 +46,15 @@ __all__ = [
     "GravityParams",
     "So3RotorState",
     "Se3RotorState",
-    "AngularVelocities",
     "OrbitLabel",
-    "omega_from_momenta",
     "hamiltonian_so3",
     "hamiltonian_se3",
     "kinetic_energy",
-    "grad_h",
-    "HamiltonianGradient",
     "casimirs",
     "ModelLayout",
     "model_layout",
 ]
 
-RAW_INERTIA_TOL = 1e-12
 CHI_NORM_WARN_TOL = 1e-9
 CHI_NORM_REJECT_TOL = 1e-6
 
@@ -80,22 +77,15 @@ class InertiaParams:
         transverse inertia; the third is the carrier's alone.
     j3 : float
         Axial moment of the rotor about its spin axis.
-    i_carrier : array_like, shape (3,), optional
-        Raw carrier principal moments, kept for bookkeeping only.
-    j_rotor_transverse : tuple of two floats, optional
-        Raw rotor transverse moments about the first two axes.
 
     Raises
     ------
     ValueError
-        If any moment is non-positive or not finite, or the raw moments are
-        present but inconsistent with ``i_bar``.
+        If any moment is non-positive or not finite.
     """
 
     i_bar: np.ndarray
     j3: float
-    i_carrier: Optional[np.ndarray] = None
-    j_rotor_transverse: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "i_bar", as_vec3(self.i_bar))
@@ -106,32 +96,6 @@ class InertiaParams:
             raise ValueError(f"rotor axial moment must be finite, got {self.j3}")
         if self.j3 <= 0.0:
             raise ValueError(f"rotor axial moment must be positive, got {self.j3}")
-        if (self.i_carrier is None) != (self.j_rotor_transverse is None):
-            raise ValueError(
-                "raw moments i_carrier and j_rotor_transverse must be given together"
-            )
-        if self.i_carrier is not None:
-            object.__setattr__(self, "i_carrier", as_vec3(self.i_carrier))
-            jt = tuple(float(j) for j in self.j_rotor_transverse)
-            if len(jt) != 2:
-                raise ValueError("j_rotor_transverse must hold exactly two moments")
-            object.__setattr__(self, "j_rotor_transverse", jt)
-            # A NaN moment is not > 0.0.
-            if np.any(self.i_carrier <= 0.0) or not (jt[0] > 0.0 and jt[1] > 0.0):
-                raise ValueError("raw moments must be positive")
-            locked = np.array(
-                [
-                    self.i_carrier[0] + jt[0],
-                    self.i_carrier[1] + jt[1],
-                    self.i_carrier[2],
-                ]
-            )
-            defect = np.max(np.abs(locked - self.i_bar))
-            if defect > RAW_INERTIA_TOL:
-                raise ValueError(
-                    "raw moments inconsistent with locked moments: "
-                    f"max deviation {defect:.3e}"
-                )
 
 
 @dataclass(frozen=True)
@@ -237,14 +201,6 @@ class ControlLiftSe3:
 
 
 @dataclass(frozen=True)
-class AngularVelocities:
-    """Carrier angular velocity and rotor relative rate."""
-
-    omega: np.ndarray
-    alpha_dot: float
-
-
-@dataclass(frozen=True)
 class OrbitLabel:
     """Values of the conserved orbit labels for one state.
 
@@ -257,25 +213,6 @@ class OrbitLabel:
     pi_norm: Optional[float] = None
     pi_dot_gamma: Optional[float] = None
     gamma_norm: Optional[float] = None
-
-
-def omega_from_momenta(state, params: InertiaParams) -> AngularVelocities:
-    """Invert the momentum relations for body rates.
-
-    Works for either model kind since both carry ``(pi, l)``.
-
-    Returns
-    -------
-    AngularVelocities
-        ``omega = (Pi1/i1, Pi2/i2, (Pi3 - l)/i3)`` and the rotor relative
-        rate ``alpha_dot = l/j3 - (Pi3 - l)/i3``.
-    """
-    i1, i2, i3 = params.i_bar
-    p = state.pi
-    omega3 = (p[2] - state.l) / i3
-    omega = np.array([p[0] / i1, p[1] / i2, omega3])
-    alpha_dot = state.l / params.j3 - omega3
-    return AngularVelocities(omega=omega, alpha_dot=alpha_dot)
 
 
 def kinetic_energy(p1, p2, p3, l, i1, i2, i3, j3):
@@ -308,44 +245,6 @@ def hamiltonian_se3(
     """
     lay = model_layout(ModelKind.SE3)
     return float(lay.energy(lay.to_vector(state)[np.newaxis], params, grav)[0])
-
-
-@dataclass(frozen=True)
-class HamiltonianGradient:
-    """Partial derivatives of the reduced energy at one state.
-
-    ``d_gamma`` is ``None`` for the symmetric model.  ``d_alpha`` is always
-    zero because the rotor angle is cyclic; it is kept explicit so callers
-    can assemble full-dimension gradients without special cases.
-    """
-
-    d_pi: np.ndarray
-    d_alpha: float
-    d_l: float
-    d_gamma: Optional[np.ndarray] = None
-
-
-def grad_h(
-    state, params: InertiaParams, grav: Optional[GravityParams] = None
-) -> HamiltonianGradient:
-    """Gradient of the reduced energy with respect to the phase variables.
-
-    ``d_pi = (Pi1/i1, Pi2/i2, (Pi3 - l)/i3)``, ``d_l = l/j3 - (Pi3 - l)/i3``
-    and, when a gravity model is attached, ``d_gamma = mgh * chi``.
-
-    Raises
-    ------
-    ValueError
-        If `state` is not a model state, or carries an advected direction
-        but no `grav` is given.
-    """
-    lay = _state_layout(state)
-    lay.constants(params, grav)  # ValueError if the model needs grav
-    vel = omega_from_momenta(state, params)
-    d_gamma = grav.mgh * grav.chi if lay.gravity else None
-    return HamiltonianGradient(
-        d_pi=vel.omega, d_alpha=0.0, d_l=vel.alpha_dot, d_gamma=d_gamma
-    )
 
 
 def casimirs(state, kind: ModelKind) -> OrbitLabel:
@@ -545,9 +444,3 @@ def model_layout(kind: ModelKind) -> ModelLayout:
         raise ValueError(f"unknown model kind {kind!r}")
     return _LAYOUTS[kind]
 
-
-def _state_layout(state) -> ModelLayout:
-    for lay in _LAYOUTS.values():
-        if isinstance(state, lay.state_type):
-            return lay
-    raise ValueError(f"expected a model state, got {type(state).__name__}")

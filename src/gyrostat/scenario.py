@@ -4,8 +4,7 @@ A scenario document is a single JSON object::
 
     {
       "model": "so3" | "se3",
-      "inertia": {"i_bar": [i1, i2, i3], "j3": j3,
-                  "i_carrier": [...], "j_rotor_transverse": [j1, j2]},
+      "inertia": {"i_bar": [i1, i2, i3], "j3": j3},
       "gravity": {"mgh": 2.0, "chi": [0, 0, 1]},          # se3 only
       "initial": {"pi": [...], "alpha": 0.0, "l": 0.0,
                   "gamma": [...]},                        # gamma: se3 only
@@ -24,10 +23,14 @@ on load.  A gravity block on the so3 model is rejected, as is a missing
 one on se3.  Feedback control laws are a library-level feature and have no
 JSON spelling.
 
+Each block, and the top level of each config kind, names the keys it
+takes; the first other key, in document order, is a :class:`ScenarioError`
+naming it.  ``null`` is never an absent entry, always an invalid value.
+
 What the two models need of a document (the length of flat arrays,
-whether ``gravity``, ``initial.gamma`` and ``control.u_gamma`` belong, the
-state and lift types, the CSV columns) is read from the model's
-:func:`gyrostat.model.model_layout`.
+whether ``gravity`` belongs, the state and lift types, whose fields are
+the keys of ``initial`` and ``control``, the CSV columns) is read from the
+model's :func:`gyrostat.model.model_layout`.
 
 Emission is deterministic: CSV numbers use 17 significant digits (which
 round-trips 64-bit floats exactly), so identical inputs produce identical
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
@@ -92,6 +95,25 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _known(obj: dict, keys: tuple, where: Optional[str] = None) -> dict:
+    """`obj`, after a ScenarioError on its first key (in document order)
+    not in `keys`; `where` names the block, None the top level."""
+    for key in obj:
+        if key not in keys:
+            name = key if where is None else f"{where}.{key}"
+            takes = f"{where or 'the config'} takes {', '.join(keys)}"
+            raise ScenarioError(f"unknown field '{name}': {takes}", field=name)
+    return obj
+
+
+def _block(doc: dict, key: str, keys: tuple) -> dict:
+    """The object `doc[key]`, whose keys must all be in `keys`."""
+    block = _require(doc, key, "the scenario")
+    if not isinstance(block, dict):
+        raise ScenarioError(f"field '{key}' must be an object", field=key)
+    return _known(block, keys, key)
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"field '{where}' must be a number", field=where)
@@ -136,36 +158,19 @@ def _parse_model(doc: dict) -> ModelKind:
 
 
 def _parse_inertia(doc: dict) -> InertiaParams:
-    block = _require(doc, "inertia", "the scenario")
-    if not isinstance(block, dict):
-        raise ScenarioError("field 'inertia' must be an object", field="inertia")
+    block = _block(doc, "inertia", ("i_bar", "j3"))
     i_bar = _vector(_require(block, "i_bar", "inertia"), 3, "inertia.i_bar")
     j3 = _number(_require(block, "j3", "inertia"), "inertia.j3")
-    kwargs = {}
-    if "i_carrier" in block or "j_rotor_transverse" in block:
-        kwargs["i_carrier"] = _vector(
-            _require(block, "i_carrier", "inertia"), 3, "inertia.i_carrier"
-        )
-        kwargs["j_rotor_transverse"] = _vector(
-            _require(block, "j_rotor_transverse", "inertia"), 2, "inertia.j_rotor_transverse"
-        )
-    return _ask(InertiaParams, "inertia", "inertia", i_bar=i_bar, j3=j3, **kwargs)
+    return _ask(InertiaParams, "inertia", "inertia", i_bar=i_bar, j3=j3)
 
 
 def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
-    block = doc.get("gravity")
+    if ("gravity" in doc) != lay.gravity:
+        rule = "required for" if lay.gravity else "only valid for"
+        raise ScenarioError(f"field 'gravity' is {rule} the se3 model", field="gravity")
     if not lay.gravity:
-        if block is not None:
-            raise ScenarioError(
-                "field 'gravity' is only valid for the se3 model", field="gravity"
-            )
         return None
-    if block is None:
-        raise ScenarioError(
-            "missing required field 'gravity' for the se3 model", field="gravity"
-        )
-    if not isinstance(block, dict):
-        raise ScenarioError("field 'gravity' must be an object", field="gravity")
+    block = _block(doc, "gravity", ("mgh", "m", "g", "h", "chi"))
     if "mgh" in block:
         if "m" in block or "g" in block or "h" in block:
             raise ScenarioError(
@@ -173,51 +178,47 @@ def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
             )
         mgh = _number(block["mgh"], "gravity.mgh")
     elif all(k in block for k in ("m", "g", "h")):
-        mgh = (
-            _number(block["m"], "gravity.m")
-            * _number(block["g"], "gravity.g")
-            * _number(block["h"], "gravity.h")
-        )
+        mgh = math.prod(_number(block[k], f"gravity.{k}") for k in ("m", "g", "h"))
     else:
         raise ScenarioError(
             "field 'gravity' needs either 'mgh' or all of 'm', 'g', 'h'",
             field="gravity",
         )
-    chi = block.get("chi")
     kwargs = {}
-    if chi is not None:
-        kwargs["chi"] = _vector(chi, 3, "gravity.chi")
+    if "chi" in block:
+        kwargs["chi"] = _vector(block["chi"], 3, "gravity.chi")
     return _ask(GravityParams, "gravity", "gravity", mgh=mgh, **kwargs)
 
 
+def _slots(block: dict, cls: type, where: str) -> dict:
+    """The entries of `block` for the fields of the state or lift type
+    `cls`, checked: a scalar field (default 0.0) as a number, a vector one
+    (no default value) as a 3-vector.  A field with no default at all, a
+    state's ``pi`` or ``gamma``, is required; the others default."""
+    slots = {}
+    for f in fields(cls):
+        if f.name in block:
+            value, name = block[f.name], f"{where}.{f.name}"
+            vector = f.default is MISSING
+            slots[f.name] = _vector(value, 3, name) if vector else _number(value, name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            _require(block, f.name, where)
+    return slots
+
+
 def _parse_initial(doc: dict, lay: ModelLayout):
-    block = _require(doc, "initial", "the scenario")
-    if not isinstance(block, dict):
-        raise ScenarioError("field 'initial' must be an object", field="initial")
-    pi = _vector(_require(block, "pi", "initial"), 3, "initial.pi")
-    alpha = _number(block.get("alpha", 0.0), "initial.alpha")
-    l = _number(block.get("l", 0.0), "initial.l")
-    slots = {"pi": pi, "alpha": alpha, "l": l}
-    if lay.gravity:
-        slots["gamma"] = _vector(_require(block, "gamma", "initial"), 3, "initial.gamma")
-    elif "gamma" in block:
-        raise ScenarioError(
-            "field 'initial.gamma' is only valid for the se3 model",
-            field="initial.gamma",
-        )
-    return lay.state_type(**slots)
+    block = _block(doc, "initial", tuple(f.name for f in fields(lay.state_type)))
+    return lay.state_type(**_slots(block, lay.state_type, "initial"))
 
 
 def _parse_control(doc: dict, lay: ModelLayout) -> ControlLaw:
-    block = doc.get("control")
-    if block is None:
+    if "control" not in doc:
         return ZeroControl()
-    if not isinstance(block, dict):
-        raise ScenarioError("field 'control' must be an object", field="control")
+    block = _block(doc, "control", ("kind", *(f.name for f in fields(lay.lift_type))))
     kind = block.get("kind", "zero")
     if kind == "zero":
-        for key in ("u_pi", "u_gamma", "u_alpha", "u_l"):
-            if key in block:
+        for key in block:
+            if key != "kind":
                 raise ScenarioError(
                     f"field 'control.{key}' needs \"kind\": \"constant\"", field=f"control.{key}"
                 )
@@ -227,23 +228,8 @@ def _parse_control(doc: dict, lay: ModelLayout) -> ControlLaw:
             f"field 'control.kind' must be one of 'zero', 'constant', got {kind!r}",
             field="control.kind",
         )
-    u_pi = block.get("u_pi")
-    u_alpha = _number(block.get("u_alpha", 0.0), "control.u_alpha")
-    u_l = _number(block.get("u_l", 0.0), "control.u_l")
-    entries = {"u_alpha": u_alpha, "u_l": u_l}
-    if u_pi is not None:
-        entries["u_pi"] = _vector(u_pi, 3, "control.u_pi")
-    u_gamma = block.get("u_gamma")
-    if lay.gravity:
-        if u_gamma is not None:
-            entries["u_gamma"] = _vector(u_gamma, 3, "control.u_gamma")
-    elif "u_gamma" in block:
-        raise ScenarioError(
-            "field 'control.u_gamma' is only valid for the se3 model",
-            field="control.u_gamma",
-        )
     # Entries left out default to zero.
-    return ConstantControl(lift=lay.lift_type(**entries))
+    return ConstantControl(lift=lay.lift_type(**_slots(block, lay.lift_type, "control")))
 
 
 @dataclass
@@ -301,11 +287,9 @@ def _control_echo(control: ControlLaw) -> dict:
 
 
 def _parse_integrator(doc: dict) -> tuple:
-    block = doc.get("integrator", {})
-    if not isinstance(block, dict):
-        raise ScenarioError(
-            "field 'integrator' must be an object", field="integrator"
-        )
+    block = {}
+    if "integrator" in doc:
+        block = _block(doc, "integrator", ("method", "dt", "t_end", "sample_every"))
     method = block.get("method", "rk4")
     dt = _number(block.get("dt", 1e-3), "integrator.dt")
     t_end = _number(block.get("t_end", 1.0), "integrator.t_end")
@@ -320,15 +304,17 @@ def _parse_seed(doc: dict) -> int:
     return seed
 
 
-def _parse_head(text: str) -> tuple:
-    """The document every config shares: the JSON object, its model's
-    layout, its inertia and its gravity block, validated in that order."""
+def _parse_head(text: str, keys: tuple) -> tuple:
+    """The document every config shares: the JSON object, whose keys must
+    all be in `keys`, its model's layout, its inertia and its gravity
+    block, validated in that order."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"config is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ScenarioError("config must be a JSON object")
+    _known(doc, keys)
     lay = model_layout(_parse_model(doc))
     return doc, lay, _parse_inertia(doc), _parse_gravity(doc, lay)
 
@@ -342,7 +328,9 @@ def parse_scenario(text: str) -> Scenario:
         On malformed JSON, missing required fields, unknown enumeration
         values, or physically invalid numbers.
     """
-    doc, lay, inertia, gravity = _parse_head(text)
+    doc, lay, inertia, gravity = _parse_head(
+        text, ("model", "inertia", "gravity", "initial", "control", "integrator", "seed")
+    )
     initial = _parse_initial(doc, lay)
     control = _parse_control(doc, lay)
     method, dt, t_end, sample_every = _parse_integrator(doc)
@@ -382,8 +370,11 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
     either ``gamma`` (an array of 5 or 8 values) or
     ``gamma: "equilibrium"`` with a ``guess`` array, an optional ``lift``
     (``"zero"``, ``"solve"``, or an array), and an optional ``tolerance``.
+    A ``guess`` beside an explicit ``gamma`` is rejected: nothing reads it.
     """
-    doc, lay, inertia, gravity = _parse_head(text)
+    doc, lay, inertia, gravity = _parse_head(
+        text, ("model", "inertia", "gravity", "gamma", "guess", "control", "lift", "tolerance")
+    )
     n = lay.dim
 
     raw_gamma = _require(doc, "gamma", "the config")
@@ -391,6 +382,10 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
     guess = None
     if raw_gamma == "equilibrium":
         guess = lay.from_vector(_vector(_require(doc, "guess", "the config"), n, "guess"))
+    elif "guess" in doc:
+        raise ScenarioError(
+            "field 'guess' is only read with \"gamma\": \"equilibrium\"", field="guess"
+        )
     else:
         gamma = _vector(raw_gamma, n, "gamma")
 
@@ -443,7 +438,9 @@ def parse_equilibrium_config(text: str) -> EquilibriumConfig:
     flat ``guess`` array (5 or 8 values), optional ``control``, and
     optional ``tol`` / ``max_iter``.
     """
-    doc, lay, inertia, gravity = _parse_head(text)
+    doc, lay, inertia, gravity = _parse_head(
+        text, ("model", "inertia", "gravity", "guess", "control", "tol", "max_iter")
+    )
     guess_vec = _vector(_require(doc, "guess", "the config"), lay.dim, "guess")
     control = _parse_control(doc, lay)
     tol = _number(doc.get("tol", 1e-12), "tol")

@@ -18,12 +18,6 @@ def test_as_vec3():
 def test_configuration_point_accepts_rotations():
     cfg = ConfigurationPoint(rotation=rot_z(0.7), rotor_angle=1.1)
     assert cfg.rotor_angle == 1.1
-    assert np.array_equal(cfg.translation, np.zeros(3))
-
-
-def test_configuration_point_keeps_translation():
-    cfg = ConfigurationPoint(rotation=np.eye(3), translation=[1.0, 2.0, 3.0])
-    assert np.array_equal(cfg.translation, [1.0, 2.0, 3.0])
 
 
 def test_configuration_point_rejects_non_orthonormal():

@@ -97,20 +97,18 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "i_carrier, code", [([2.5, 1.5, 1.0], EXIT_OK), ([2.5, 1.5, 1.1], EXIT_USAGE)]
-    )
-    def test_raw_moments_checked_against_the_locked_ones(self, tmp_path, capsys, i_carrier, code):
+    @pytest.mark.parametrize("i_carrier", [[2.5, 1.5, 1.0], [2.5, 1.5, 1.1]])
+    def test_raw_moments_are_rejected(self, tmp_path, capsys, i_carrier):
+        # The locked moments are the whole inertia input; raw carrier and
+        # rotor moments, consistent with them or not, are unknown keys.
         raw = {"i_carrier": i_carrier, "j_rotor_transverse": [0.5, 0.5]}
         inertia = {**SO3_SCENARIO["inertia"], **raw}
-        got, out, _summary = run_simulate(tmp_path, {**SO3_SCENARIO, "inertia": inertia})
+        code, out, summary = run_simulate(tmp_path, {**SO3_SCENARIO, "inertia": inertia})
         err = capsys.readouterr().err
-        assert got == code
-        if code == EXIT_OK:
-            assert err == "" and out.exists()
-        else:
-            assert err.startswith("config error: invalid inertia: raw moments inconsistent")
-            assert err.count("\n") == 1
+        assert code == EXIT_USAGE
+        assert err.startswith("config error: unknown field 'inertia.i_carrier': ")
+        assert err.count("\n") == 1
+        assert not out.exists() and not summary.exists()
 
     def test_step_count_overflow_is_usage_error(self, tmp_path, capsys):
         # Both numbers are finite, but t_end / dt is not; this used to end

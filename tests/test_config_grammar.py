@@ -4,6 +4,8 @@ Each example starts from a shipped ``configs/*.json`` file and replaces one
 or two of its values (a leaf or a whole block) by an awkward one, or
 deletes a key, then runs every subcommand that reads that kind of config
 in-process.  Exit 1 must come with exactly one ``config error:`` line.
+A second test renames each key of each shipped config in turn, which
+must always be such an exit 1, naming the renamed key.
 
 ``dynamics.MAX_STEPS`` is lowered to 2000 to bound each run, which is
 only sound because the parser asks :func:`gyrostat.dynamics.integrate`'s
@@ -100,7 +102,11 @@ def workdir(tmp_path_factory):
         yield tmp_path_factory.mktemp("grammar")
 
 
-def _run(argv) -> tuple:
+def _run(command, config, workdir) -> tuple:
+    """Exit code and stderr of `command` run on the config file `config`."""
+    argv = [command[0], "--config", str(config), *command[1:]]
+    if command[0] == "simulate":
+        argv += ["--out", str(workdir / "out.csv"), "--summary", str(workdir / "sum.json")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -120,11 +126,40 @@ def test_every_config_exits_0_1_or_2_without_a_traceback(workdir, case):
     config = workdir / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     for command in commands:
-        argv = [command[0], "--config", str(config), *command[1:]]
-        if command[0] == "simulate":
-            argv += ["--out", str(workdir / "out.csv"), "--summary", str(workdir / "sum.json")]
-        code, err = _run(argv)
-        assert code in (0, 1, 2), (argv, code, err)
+        code, err = _run(command, config, workdir)
+        assert code in (0, 1, 2), (command, code, err)
         assert "Traceback" not in err
         if code == 1:
             assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+# (config name, key path) for every key of every object in every shipped config.
+KEY_PATHS = [
+    (name, path)
+    for name, doc in BASES
+    if "(short)" not in name
+    for path in _paths(doc)
+    if isinstance(reduce(getitem, path[:-1], doc), dict)
+]
+
+
+@pytest.mark.parametrize("name, path", KEY_PATHS, ids=[f"{n}:{'.'.join(p)}" for n, p in KEY_PATHS])
+def test_every_renamed_key_is_a_config_error(workdir, name, path):
+    # A key the parser does not read is rejected, never dropped: renamed,
+    # each key of a shipped config makes every subcommand that reads the
+    # config exit 1 with one config error line naming the new key.
+    base = dict(BASES)[name]
+    doc = copy.deepcopy(base)
+    parent = reduce(getitem, path[:-1], doc)
+    renamed = path[-1] + "x"
+    # Rebuilt in document order, which decides the first unknown key.
+    items = [(renamed if k == path[-1] else k, v) for k, v in parent.items()]
+    parent.clear()
+    parent.update(items)
+    config = workdir / "renamed.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    for command in _commands(base):
+        code, err = _run(command, config, workdir)
+        assert code == 1, (command, code, err)
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert f"'{'.'.join((*path[:-1], renamed))}'" in err, err

@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +13,9 @@ from gyrostat.model import (
     Se3RotorState,
     So3RotorState,
     casimirs,
-    grad_h,
     hamiltonian_se3,
     hamiltonian_so3,
     model_layout,
-    omega_from_momenta,
 )
 from gyrostat.rng import SplitMix64
 
@@ -38,52 +35,6 @@ class TestInertiaParams:
     def test_rejects_non_finite_rotor_moment(self, j3):
         with pytest.raises(ValueError, match="finite"):
             InertiaParams(i_bar=(3.0, 2.0, 1.0), j3=j3)
-
-    def test_raw_decomposition_consistent(self):
-        # Locked transverse moments are carrier plus rotor-transverse;
-        # the axial one is the carrier's alone.
-        p = InertiaParams(
-            i_bar=(3.0, 2.0, 1.0),
-            j3=1.0,
-            i_carrier=(2.5, 1.5, 1.0),
-            j_rotor_transverse=(0.5, 0.5),
-        )
-        assert np.array_equal(p.i_bar, (3.0, 2.0, 1.0))
-
-    @pytest.mark.parametrize("jt", [(float("nan"), 0.5), (0.5, float("nan"))])
-    def test_rejects_nan_raw_rotor_moment(self, jt):
-        # NaN <= 0 and NaN > RAW_INERTIA_TOL are both false.
-        with pytest.raises(ValueError, match="raw moments must be positive"):
-            InertiaParams(
-                i_bar=(3.0, 2.0, 1.0),
-                j3=1.0,
-                i_carrier=(2.5, 1.5, 1.0),
-                j_rotor_transverse=jt,
-            )
-
-    @pytest.mark.parametrize(
-        "raw, match",
-        [
-            ({"i_carrier": (2.5, 1.5, 1.0)}, "must be given together"),
-            ({"j_rotor_transverse": (0.5, 0.5)}, "must be given together"),
-            (
-                {"i_carrier": (2.5, 1.5, 1.0), "j_rotor_transverse": (0.5, 0.5, 0.5)},
-                "exactly two moments",
-            ),
-        ],
-    )
-    def test_rejects_malformed_raw_moments(self, raw, match):
-        with pytest.raises(ValueError, match=match):
-            InertiaParams(i_bar=(3.0, 2.0, 1.0), j3=1.0, **raw)
-
-    def test_raw_decomposition_inconsistent(self):
-        with pytest.raises(ValueError):
-            InertiaParams(
-                i_bar=(3.0, 2.0, 1.0),
-                j3=1.0,
-                i_carrier=(2.5, 1.5, 1.1),
-                j_rotor_transverse=(0.5, 0.5),
-            )
 
 
 class TestGravityParams:
@@ -171,21 +122,6 @@ def test_non_finite_slot_is_rejected(cls, kw, name, i, bad):
         cls(**{**kw, name: value})
 
 
-class TestVelocities:
-    def test_omega_oracle(self, std_so3_state, std_params):
-        # Pi=(1,2,3), l=0.5, i_bar=(3,2,1), j3=1:
-        # omega = (1/3, 1, 2.5), alpha_dot = 0.5 - 2.5 = -2.
-        vel = omega_from_momenta(std_so3_state, std_params)
-        assert vel.omega[0] == pytest.approx(1.0 / 3.0, abs=0)
-        assert vel.omega[1] == 1.0
-        assert vel.omega[2] == 2.5
-        assert vel.alpha_dot == -2.0
-
-    def test_works_for_se3_states(self, std_se3_state, std_params):
-        vel = omega_from_momenta(std_se3_state, std_params)
-        assert vel.omega[2] == 2.5
-
-
 class TestHamiltonian:
     def test_so3_value(self, std_so3_state, std_params):
         # (1/3 + 4/2 + 6.25/1 + 0.25/1) / 2 = 53/12
@@ -206,30 +142,6 @@ class TestHamiltonian:
         a = So3RotorState(pi=(1.0, 2.0, 3.0), alpha=0.0, l=0.5)
         b = So3RotorState(pi=(1.0, 2.0, 3.0), alpha=17.3, l=0.5)
         assert hamiltonian_so3(a, std_params) == hamiltonian_so3(b, std_params)
-
-
-class TestGradH:
-    def test_so3_gradient(self, std_so3_state, std_params):
-        g = grad_h(std_so3_state, std_params)
-        vel = omega_from_momenta(std_so3_state, std_params)
-        assert np.array_equal(g.d_pi, vel.omega)
-        assert g.d_alpha == 0.0
-        assert g.d_l == vel.alpha_dot
-        assert g.d_gamma is None
-
-    def test_se3_gradient(self, std_se3_state, std_params, std_grav):
-        g = grad_h(std_se3_state, std_params, std_grav)
-        assert np.array_equal(g.d_gamma, [0.0, 0.0, 2.0])
-
-    def test_se3_without_gravity_rejected(self, std_se3_state, std_params):
-        with pytest.raises(ValueError, match="gravity parameters required for the se3 model"):
-            grad_h(std_se3_state, std_params)
-
-    def test_non_state_rejected(self, std_params, std_grav):
-        # The model is read from the state type, not guessed from attributes.
-        duck = SimpleNamespace(pi=np.array([1.0, 2.0, 3.0]), gamma=np.zeros(3), alpha=0.0, l=0.5)
-        with pytest.raises(ValueError, match="model state"):
-            grad_h(duck, std_params, std_grav)
 
 
 class TestCasimirs:

@@ -42,15 +42,6 @@ SE3_FULL = {
 }
 
 
-# Locked moments with their raw carrier and rotor parts, which agree.
-RAW_INERTIA = {
-    "i_bar": [3.0, 2.0, 1.0],
-    "j3": 1.0,
-    "i_carrier": [2.5, 1.5, 1.0],
-    "j_rotor_transverse": [0.5, 0.5],
-}
-
-
 def scen(doc):
     return parse_scenario(json.dumps(doc))
 
@@ -81,18 +72,14 @@ class TestParseScenario:
         doc["gravity"] = {"m": 2.0, "g": 0.5, "h": 2.0, "chi": [0, 0, 1]}
         assert scen(doc).gravity.mgh == 2.0
 
-    def test_consistent_raw_moments(self):
-        s = scen(dict(SO3_MINIMAL, inertia=RAW_INERTIA))
-        assert np.array_equal(s.inertia.i_carrier, [2.5, 1.5, 1.0])
-        assert s.inertia.j_rotor_transverse == (0.5, 0.5)
-
     def test_explicit_zero_control(self):
         assert isinstance(scen(dict(SE3_FULL, control={"kind": "zero"})).control, ZeroControl)
 
     @pytest.mark.parametrize(
         "block, value, field",
         [
-            ("inertia", {**RAW_INERTIA, "i_carrier": [2.5, 1.5, 1.1]}, "inertia"),
+            # InertiaParams holds the rules for the moments.
+            ("inertia", {"i_bar": [3.0, 2.0, 1.0], "j3": 0.0}, "inertia"),
             ("gravity", {"m": 2.0, "g": 0.5, "chi": [0, 0, 1]}, "gravity"),
             ("gravity", {"chi": [0, 0, 1]}, "gravity"),
             ("control", "constant", "control"),
@@ -106,6 +93,24 @@ class TestParseScenario:
             ("control", {"u_gamma": [0.1, 0.0, 0.0]}, "control.u_gamma"),
             # Gravity is mgh or the factors m, g, h, never both.
             ("gravity", {"mgh": 2.0, "m": "abc", "g": None, "h": [1]}, "gravity"),
+            # A key no block reads, raw moments and typos included, is an
+            # error on that key.
+            (
+                "inertia",
+                {"i_bar": [3.0, 2.0, 1.0], "j3": 1.0,
+                 "i_carrier": [2.5, 1.5, 1.0], "j_rotor_transverse": [0.5, 0.5]},
+                "inertia.i_carrier",
+            ),
+            ("control", {"kind": "constant", "u_alfa": 0.3}, "control.u_alfa"),
+            ("initial", {"pi": [1, 2, 3], "gamma": [0, 0, 1], "l0": 0.5}, "initial.l0"),
+            ("gravity", {"mgh": 2.0, "chi": [0, 0, 1], "note": "x"}, "gravity.note"),
+            ("integrator", {"dt": 1e-3, "steps": 10}, "integrator.steps"),
+            ("comment", "spin about axis 3", "comment"),
+            # null is a value, never an absent entry.
+            ("control", {"kind": "constant", "u_pi": None}, "control.u_pi"),
+            ("control", {"kind": "constant", "u_gamma": None}, "control.u_gamma"),
+            ("gravity", {"mgh": 2.0, "chi": None}, "gravity.chi"),
+            ("control", None, "control"),
         ],
     )
     def test_malformed_block_rejected(self, block, value, field):
@@ -119,10 +124,11 @@ class TestParseScenario:
             scen(doc)
 
     def test_gravity_on_so3_rejected(self):
-        doc = dict(SO3_MINIMAL)
-        doc["gravity"] = {"mgh": 1.0}
-        with pytest.raises(ScenarioError, match="se3"):
-            scen(doc)
+        # "gravity": null too: null is never an absent entry.
+        for gravity in ({"mgh": 1.0}, None):
+            with pytest.raises(ScenarioError, match="se3") as exc:
+                scen(dict(SO3_MINIMAL, gravity=gravity))
+            assert exc.value.field == "gravity"
 
     def test_se3_without_gravity_rejected(self):
         doc = {k: v for k, v in SE3_FULL.items() if k != "gravity"}
@@ -276,6 +282,31 @@ class TestHjCheckConfig:
                 "gravity": {"mgh": 2.0},
                 "gamma": [1, 2, 3, 0, 0.5],
             }))
+
+
+@pytest.mark.parametrize(
+    "parse, extra, field",
+    [
+        # A setting of the other command, and a typo, each ran with the default.
+        (parse_equilibrium_config, {"tolerance": 1e-3}, "tolerance"),
+        (parse_equilibrium_config, {"max_iters": 1}, "max_iters"),
+        (parse_hj_check_config, {"tol": 1e-3}, "tol"),
+        (parse_hj_check_config, {"control": {"kind": "constant", "u_alfa": 0.3}}, "control.u_alfa"),
+        # A guess is read only by the search that gamma "equilibrium" runs.
+        (parse_hj_check_config, {"guess": [2.0, 1e-3, 1e-3, 0.0, 0.0]}, "guess"),
+        (parse_equilibrium_config, {"control": None}, "control"),
+    ],
+)
+def test_unread_check_and_search_key_rejected(parse, extra, field):
+    base = {"model": "so3", "inertia": {"i_bar": [3, 2, 1], "j3": 2}}
+    if parse is parse_hj_check_config:
+        base["gamma"] = [2.0, 0.0, 0.0, 0.0, 0.0]
+    else:
+        base["guess"] = [2.0, 1e-3, 1e-3, 0.0, 0.0]
+    assert parse(json.dumps(base)) is not None
+    with pytest.raises(ScenarioError) as exc:
+        parse(json.dumps({**base, **extra}))
+    assert exc.value.field == field
 
 
 class TestEquilibriumConfig:
