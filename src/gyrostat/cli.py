@@ -7,6 +7,15 @@ the bracket oracle, ``hj-check`` evaluates steady-equation residuals, and
 configured tolerance was met; 1 flags bad input, 2 a numerical failure or
 an exceeded tolerance.  Output is plain text throughout, so NO_COLOR
 environments see exactly what everyone else sees.
+
+One table, ``_COMMANDS``, lists each subcommand's long options.  argparse
+is built from it and stays the parser of record, but a command line in
+the documented form (a subcommand, then ``--option value`` pairs of its
+own options) is read straight from the table: argparse's parse is a
+large part of a short job's fixed cost.  Every other form
+(``-h``, ``--option=value``, an abbreviation, a repeated or missing
+option, a value starting with ``-``, a value its option's type rejects)
+goes to argparse, so its results, messages and exit codes are argparse's.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -228,6 +238,53 @@ def _int_where(ok, rule: str):
     return parse
 
 
+class _Option(NamedTuple):
+    """One long option: the keywords ``add_argument`` takes for it."""
+
+    required: bool
+    type: Callable[[str], object]
+    default: object
+    help: str
+
+
+def _path(what: str) -> _Option:
+    """A required path option."""
+    return _Option(True, str, None, what)
+
+
+_SAMPLES = _int_where(lambda n: n >= 1, ">= 1")
+_SEED = _int_where(lambda n: 0 <= n < 2**64, "in [0, 2**64)")
+
+# Each command's help and its long options, ``--<name>``, in the order
+# ``-h`` lists them.  build_parser and _recognise both read this table.
+_COMMANDS = {
+    "simulate": (
+        "integrate a scenario to CSV",
+        {
+            "config": _path("scenario JSON path"),
+            "out": _path("trajectory CSV output path"),
+            "summary": _path("run summary JSON output path"),
+        },
+    ),
+    "bracket-audit": (
+        "cross-check equations of motion against the bracket oracle",
+        {
+            "config": _path("scenario JSON path"),
+            "samples": _Option(False, _SAMPLES, 1000, "sample count"),
+            "seed": _Option(False, _SEED, None, "override the scenario seed"),
+        },
+    ),
+    "hj-check": (
+        "evaluate steady-equation residuals",
+        {"config": _path("check config JSON path")},
+    ),
+    "equilibrium": (
+        "Newton search for an equilibrium",
+        {"config": _path("search config JSON path")},
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gyrostat",
@@ -238,28 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate a scenario to CSV")
-    p.add_argument("--config", required=True, help="scenario JSON path")
-    p.add_argument("--out", required=True, help="trajectory CSV output path")
-    p.add_argument("--summary", required=True, help="run summary JSON output path")
-
-    p = sub.add_parser(
-        "bracket-audit",
-        help="cross-check equations of motion against the bracket oracle",
-    )
-    p.add_argument("--config", required=True, help="scenario JSON path")
-    samples = _int_where(lambda n: n >= 1, ">= 1")
-    p.add_argument("--samples", type=samples, default=1000, help="sample count")
-    seed = _int_where(lambda n: 0 <= n < 2**64, "in [0, 2**64)")
-    p.add_argument("--seed", type=seed, default=None, help="override the scenario seed")
-
-    p = sub.add_parser("hj-check", help="evaluate steady-equation residuals")
-    p.add_argument("--config", required=True, help="check config JSON path")
-
-    p = sub.add_parser("equilibrium", help="Newton search for an equilibrium")
-    p.add_argument("--config", required=True, help="search config JSON path")
-
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, opt in options.items():
+            p.add_argument(f"--{name}", **opt._asdict())
     return parser
 
 
@@ -269,8 +308,38 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _recognise(argv):
+    """The Namespace the parser returns for `argv` when `argv` is a command
+    followed by ``--option value`` pairs of its own options, each given at
+    most once, the required ones present, no value starting with ``-`` and
+    each passing its option's type; None for any other argv, which is left
+    to the parser and its messages."""
+    if not isinstance(argv, (list, tuple)) or len(argv) % 2 != 1:
+        return None
+    if not all(isinstance(token, str) for token in argv) or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        name = flag[2:]
+        if flag[:2] != "--" or name not in options or name in values or text[:1] == "-":
+            return None
+        try:
+            values[name] = options[name].type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # the parser's usage error names the option
+    for name, opt in options.items():
+        if name not in values:
+            if opt.required:
+                return None
+            values[name] = opt.default
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _recognise(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.out, args.summary)

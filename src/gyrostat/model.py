@@ -90,9 +90,10 @@ class InertiaParams:
     def __post_init__(self):
         object.__setattr__(self, "i_bar", as_vec3(self.i_bar))
         object.__setattr__(self, "j3", float(self.j3))
-        if np.any(self.i_bar <= 0.0):
+        # as_vec3 has rejected non-finite moments, so min() sees no NaN.
+        if min(self.i_bar.tolist()) <= 0.0:
             raise ValueError(f"locked moments must be positive, got {self.i_bar}")
-        if not np.isfinite(self.j3):
+        if not math.isfinite(self.j3):
             raise ValueError(f"rotor axial moment must be finite, got {self.j3}")
         if self.j3 <= 0.0:
             raise ValueError(f"rotor axial moment must be positive, got {self.j3}")

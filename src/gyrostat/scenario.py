@@ -45,6 +45,7 @@ dict with str keys, and raises TypeError on anything else.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -190,13 +191,19 @@ def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
     return _ask(GravityParams, "gravity", "gravity", mgh=mgh, **kwargs)
 
 
+@functools.cache
+def _fields(cls: type) -> tuple:
+    """``dataclasses.fields`` of a state or lift type, looked up once."""
+    return fields(cls)
+
+
 def _slots(block: dict, cls: type, where: str) -> dict:
     """The entries of `block` for the fields of the state or lift type
     `cls`, checked: a scalar field (default 0.0) as a number, a vector one
     (no default value) as a 3-vector.  A field with no default at all, a
     state's ``pi`` or ``gamma``, is required; the others default."""
     slots = {}
-    for f in fields(cls):
+    for f in _fields(cls):
         if f.name in block:
             value, name = block[f.name], f"{where}.{f.name}"
             vector = f.default is MISSING
@@ -207,14 +214,14 @@ def _slots(block: dict, cls: type, where: str) -> dict:
 
 
 def _parse_initial(doc: dict, lay: ModelLayout):
-    block = _block(doc, "initial", tuple(f.name for f in fields(lay.state_type)))
+    block = _block(doc, "initial", tuple(f.name for f in _fields(lay.state_type)))
     return lay.state_type(**_slots(block, lay.state_type, "initial"))
 
 
 def _parse_control(doc: dict, lay: ModelLayout) -> ControlLaw:
     if "control" not in doc:
         return ZeroControl()
-    block = _block(doc, "control", ("kind", *(f.name for f in fields(lay.lift_type))))
+    block = _block(doc, "control", ("kind", *(f.name for f in _fields(lay.lift_type))))
     kind = block.get("kind", "zero")
     if kind == "zero":
         for key in block:
@@ -370,7 +377,8 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
     either ``gamma`` (an array of 5 or 8 values) or
     ``gamma: "equilibrium"`` with a ``guess`` array, an optional ``lift``
     (``"zero"``, ``"solve"``, or an array), and an optional ``tolerance``.
-    A ``guess`` beside an explicit ``gamma`` is rejected: nothing reads it.
+    A ``guess`` or a ``control`` beside an explicit ``gamma`` is rejected:
+    only the search reads them.
     """
     doc, lay, inertia, gravity = _parse_head(
         text, ("model", "inertia", "gravity", "gamma", "guess", "control", "lift", "tolerance")
@@ -390,6 +398,10 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
         gamma = _vector(raw_gamma, n, "gamma")
 
     control = _parse_control(doc, lay)
+    if gamma is not None and "control" in doc:
+        raise ScenarioError(
+            "field 'control' is only read with \"gamma\": \"equilibrium\"", field="control"
+        )
 
     lift = doc.get("lift", "zero")
     if isinstance(lift, list):

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gyrostat.cli
 from gyrostat.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
@@ -297,6 +302,18 @@ class TestHjCheck:
         assert code == EXIT_TOLERANCE
         assert rep["passed"] is False
 
+    def test_control_beside_an_explicit_gamma_is_rejected(self, tmp_path, capsys):
+        # The residual at an explicit gamma never read the control, so this
+        # state, steady only without it, passed with max_norm 0.0.
+        cfg = write_json(tmp_path / "cfg.json", {
+            "model": "so3",
+            "inertia": {"i_bar": [3, 2, 1], "j3": 1},
+            "gamma": [2, 0, 0, 0, 0],
+            "control": {"kind": "constant", "u_alpha": 0.3},
+        })
+        err = _one_line_error(capsys, main(["hj-check", "--config", cfg]), "config error: ")
+        assert "'control'" in err
+
     def test_solve_rule_always_passes(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
             "model": "se3",
@@ -503,3 +520,107 @@ class TestUsage:
             assert exc.value.code == EXIT_USAGE
             assert capsys.readouterr().err == fresh
         assert "invalid int value" in fresh
+
+
+# Each command's long options, written out here so that the property below
+# checks cli's option table rather than reads it.
+OPTIONS = {
+    "simulate": ["--config", "--out", "--summary"],
+    "bracket-audit": ["--config", "--samples", "--seed"],
+    "hj-check": ["--config"],
+    "equilibrium": ["--config"],
+}
+# Forms the parser takes or rejects that the recogniser leaves to it.
+ODD_FLAGS = ["--config=x", "--samples=50", "--conf", "--sam", "--s", "-h", "--help", "--"]
+ALL_FLAGS = sorted({flag for flags in OPTIONS.values() for flag in flags})
+# None names a file in the empty working directory the property runs in,
+# so a command that gets as far as its config exits 1 there.
+VALUES = ["", "-x", "-5", "--", "0", str(2**64), "x", "7", "50", " 5", "1_0", "a b", "x.json"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command with its options in some order, then maybe one flaw: a
+    missing, repeated, foreign or odd option, a dropped or a last token
+    left out, or any tokens at all."""
+    flaws = ["missing", "repeated", "extra", "dropped", "truncated", "tokens"]
+    flaw = draw(st.sampled_from([None] * 4 + flaws))
+    if flaw == "tokens":
+        tokens = [*OPTIONS, "render", *ALL_FLAGS, *ODD_FLAGS, *VALUES]
+        return draw(st.lists(st.sampled_from(tokens), max_size=7))
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    flags = draw(st.permutations(OPTIONS[command]))
+    if flaw == "missing":
+        flags = flags[: draw(st.integers(0, len(flags) - 1))]
+    elif flaw == "extra":
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(ALL_FLAGS + ODD_FLAGS)))
+    elif flaw == "repeated":
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(flags)))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(VALUES) | st.sampled_from(["7", "x.json"]))]
+    if flaw == "dropped":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif flaw == "truncated":
+        del argv[-1]
+    return argv
+
+
+def _outcome(argv) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("argv"))
+        yield
+
+
+@pytest.mark.usefixtures("empty_dir")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=command_lines())
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["bracket-audit", "--config", "x", "--seed"])
+@example(argv=["bracket-audit", "--config", "x", "--samples", "-5"])
+@example(argv=["bracket-audit", "--config", "x", "--seed", str(2**64)])
+@example(argv=["hj-check", "--config", "x", "--config", "y"])
+@example(argv=["equilibrium", "--config=x"])
+@example(argv=["equilibrium", "--conf", "x"])
+@example(argv=["simulate", "--config", "x", "--out", "--", "--summary", "y"])
+def test_recogniser_agrees_with_the_parser(argv):
+    recognised = gyrostat.cli._recognise(argv)
+    if recognised is not None:
+        assert vars(recognised) == vars(build_parser().parse_args(argv))
+    got = _outcome(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gyrostat.cli, "_recognise", lambda argv: None)
+        mp.setattr(gyrostat.cli, "_parser", build_parser)
+        assert got == _outcome(argv)
+
+
+def test_canonical_forms_never_reach_the_parser(tmp_path, capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("a canonical command line reached argparse")
+
+    monkeypatch.setattr(gyrostat.cli, "_parser", no_parser)
+    scenario = write_json(tmp_path / "cfg.json", SO3_SCENARIO)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    out, summary = str(tmp_path / "out.csv"), str(tmp_path / "summary.json")
+    for argv in (
+        ["simulate", "--config", scenario, "--out", out, "--summary", summary],
+        ["simulate", "--summary", summary, "--config", scenario, "--out", out],
+        ["bracket-audit", "--config", scenario],
+        ["bracket-audit", "--seed", "7", "--config", scenario, "--samples", "50"],
+        ["hj-check", "--config", str(configs / "hj_check_axis_spin.json")],
+        ["equilibrium", "--config", str(configs / "equilibrium_axis_spin.json")],
+    ):
+        assert main(argv) == EXIT_OK, argv

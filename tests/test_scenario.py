@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,8 +295,11 @@ class TestHjCheckConfig:
         (parse_equilibrium_config, {"max_iters": 1}, "max_iters"),
         (parse_hj_check_config, {"tol": 1e-3}, "tol"),
         (parse_hj_check_config, {"control": {"kind": "constant", "u_alfa": 0.3}}, "control.u_alfa"),
-        # A guess is read only by the search that gamma "equilibrium" runs.
+        # A guess, and a control, are read only by the search that gamma
+        # "equilibrium" runs.
         (parse_hj_check_config, {"guess": [2.0, 1e-3, 1e-3, 0.0, 0.0]}, "guess"),
+        (parse_hj_check_config, {"control": {"kind": "constant", "u_alpha": 0.3}}, "control"),
+        (parse_hj_check_config, {"control": {"kind": "zero"}}, "control"),
         (parse_equilibrium_config, {"control": None}, "control"),
     ],
 )
@@ -307,6 +313,68 @@ def test_unread_check_and_search_key_rejected(parse, extra, field):
     with pytest.raises(ScenarioError) as exc:
         parse(json.dumps({**base, **extra}))
     assert exc.value.field == field
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_key_lists() -> dict:
+    """{(command, block): (keys, se3-only keys)} read from the README's
+    "`<block>` takes `a`, `b` and, for `se3`, `c`" sentences, block None
+    for "The top level takes ...", command the first one its config
+    section names."""
+    text = README.read_text(encoding="utf-8")
+    lists = {}
+    for section in re.findall(r"^### .*?(?=^##)", text, re.M | re.S):
+        command = section.split("`")[1]
+        for m in re.finditer(r"(?:The top level|`(\w+)`)\s+takes\s(.*?)[;.]", section, re.S):
+            assert (command, m.group(1)) not in lists, m.group(0)
+            both, _, se3 = m.group(2).partition("for `se3`,")
+            lists[command, m.group(1)] = (re.findall(r"`(\w+)`", both), re.findall(r"`(\w+)`", se3))
+    return lists
+
+
+PARSERS = {
+    "simulate": parse_scenario,
+    "hj-check": parse_hj_check_config,
+    "equilibrium": parse_equilibrium_config,
+}
+
+
+def _config_with_every_block(command: str, model: str) -> dict:
+    doc = {"model": model, "inertia": {"i_bar": [3, 2, 1], "j3": 1}}
+    doc["control"] = {"kind": "constant"}
+    if model == "se3":
+        doc["gravity"] = {"mgh": 2.0}
+    if command == "simulate":
+        doc["initial"] = {"pi": [1, 2, 3]}
+        if model == "se3":
+            doc["initial"]["gamma"] = [0, 0, 1]
+        doc["integrator"] = {}
+    else:
+        doc["guess"] = [1.0] * (5 if model == "so3" else 8)
+    if command == "hj-check":
+        doc["gamma"] = "equilibrium"
+    return doc
+
+
+@pytest.mark.parametrize("model", ["so3", "se3"])
+@pytest.mark.parametrize("command", sorted(PARSERS))
+def test_readme_key_lists_are_the_parsers(command, model):
+    # The README names the keys each block takes, and so does the parser
+    # when it rejects an unknown one.  The check and search configs' blocks
+    # take the scenario config's keys.
+    parse, doc = PARSERS[command], _config_with_every_block(command, model)
+    assert parse(json.dumps(doc)) is not None
+    readme = _readme_key_lists()
+    for block in [None, *(key for key, value in doc.items() if isinstance(value, dict))]:
+        wrong = copy.deepcopy(doc)
+        (wrong if block is None else wrong[block])["zz"] = 0
+        with pytest.raises(ScenarioError, match="unknown field") as exc:
+            parse(json.dumps(wrong))
+        listed = str(exc.value).split(" takes ")[1].split(", ")
+        both, se3 = readme[command if block is None else "simulate", block]
+        assert sorted(listed) == sorted(both + (se3 if model == "se3" else [])), block
 
 
 class TestEquilibriumConfig:
