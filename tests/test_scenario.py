@@ -298,9 +298,9 @@ class TestHjCheckConfig:
         # A guess, and a control, are read only by the search that gamma
         # "equilibrium" runs.
         (parse_hj_check_config, {"guess": [2.0, 1e-3, 1e-3, 0.0, 0.0]}, "guess"),
+        (parse_equilibrium_config, {"control": None}, "control"),
         (parse_hj_check_config, {"control": {"kind": "constant", "u_alpha": 0.3}}, "control"),
         (parse_hj_check_config, {"control": {"kind": "zero"}}, "control"),
-        (parse_equilibrium_config, {"control": None}, "control"),
     ],
 )
 def test_unread_check_and_search_key_rejected(parse, extra, field):
