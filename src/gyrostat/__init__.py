@@ -12,14 +12,12 @@ from .algebra import ConfigurationPoint
 from .audit import bracket_oracle_audit
 from .dynamics import (
     ConstantControl,
-    ControlLaw,
     ControlLiftSe3,
     ControlLiftSo3,
     DiagnosticsSummary,
     FeedbackControl,
     IntegrationError,
     Trajectory,
-    ZeroControl,
     diagnostics,
     integrate,
     reduced_rhs_se3,

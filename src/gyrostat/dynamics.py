@@ -72,8 +72,6 @@ from .poisson import fd_steps
 __all__ = [
     "ControlLiftSo3",
     "ControlLiftSe3",
-    "ControlLaw",
-    "ZeroControl",
     "ConstantControl",
     "FeedbackControl",
     "IntegrationError",
@@ -104,22 +102,8 @@ Every sample is kept in memory, ~0.5 kB each for se3, so at
 """
 
 
-class ControlLaw:
-    """Maps a reduced state to a control lift (or None for no control)."""
-
-    def lift_at(self, state):
-        raise NotImplementedError
-
-
-class ZeroControl(ControlLaw):
-    """No control anywhere; the fast path for conservative runs."""
-
-    def lift_at(self, state):
-        return None
-
-
 @dataclass
-class ConstantControl(ControlLaw):
+class ConstantControl:
     """A fixed lift applied at every state."""
 
     lift: Union[ControlLiftSo3, ControlLiftSe3]
@@ -129,7 +113,7 @@ class ConstantControl(ControlLaw):
 
 
 @dataclass
-class FeedbackControl(ControlLaw):
+class FeedbackControl:
     """State-dependent lift; `law` is called at each integrator substep."""
 
     law: Callable[[object], Union[ControlLiftSo3, ControlLiftSe3]]
@@ -149,7 +133,8 @@ class IntegrationError(RuntimeError):
 
 def _state_rhs(kind, state, params, grav, lift) -> np.ndarray:
     y = model_layout(kind).to_vector(state)
-    field, _jac = _flat_system(kind, params, grav, ConstantControl(lift))
+    control = None if lift is None else ConstantControl(lift)
+    field, _jac = _flat_system(kind, params, grav, control)
     return np.array(field(y.tolist()))
 
 
@@ -287,8 +272,8 @@ def _flat_system(kind, params, grav, control):
     """The controlled field and its Jacobian, as functions from a list of
     floats to a list of floats and to a list of columns.
 
-    ``ConstantControl(None)`` is no control, as is ``ZeroControl``.  The
-    control enters the field as one addition per slot, the lift's entries
+    The control is None, a ``ConstantControl`` or a ``FeedbackControl``.
+    It enters the field as one addition per slot, the lift's entries
     turned into floats once for a ``ConstantControl`` and at every call
     for a ``FeedbackControl``.  Without control the field is the model's
     kernel with its constants bound, which also takes a ``(dim, n)``
@@ -296,11 +281,10 @@ def _flat_system(kind, params, grav, control):
     a constant lift, and central differences of the lift alone are added
     for a ``FeedbackControl`` (a ``None`` lift is zero).
 
-    ValueError on a missing gravity block for se3, a control that is not a
-    ``ControlLaw`` or None, a law that gives no lift (no ``lift_at`` of its
-    own, or a feedback law that is not callable), or a lift of the other
-    model: up front for a ``ConstantControl``, at the call for a
-    ``FeedbackControl``.
+    ValueError on a missing gravity block for se3, any other control, a
+    feedback law that is not callable, or a constant lift that is not the
+    model's (the other model's, or None); a feedback lift of the other
+    model is one at the call.
     """
     lay = model_layout(kind)
     consts = lay.constants(params, grav)
@@ -308,25 +292,22 @@ def _flat_system(kind, params, grav, control):
     # module's attribute sees every call.
     free = partial(globals()[f"{kind.value}_field_kernel"], *consts)
     jac = partial(globals()[f"_{kind.value}_field_jacobian"], *consts)
-    name = type(control).__name__
-    if not isinstance(control, (ControlLaw, type(None))):
-        is_lift = isinstance(control, (ControlLiftSo3, ControlLiftSe3))
-        hint = "; wrap a lift in ConstantControl" if is_lift else ""
-        raise ValueError(f"control must be a ControlLaw or None, got {name}{hint}")
-    if control is None or isinstance(control, ConstantControl) and control.lift is None:
-        control = ZeroControl()
-    if type(control).lift_at is ControlLaw.lift_at:
-        raise ValueError(f"control {name} gives no lift: it defines no lift_at")
-    if type(control).lift_at is FeedbackControl.lift_at and not callable(control.law):
-        raise ValueError(f"a FeedbackControl law must be callable, got {type(control.law).__name__}")
-
-    if isinstance(control, ZeroControl):
+    if control is None:
         return free, jac
     # free(y) ends in dl = 0.0, so a lift adds u_l to 0.0: a -0.0 entry
     # gives 0.0 there.
     if isinstance(control, ConstantControl):
         u = lay.lift_floats(control.lift)
         return (lambda y: list(map(add, free(y), u))), jac
+    if not isinstance(control, FeedbackControl):
+        is_lift = isinstance(control, (ControlLiftSo3, ControlLiftSe3))
+        hint = "; wrap a lift in ConstantControl" if is_lift else ""
+        raise ValueError(
+            "control must be None, a ConstantControl or a FeedbackControl, "
+            f"got {type(control).__name__}{hint}"
+        )
+    if not callable(control.law):
+        raise ValueError(f"a FeedbackControl law must be callable, got {type(control.law).__name__}")
 
     def rhs(y):
         d = free(y)
@@ -498,7 +479,7 @@ def integrate(
     initial,
     *,
     grav: Optional[GravityParams] = None,
-    control: Optional[ControlLaw] = None,
+    control: Optional[Union[ConstantControl, FeedbackControl]] = None,
     dt: float = 1e-3,
     t_end: float = 1.0,
     sample_every: int = 10,
@@ -520,16 +501,17 @@ def integrate(
     ValueError
         On bad step parameters (more than ``MAX_STEPS`` steps, or a
         `sample_every` that is not an integer >= 1, among them), a state
-        that does not match `kind`, a control that is not a ``ControlLaw``
-        or None, or a control lift of the other model.
+        that does not match `kind`, a control that is not None, a
+        ``ConstantControl`` or a ``FeedbackControl``, or a lift that is
+        not the model's (the other model's, or None).
     """
     n_steps = _step_count(dt, t_end, sample_every, method)
     lay = model_layout(kind)
     y = tuple(lay.to_vector(initial).tolist())
     # The steps add a constant lift themselves, to the free field.
-    lift = control.lift if isinstance(control, ConstantControl) else None
-    f, _jac = _flat_system(kind, params, grav, None if lift is not None else control)
-    u = None if lift is None else lay.lift_floats(lift)
+    constant = isinstance(control, ConstantControl)
+    f, _jac = _flat_system(kind, params, grav, None if constant else control)
+    u = lay.lift_floats(control.lift) if constant else None
     rk4, midpoint = _steppers(lay.dim)
 
     times, rows = [0.0], [y]

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import ConfigurationPoint
-from .dynamics import ConstantControl, ControlLaw, ZeroControl, _flat_system
+from .dynamics import ConstantControl, FeedbackControl, _flat_system
 from .model import (
     GravityParams,
     InertiaParams,
@@ -290,17 +290,17 @@ def _multipliers(control, lay) -> int:
     """How many Casimir multipliers border the search: one per Casimir
     when the lift is tangent to every Casimir level, else none.
 
-    No control and ``ConstantControl(None)`` are tangent.  A constant lift
-    is tangent when it is zero on every slot that a Casimir Hessian
-    touches: the Casimirs are quadratic forms, so their gradients live on
-    those slots alone.  A feedback law is never bordered.
+    No control is tangent.  A constant lift is tangent when it is zero on
+    every slot that a Casimir Hessian touches: the Casimirs are quadratic
+    forms, so their gradients live on those slots alone.  A feedback law
+    is never bordered.
     """
-    if isinstance(control, ConstantControl) and control.lift is not None:
+    if control is None:
+        return len(lay.casimir_names)
+    if isinstance(control, ConstantControl):
         u = lay.lift_floats(control.lift)
         crossing = any(u[i] for entries in lay.casimir_hessians for i, _j, _v in entries)
         return 0 if crossing else len(lay.casimir_names)
-    if control is None or isinstance(control, (ZeroControl, ConstantControl)):
-        return len(lay.casimir_names)
     return 0
 
 
@@ -353,7 +353,7 @@ def find_equilibrium(
     guess,
     *,
     grav: Optional[GravityParams] = None,
-    control: Optional[ControlLaw] = None,
+    control: Optional[Union[ConstantControl, FeedbackControl]] = None,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> EquilibriumResult:
@@ -398,8 +398,9 @@ def find_equilibrium(
     ValueError
         On a `tol` that is not finite and positive, a `max_iter` that is
         not an integer >= 1, a guess that does not match `kind`, a missing
-        gravity block for se3, a control that is not a ``ControlLaw`` or
-        None, or a control lift of the other model.
+        gravity block for se3, a control that is not None, a
+        ``ConstantControl`` or a ``FeedbackControl``, or a lift that is not
+        the model's (the other model's, or None).
     """
     _check_search(tol, max_iter)
     lay = model_layout(kind)

@@ -125,7 +125,7 @@ class GravityParams:
         if abs(norm - 1.0) > CHI_NORM_WARN_TOL:
             warnings.warn(
                 f"chi norm {norm:.12g} differs from 1; renormalizing",
-                stacklevel=2,
+                stacklevel=3,
             )
             chi = chi / norm
         object.__setattr__(self, "chi", chi)

@@ -54,7 +54,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import ConstantControl, ControlLaw, Trajectory, ZeroControl, _step_count
+from .dynamics import ConstantControl, Trajectory, _step_count
 from .hj import _check_search
 from .model import (
     GravityParams,
@@ -218,9 +218,9 @@ def _parse_initial(doc: dict, lay: ModelLayout):
     return lay.state_type(**_slots(block, lay.state_type, "initial"))
 
 
-def _parse_control(doc: dict, lay: ModelLayout) -> ControlLaw:
+def _parse_control(doc: dict, lay: ModelLayout) -> Optional[ConstantControl]:
     if "control" not in doc:
-        return ZeroControl()
+        return None
     block = _block(doc, "control", ("kind", *(f.name for f in _fields(lay.lift_type))))
     kind = block.get("kind", "zero")
     if kind == "zero":
@@ -229,7 +229,7 @@ def _parse_control(doc: dict, lay: ModelLayout) -> ControlLaw:
                 raise ScenarioError(
                     f"field 'control.{key}' needs \"kind\": \"constant\"", field=f"control.{key}"
                 )
-        return ZeroControl()
+        return None
     if kind != "constant":
         raise ScenarioError(
             f"field 'control.kind' must be one of 'zero', 'constant', got {kind!r}",
@@ -247,7 +247,7 @@ class Scenario:
     inertia: InertiaParams
     gravity: Optional[GravityParams]
     initial: Union[So3RotorState, Se3RotorState]
-    control: ControlLaw
+    control: Optional[ConstantControl]
     method: str
     dt: float
     t_end: float
@@ -284,12 +284,11 @@ def _echo(params) -> dict:
     }
 
 
-def _control_echo(control: ControlLaw) -> dict:
-    if isinstance(control, ConstantControl) and control.lift is not None:
-        return {"kind": "constant", **_echo(control.lift)}
-    # ConstantControl(None) is no control, as integrate takes it.
-    if isinstance(control, (ZeroControl, ConstantControl)):
+def _control_echo(control) -> dict:
+    if control is None:
         return {"kind": "zero"}
+    if isinstance(control, ConstantControl):
+        return {"kind": "constant", **_echo(control.lift)}
     return {"kind": "feedback"}
 
 
@@ -365,7 +364,7 @@ class HjCheckConfig:
     gravity: Optional[GravityParams]
     gamma: Optional[np.ndarray]
     equilibrium_guess: Optional[Union[So3RotorState, Se3RotorState]]
-    control: ControlLaw
+    control: Optional[ConstantControl]
     lift: Union[str, np.ndarray]
     tolerance: float
 
@@ -438,7 +437,7 @@ class EquilibriumConfig:
     inertia: InertiaParams
     gravity: Optional[GravityParams]
     guess: Union[So3RotorState, Se3RotorState]
-    control: ControlLaw
+    control: Optional[ConstantControl]
     tol: float
     max_iter: int
 

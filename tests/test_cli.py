@@ -314,6 +314,22 @@ class TestHjCheck:
         err = _one_line_error(capsys, main(["hj-check", "--config", cfg]), "config error: ")
         assert "'control'" in err
 
+    def test_failing_search_is_one_stderr_line(self, tmp_path, capsys):
+        # There is no state to check, so no report: one line and exit 2,
+        # where `equilibrium` on the same guess reports converged: false.
+        doc = {"model": "so3", "inertia": {"i_bar": [3, 2, 1], "j3": 1}, "guess": [1, 2, 3, 0, 0.5]}
+        cfg = write_json(tmp_path / "cfg.json", dict(doc, gamma="equilibrium"))
+        code = main(["hj-check", "--config", cfg])
+        err = capsys.readouterr()
+        assert code == EXIT_TOLERANCE
+        assert err.out == ""
+        assert err.err.startswith("equilibrium search failed: damped step failed")
+        assert err.err.count("\n") == 1
+        assert "Traceback" not in err.err
+        search = write_json(tmp_path / "search.json", doc)
+        assert main(["equilibrium", "--config", search]) == EXIT_TOLERANCE
+        assert json.loads(capsys.readouterr().out)["converged"] is False
+
     def test_solve_rule_always_passes(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {
             "model": "se3",

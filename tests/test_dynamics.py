@@ -7,10 +7,8 @@ from gyrostat.dynamics import (
     ConstantControl,
     ControlLiftSe3,
     ControlLiftSo3,
-    ControlLaw,
     FeedbackControl,
     IntegrationError,
-    ZeroControl,
     diagnostics,
     integrate,
     reduced_rhs_se3,
@@ -127,11 +125,11 @@ class TestControlledRhs:
             )
         )
         fns = [
-            (ndarray_field(ModelKind.SO3, std_params, None, ZeroControl()), None),
+            (ndarray_field(ModelKind.SO3, std_params, None, None), None),
             (ndarray_field(ModelKind.SO3, std_params, None, ctrl_s), ctrl_s),
         ]
         fns_e = [
-            (ndarray_field(ModelKind.SE3, std_params, std_grav, ZeroControl()), None),
+            (ndarray_field(ModelKind.SE3, std_params, std_grav, None), None),
             (ndarray_field(ModelKind.SE3, std_params, std_grav, ctrl_e), ctrl_e),
         ]
         for _ in range(100):
@@ -166,7 +164,7 @@ class TestControlledRhs:
 
     def test_se3_requires_gravity(self, std_params):
         with pytest.raises(ValueError):
-            ndarray_field(ModelKind.SE3, std_params, None, ZeroControl())
+            ndarray_field(ModelKind.SE3, std_params, None, None)
 
     @pytest.mark.parametrize(
         "kind, lift",
@@ -209,22 +207,25 @@ class TestControlledRhs:
             rhs(random_point(SplitMix64(5), 5 if kind == ModelKind.SO3 else 8))
 
     @pytest.mark.parametrize("kind, dim", [(ModelKind.SO3, 5), (ModelKind.SE3, 8)])
-    def test_empty_constant_lift_is_no_control(self, std_params, std_grav, kind, dim):
-        class NoLiftAt(ConstantControl):
-            def lift_at(self, state):
-                raise AssertionError("lift looked up on the no-control path")
-
-        rhs = ndarray_field(kind, std_params, std_grav, NoLiftAt(lift=None))
-        free = ndarray_field(kind, std_params, std_grav, ZeroControl())
-        x = random_point(SplitMix64(7), dim)
-        assert np.array_equal(rhs(x), free(x))
+    def test_empty_constant_lift_is_rejected(
+        self, std_params, std_grav, std_so3_state, std_se3_state, kind, dim
+    ):
+        # No control is None; a ConstantControl holds a lift of the model.
+        lift_type = model_layout(kind).lift_type.__name__
+        message = f"{kind.value} model needs a {lift_type} lift, got NoneType"
+        control = ConstantControl(None)
+        with pytest.raises(ValueError, match=message):
+            ndarray_field(kind, std_params, std_grav, control)
+        initial = std_so3_state if dim == 5 else std_se3_state
+        with pytest.raises(ValueError, match=message):
+            integrate(kind, std_params, initial, grav=std_grav, control=control)
 
 
 class TestSteppers:
     def test_rk4_one_step_vs_rotation(self, axisym_params):
         # With equal transverse moments and l=0 the transverse momentum
         # pair rotates rigidly at rate (Pi3 - l)/i3 - Pi3/i1 = 1.
-        rhs = ndarray_field(ModelKind.SO3, axisym_params, None, ZeroControl())
+        rhs = ndarray_field(ModelKind.SO3, axisym_params, None, None)
         y0 = np.array([1.0, 0.0, 2.0, 0.0, 0.0])
         dt = 1e-2
         y1 = step_rk4(rhs, y0, dt)
@@ -244,7 +245,7 @@ class TestSteppers:
             step_rk4(rhs, np.ones(5), 10.0)
 
     def test_midpoint_conserves_quadratic_invariants(self, std_params):
-        rhs = ndarray_field(ModelKind.SO3, std_params, None, ZeroControl())
+        rhs = ndarray_field(ModelKind.SO3, std_params, None, None)
         y = np.array([1.0, 2.0, 3.0, 0.0, 0.5])
         h0 = hamiltonian_so3(
             So3RotorState(pi=tuple(y[:3]), alpha=y[3], l=y[4]), std_params
@@ -260,13 +261,13 @@ class TestSteppers:
 
     def test_midpoint_fixes_equilibrium(self, std_params):
         # Axis-3 spin with the rotor rate matched so alpha is steady.
-        rhs = ndarray_field(ModelKind.SO3, std_params, None, ZeroControl())
+        rhs = ndarray_field(ModelKind.SO3, std_params, None, None)
         y = np.array([0.0, 0.0, 3.0, 0.0, 1.5])
         assert np.array_equal(step_midpoint(rhs, y, 1e-2), y)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_midpoint_reports_non_convergence(self, std_params):
-        rhs = ndarray_field(ModelKind.SO3, std_params, None, ZeroControl())
+        rhs = ndarray_field(ModelKind.SO3, std_params, None, None)
         with pytest.raises(IntegrationError, match="^non-finite value in midpoint iteration$"):
             step_midpoint(rhs, np.array([1.0, 2.0, 3.0, 0.0, 0.5]), 50.0)
 
@@ -409,7 +410,7 @@ class TestIntegrate:
             # u_l drives l, and with it the spin rate, up until the
             # fixed-point iteration no longer contracts.
             (
-                "midpoint", 0.2, ControlLiftSo3(u_l=1.0), 36,
+                "midpoint", 0.2, ConstantControl(ControlLiftSo3(u_l=1.0)), 36,
                 "implicit midpoint failed to converge in 50 iterations (dt=0.2 likely too large)",
             ),
         ],
@@ -417,7 +418,6 @@ class TestIntegrate:
     def test_failure_time_and_partial_are_exact(
         self, std_params, std_so3_state, method, dt, control, step, message
     ):
-        control = ConstantControl(control)
         with pytest.raises(IntegrationError) as exc:
             integrate(
                 ModelKind.SO3, std_params, std_so3_state, control=control,
@@ -469,32 +469,33 @@ class TestIntegrate:
         assert np.array_equal(a.states, b.states)
 
 
-NOT_A_LAW = [ControlLiftSo3(u_alpha=0.1), "zero", 0.0]
+NOT_A_CONTROL = [ControlLiftSo3(u_alpha=0.1), "zero", 0.0]
+NOT_A_CONTROL_MESSAGE = "control must be None, a ConstantControl or a FeedbackControl, got "
 
 
 class TestControlType:
-    """Anything but None or a ControlLaw fails up front, not with an
-    AttributeError at the first field call."""
+    """Anything but None, a ConstantControl or a FeedbackControl fails up
+    front, not with an AttributeError at the first field call."""
 
     @staticmethod
     def _check(call, control):
         name = type(control).__name__
-        with pytest.raises(ValueError, match=f"ControlLaw or None, got {name}") as exc:
+        with pytest.raises(ValueError, match=NOT_A_CONTROL_MESSAGE + name) as exc:
             call()
-        assert ("ConstantControl" in str(exc.value)) == (name == "ControlLiftSo3")
+        assert ("wrap a lift in ConstantControl" in str(exc.value)) == (name == "ControlLiftSo3")
 
-    @pytest.mark.parametrize("control", NOT_A_LAW)
+    @pytest.mark.parametrize("control", NOT_A_CONTROL)
     def test_integrate(self, std_params, std_so3_state, control):
         self._check(
             lambda: integrate(ModelKind.SO3, std_params, std_so3_state, control=control, t_end=0.01),
             control,
         )
 
-    @pytest.mark.parametrize("control", NOT_A_LAW)
+    @pytest.mark.parametrize("control", NOT_A_CONTROL)
     def test_flat_system(self, std_params, control):
         self._check(lambda: dynamics._flat_system(ModelKind.SO3, std_params, None, control), control)
 
-    @pytest.mark.parametrize("control", NOT_A_LAW)
+    @pytest.mark.parametrize("control", NOT_A_CONTROL)
     def test_find_equilibrium(self, std_params, std_so3_state, control):
         self._check(
             lambda: find_equilibrium(ModelKind.SO3, std_params, std_so3_state, control=control),
@@ -502,20 +503,30 @@ class TestControlType:
         )
 
 
-class _NoLiftAt(ControlLaw):
-    """A law that does not say which lift it gives."""
-
-
 NO_LIFT = [
-    pytest.param(ControlLaw(), "control ControlLaw gives no lift", id="base_law"),
-    pytest.param(_NoLiftAt(), "control _NoLiftAt gives no lift", id="no_lift_at"),
+    pytest.param(
+        ControlLiftSo3(u_alpha=0.1),
+        NOT_A_CONTROL_MESSAGE + "ControlLiftSo3; wrap a lift in ConstantControl",
+        id="bare_lift",
+    ),
+    pytest.param("zero", NOT_A_CONTROL_MESSAGE + "str$", id="str"),
+    pytest.param(0.0, NOT_A_CONTROL_MESSAGE + "float$", id="float"),
+    pytest.param(
+        ConstantControl(None), "so3 model needs a ControlLiftSo3 lift, got NoneType", id="constant_none"
+    ),
+    pytest.param(
+        ConstantControl(ControlLiftSe3(u_alpha=0.1)),
+        "so3 model needs a ControlLiftSo3 lift, got ControlLiftSe3",
+        id="other_model_lift",
+    ),
     pytest.param(FeedbackControl(3), "FeedbackControl law must be callable, got int", id="feedback_int"),
 ]
 
 
 class TestLawWithoutLift:
-    """A law that cannot give a lift fails up front with ValueError, not
-    with NotImplementedError or TypeError at the first field call."""
+    """A control that cannot give a lift of the model fails up front with
+    ValueError, one message per case, not with an AttributeError or
+    TypeError at the first field call."""
 
     @pytest.fixture(autouse=True)
     def _no_field_call(self, monkeypatch):
@@ -533,6 +544,11 @@ class TestLawWithoutLift:
     def test_find_equilibrium(self, std_params, std_so3_state, control, message):
         with pytest.raises(ValueError, match=message):
             find_equilibrium(ModelKind.SO3, std_params, std_so3_state, control=control)
+
+    @pytest.mark.parametrize("control, message", NO_LIFT)
+    def test_flat_system(self, std_params, control, message):
+        with pytest.raises(ValueError, match=message):
+            dynamics._flat_system(ModelKind.SO3, std_params, None, control)
 
 
 class TestKernelLookup:

@@ -48,6 +48,13 @@ class TestGravityParams:
             g = GravityParams(mgh=1.0, chi=(0.0, 0.0, 1.0 + 2e-8))
         assert abs(np.linalg.norm(g.chi) - 1.0) < 1e-15
 
+    def test_renormalization_warning_names_the_caller(self):
+        # The warning points at the line that built the block, not at the
+        # __init__ that @dataclass generates.
+        with pytest.warns(UserWarning, match="renormalizing") as record:
+            GravityParams(mgh=1.0, chi=(0, 0, 2))
+        assert record[0].filename == __file__
+
     def test_far_off_chi_renormalized_with_warning(self):
         with pytest.warns(UserWarning):
             g = GravityParams(mgh=1.0, chi=(0.0, 0.0, 0.9))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyrostat import dynamics
-from gyrostat.dynamics import ConstantControl, ZeroControl, integrate
+from gyrostat.dynamics import ConstantControl, ControlLiftSo3, FeedbackControl, integrate
 from gyrostat.model import ModelKind, So3RotorState
 from gyrostat.scenario import (
     ScenarioError,
@@ -26,6 +26,8 @@ SO3_CSV_HEADER = "t,Pi1,Pi2,Pi3,alpha,l,energy,pi_norm"
 SE3_CSV_HEADER = (
     "t,Pi1,Pi2,Pi3,Gamma1,Gamma2,Gamma3,alpha,l,energy,pi_dot_gamma,gamma_norm"
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SO3_MINIMAL = {
     "model": "so3",
@@ -55,7 +57,8 @@ class TestParseScenario:
         assert s.model == ModelKind.SO3
         assert np.array_equal(s.inertia.i_bar, (3.0, 2.0, 1.0))
         assert s.initial.alpha == 0.0 and s.initial.l == 0.0
-        assert isinstance(s.control, ZeroControl)
+        assert s.control is None
+        assert s.echo_dict()["control"] == {"kind": "zero"}
         assert s.method == "rk4"
         assert s.dt == 1e-3 and s.t_end == 1.0 and s.sample_every == 10
         assert s.seed == 42
@@ -76,7 +79,9 @@ class TestParseScenario:
         assert scen(doc).gravity.mgh == 2.0
 
     def test_explicit_zero_control(self):
-        assert isinstance(scen(dict(SE3_FULL, control={"kind": "zero"})).control, ZeroControl)
+        s = scen(dict(SE3_FULL, control={"kind": "zero"}))
+        assert s.control is None
+        assert s.echo_dict()["control"] == {"kind": "zero"}
 
     @pytest.mark.parametrize(
         "block, value, field",
@@ -221,10 +226,36 @@ class TestParseScenario:
         text = json.dumps(s.echo_dict())
         assert '"se3"' in text
 
-    def test_echo_dict_constant_control_none_is_zero(self):
-        # integrate takes ConstantControl(None) as no control; echo it so.
-        s = dataclasses.replace(scen(SO3_MINIMAL), control=ConstantControl(None))
-        assert s.echo_dict()["control"] == {"kind": "zero"}
+    @pytest.mark.parametrize(
+        "control, echo",
+        [
+            (None, {"kind": "zero"}),
+            (
+                ConstantControl(ControlLiftSo3(u_pi=(0.5, 0.0, -0.0), u_alpha=0.25)),
+                {"kind": "constant", "u_pi": [0.5, 0.0, -0.0], "u_alpha": 0.25, "u_l": 0.0},
+            ),
+            (FeedbackControl(lambda state: None), {"kind": "feedback"}),
+        ],
+        ids=["none", "constant", "feedback"],
+    )
+    def test_echo_dict_names_the_control_kind(self, control, echo):
+        s = dataclasses.replace(scen(SO3_MINIMAL), control=control)
+        assert s.echo_dict()["control"] == echo
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_name_no_control_as_none(self, path):
+        text = path.read_text()
+        doc = json.loads(text)
+        if "gamma" in doc:
+            control = parse_hj_check_config(text).control
+        elif "guess" in doc:
+            control = parse_equilibrium_config(text).control
+        else:
+            control = parse_scenario(text).control
+        if doc.get("control", {}).get("kind", "zero") == "zero":
+            assert control is None
+        else:
+            assert isinstance(control, ConstantControl)
 
 
 class TestHjCheckConfig:

@@ -26,7 +26,6 @@ from gyrostat.dynamics import (
     ControlLiftSo3,
     FeedbackControl,
     IntegrationError,
-    ZeroControl,
     integrate,
     step_midpoint,
     step_rk4,
@@ -237,10 +236,10 @@ def _fields(params, grav):
     lift5 = ControlLiftSo3(u_pi=(0.1, -0.2, 0.3), u_alpha=0.4, u_l=-0.5)
     lift8 = ControlLiftSe3(u_pi=(0.1, -0.2, 0.3), u_gamma=(0.01, 0.02, -0.03), u_alpha=0.4, u_l=-0.5)
     return [
-        (5, ndarray_field(ModelKind.SO3, params, None, ZeroControl())),
+        (5, ndarray_field(ModelKind.SO3, params, None, None)),
         (5, ndarray_field(ModelKind.SO3, params, None, ConstantControl(lift5))),
         (5, ndarray_field(ModelKind.SO3, params, None, FeedbackControl(_feedback_so3))),
-        (8, ndarray_field(ModelKind.SE3, params, grav, ZeroControl())),
+        (8, ndarray_field(ModelKind.SE3, params, grav, None)),
         (8, ndarray_field(ModelKind.SE3, params, grav, ConstantControl(lift8))),
         (8, ndarray_field(ModelKind.SE3, params, grav, FeedbackControl(_feedback_se3))),
     ]
@@ -279,7 +278,7 @@ def _path_case(kind, control):
         lift = lambda u_l: ControlLiftSo3(u_pi=(0.01, -0.02, 0.03), u_alpha=0.2, u_l=u_l)  # noqa: E731
         law = _feedback_so3
     laws = {
-        "zero": ZeroControl(),
+        "zero": None,
         "constant": ConstantControl(lift(-0.05)),
         "negative_zero_u_l": ConstantControl(lift(-0.0)),
         "feedback": FeedbackControl(law),

@@ -12,13 +12,13 @@ import pytest
 import gyrostat
 
 PACKAGE = {
-    "BracketKind", "ConfigurationPoint", "ConstantControl", "ControlLaw",
+    "BracketKind", "ConfigurationPoint", "ConstantControl",
     "ControlLiftSe3", "ControlLiftSo3", "DiagnosticsSummary", "EquilibriumError",
     "EquilibriumResult", "FeedbackControl", "FieldReport", "GammaBarField",
     "GravityParams", "InertiaParams", "IntegrationError", "ModelKind",
     "NewtonConvergenceError", "OrbitLabel", "ScalarField", "Scenario",
     "ScenarioError", "Se3RotorState", "SingularJacobianError", "So3RotorState",
-    "SplitMix64", "Trajectory", "ZeroControl", "bracket", "bracket_oracle_audit",
+    "SplitMix64", "Trajectory", "bracket", "bracket_oracle_audit",
     "casimirs", "constant_field", "coordinate_field", "diagnostics", "fd_gradient",
     "find_equilibrium", "hamiltonian_field_se3", "hamiltonian_field_so3",
     "hamiltonian_se3", "hamiltonian_so3", "hamiltonian_vector_field_via_bracket",
@@ -31,7 +31,7 @@ MODULES = {
     "algebra": {"as_vec3", "ConfigurationPoint"},
     "audit": {"AUDIT_TOL", "SAMPLE_LOW", "SAMPLE_HIGH", "bracket_oracle_audit"},
     "dynamics": {
-        "ControlLiftSo3", "ControlLiftSe3", "ControlLaw", "ZeroControl",
+        "ControlLiftSo3", "ControlLiftSe3",
         "ConstantControl", "FeedbackControl", "IntegrationError", "reduced_rhs_so3",
         "reduced_rhs_se3", "so3_field_kernel", "se3_field_kernel", "step_rk4",
         "step_midpoint", "integrate", "Trajectory", "DriftStats",
