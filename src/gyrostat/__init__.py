@@ -43,7 +43,6 @@ from .model import (
     GravityParams,
     InertiaParams,
     ModelKind,
-    OrbitLabel,
     Se3RotorState,
     So3RotorState,
     casimirs,

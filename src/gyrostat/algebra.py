@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -23,6 +24,14 @@ def as_vec3(v) -> np.ndarray:
     if not all(map(math.isfinite, a.tolist())):
         raise ValueError(f"3-vector components must be finite, got {a}")
     return a
+
+
+def _as_integer(name: str, value, ok, rule: str) -> int:
+    """`value` as an int, the one check of every integer setting: ValueError
+    unless a Python or numpy integer, not a bool, for which `ok` holds."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not ok(int(value)):
+        raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
+    return int(value)
 
 
 @dataclass

@@ -22,11 +22,11 @@ samples, 971 KiB at 20000; so3 472 and 491 KiB; ``tracemalloc``).
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
+from .algebra import _as_integer
 from .dynamics import _flat_system
 from .model import GravityParams, InertiaParams, ModelKind
 from .poisson import (
@@ -75,10 +75,7 @@ def bracket_oracle_audit(
     Returns a JSON-ready report with the worst relative discrepancy, the
     sample that produced it, and a pass flag against ``AUDIT_TOL``.
     """
-    # Python and numpy integers, not bools, floats or strings.
-    if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-    samples = int(samples)
+    samples = _as_integer("samples", samples, lambda n: n >= 1, ">= 1")
     # The free field of dynamics takes (dim, n) blocks too.
     direct_field, _jac = _flat_system(kind, params, grav, None)
     bracket_kind, energy = _ORACLES[kind]

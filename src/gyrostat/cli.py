@@ -8,11 +8,12 @@ configured tolerance was met; 1 flags bad input, 2 a numerical failure or
 an exceeded tolerance.  Output is plain text throughout, so NO_COLOR
 environments see exactly what everyone else sees.
 
-One table, ``_COMMANDS``, lists each subcommand's long options.  argparse
-is built from it and stays the parser of record, but a command line in
-the documented form (a subcommand, then ``--option value`` pairs of its
-own options) is read straight from the table: argparse's parse is a
-large part of a short job's fixed cost.  Every other form
+One table, ``_COMMANDS``, lists each subcommand's handler and long
+options; ``main`` dispatches from it.  argparse is built from it and stays
+the parser of record, but a command line in the documented form (a
+subcommand, then ``--option value`` pairs of its own options) is read
+straight from the table: argparse's parse is a large part of a short
+job's fixed cost.  Every other form
 (``-h``, ``--option=value``, an abbreviation, a repeated or missing
 option, a value starting with ``-``, a value its option's type rejects)
 goes to argparse, so its results, messages and exit codes are argparse's.
@@ -26,6 +27,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,12 +50,19 @@ EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 
 
-def _read_text(path: str) -> str:
+def _read_config(parse, path: str):
+    """`parse` of the config at `path`; each warning it gives (a renormalized
+    chi) is one ``config warning:`` line, once the config has parsed."""
     with open(path, encoding="utf-8") as f:
         try:
-            return f.read()
+            text = f.read()
         except UnicodeDecodeError as err:
             raise ScenarioError(f"config is not valid UTF-8: {err}") from err
+    with warnings.catch_warnings(record=True) as caught:
+        cfg = parse(text)
+    for w in caught:
+        print(f"config warning: {w.message}", file=sys.stderr)
+    return cfg
 
 
 def _json_number(x):
@@ -67,7 +76,7 @@ def _drift(stats) -> dict:
 
 
 def cmd_simulate(config_path: str, out_path: str, summary_path: str) -> int:
-    scenario = parse_scenario(_read_text(config_path))
+    scenario = _read_config(parse_scenario, config_path)
     # Opened before the run, which may take MAX_STEPS steps, so that a path
     # it cannot write fails first.
     with (
@@ -126,7 +135,7 @@ def cmd_simulate(config_path: str, out_path: str, summary_path: str) -> int:
 
 
 def cmd_bracket_audit(config_path: str, samples: int, seed) -> int:
-    scenario = parse_scenario(_read_text(config_path))
+    scenario = _read_config(parse_scenario, config_path)
     try:
         # The line below reports an overflow, or the NaN of two energy terms
         # overflowing with opposite signs; numpy need not warn of it too.
@@ -148,7 +157,7 @@ def cmd_bracket_audit(config_path: str, samples: int, seed) -> int:
 
 
 def cmd_hj_check(config_path: str) -> int:
-    cfg = parse_hj_check_config(_read_text(config_path))
+    cfg = _read_config(parse_hj_check_config, config_path)
     if cfg.gamma is not None:
         gamma = cfg.gamma
         source = "explicit"
@@ -183,7 +192,7 @@ def cmd_hj_check(config_path: str) -> int:
 
 
 def cmd_equilibrium(config_path: str) -> int:
-    cfg = parse_equilibrium_config(_read_text(config_path))
+    cfg = _read_config(parse_equilibrium_config, config_path)
     try:
         result = find_equilibrium(
             cfg.model,
@@ -255,11 +264,12 @@ def _path(what: str) -> _Option:
 _SAMPLES = _int_where(lambda n: n >= 1, ">= 1")
 _SEED = _int_where(lambda n: 0 <= n < 2**64, "in [0, 2**64)")
 
-# Each command's help and its long options, ``--<name>``, in the order
-# ``-h`` lists them.  build_parser and _recognise both read this table.
+# Each command's help, handler and long options, ``--<name>``, in the order
+# ``-h`` lists them and the handler takes them; the parsers and main read it.
 _COMMANDS = {
     "simulate": (
         "integrate a scenario to CSV",
+        cmd_simulate,
         {
             "config": _path("scenario JSON path"),
             "out": _path("trajectory CSV output path"),
@@ -268,6 +278,7 @@ _COMMANDS = {
     ),
     "bracket-audit": (
         "cross-check equations of motion against the bracket oracle",
+        cmd_bracket_audit,
         {
             "config": _path("scenario JSON path"),
             "samples": _Option(False, _SAMPLES, 1000, "sample count"),
@@ -276,10 +287,12 @@ _COMMANDS = {
     ),
     "hj-check": (
         "evaluate steady-equation residuals",
+        cmd_hj_check,
         {"config": _path("check config JSON path")},
     ),
     "equilibrium": (
         "Newton search for an equilibrium",
+        cmd_equilibrium,
         {"config": _path("search config JSON path")},
     ),
 }
@@ -295,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in _COMMANDS.items():
+    for command, (help_text, _handler, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name, opt in options.items():
             p.add_argument(f"--{name}", **opt._asdict())
@@ -318,7 +331,7 @@ def _recognise(argv):
         return None
     if not all(isinstance(token, str) for token in argv) or argv[0] not in _COMMANDS:
         return None
-    options = _COMMANDS[argv[0]][1]
+    options = _COMMANDS[argv[0]][2]
     values = {}
     for flag, text in zip(argv[1::2], argv[2::2]):
         name = flag[2:]
@@ -340,15 +353,9 @@ def main(argv=None) -> int:
     args = _recognise(sys.argv[1:] if argv is None else argv)
     if args is None:
         args = _parser().parse_args(argv)
+    _help, handler, options = _COMMANDS[args.command]
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, args.summary)
-        if args.command == "bracket-audit":
-            return cmd_bracket_audit(args.config, args.samples, args.seed)
-        if args.command == "hj-check":
-            return cmd_hj_check(args.config)
-        if args.command == "equilibrium":
-            return cmd_equilibrium(args.config)
+        return handler(*(getattr(args, name) for name in options))
     except ScenarioError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -364,7 +371,6 @@ def main(argv=None) -> int:
     except EquilibriumError as err:
         print(f"equilibrium search failed: {err}", file=sys.stderr)
         return EXIT_TOLERANCE
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

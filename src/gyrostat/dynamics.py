@@ -51,12 +51,12 @@ import re
 from dataclasses import dataclass
 from functools import cache, partial
 from math import isfinite
-from numbers import Integral
 from operator import add
 from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .algebra import _as_integer
 from .model import (
     ControlLiftSe3,
     ControlLiftSo3,
@@ -464,10 +464,7 @@ def _step_count(dt, t_end, sample_every, method) -> int:
         raise ValueError(
             f"t_end / dt asks for {t_end / dt:.3g} steps, more than MAX_STEPS = {MAX_STEPS}"
         )
-    if isinstance(sample_every, bool) or not (
-        isinstance(sample_every, Integral) and sample_every >= 1
-    ):
-        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")
+    _as_integer("sample_every", sample_every, lambda n: n >= 1, ">= 1")
     if method not in ("rk4", "midpoint"):
         raise ValueError(f"method must be 'rk4' or 'midpoint', got {method!r}")
     return max(1, int(round(t_end / dt)))

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from numbers import Integral
 from operator import add, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import ConfigurationPoint
+from .algebra import ConfigurationPoint, _as_integer
 from .dynamics import ConstantControl, FeedbackControl, _flat_system
 from .model import (
     GravityParams,
@@ -343,8 +342,7 @@ def _check_search(tol, max_iter) -> None:
     integer >= 1: the search settings, checked here alone."""
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if isinstance(max_iter, bool) or not (isinstance(max_iter, Integral) and max_iter >= 1):
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _as_integer("max_iter", max_iter, lambda n: n >= 1, ">= 1")
 
 
 def find_equilibrium(

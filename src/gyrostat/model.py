@@ -46,7 +46,6 @@ __all__ = [
     "GravityParams",
     "So3RotorState",
     "Se3RotorState",
-    "OrbitLabel",
     "hamiltonian_so3",
     "hamiltonian_se3",
     "kinetic_energy",
@@ -106,7 +105,8 @@ class GravityParams:
     ``chi`` is the body-frame direction from the reference center to the
     center of gravity and is stored normalized.  A norm off unity by more
     than ``CHI_NORM_WARN_TOL`` triggers renormalization with a warning;
-    norms below ``CHI_NORM_REJECT_TOL`` are rejected as direction-free.
+    norms below ``CHI_NORM_REJECT_TOL`` (taken without overflow) are
+    rejected as direction-free.
     ``mgh`` is the restoring coefficient (weight times moment arm) and may
     be zero, which decouples the advected direction from the momenta.
     """
@@ -119,7 +119,7 @@ class GravityParams:
         if not np.isfinite(self.mgh) or self.mgh < 0.0:
             raise ValueError(f"mgh must be finite and non-negative, got {self.mgh}")
         chi = as_vec3(self.chi)
-        norm = float(np.linalg.norm(chi))
+        norm = float(_row_norms(chi[np.newaxis])[0])
         if norm < CHI_NORM_REJECT_TOL:
             raise ValueError(f"chi norm {norm:.3e} is too small to define a direction")
         if abs(norm - 1.0) > CHI_NORM_WARN_TOL:
@@ -201,21 +201,6 @@ class ControlLiftSe3:
         _set_finite_floats(self, "u_alpha", "u_l")
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
-    """Values of the conserved orbit labels for one state.
-
-    Only the fields of the active kind are meaningful: ``pi_norm`` for the
-    symmetric model, ``pi_dot_gamma`` and ``gamma_norm`` for the restoring
-    one.  Inactive fields are ``None``.
-    """
-
-    kind: ModelKind
-    pi_norm: Optional[float] = None
-    pi_dot_gamma: Optional[float] = None
-    gamma_norm: Optional[float] = None
-
-
 def kinetic_energy(p1, p2, p3, l, i1, i2, i3, j3):
     """``(Pi1^2/i1 + Pi2^2/i2 + (Pi3 - l)^2/i3 + l^2/j3) / 2`` on scalars or
     arrays, squared as products as numpy squares an array (``x**2`` on a
@@ -248,13 +233,13 @@ def hamiltonian_se3(
     return float(lay.energy(lay.to_vector(state)[np.newaxis], params, grav)[0])
 
 
-def casimirs(state, kind: ModelKind) -> OrbitLabel:
-    """Conserved orbit labels of the bracket geometry.
-
-    ``|Pi|`` for the symmetric model; ``Pi . Gamma`` and ``|Gamma|`` for
-    the restoring-torque model.  These are constants of motion for every
-    Hamiltonian and every control lift acting along the reduced equations'
-    geometric directions, so their drift measures integrator error.
+def casimirs(state, kind: ModelKind) -> dict:
+    """Conserved orbit labels of the bracket geometry, ``{name: value}`` as
+    the CSV's Casimir columns: ``pi_norm`` (``|Pi|``) for the symmetric
+    model; ``pi_dot_gamma`` and ``gamma_norm`` for the restoring-torque
+    model.  These are constants of motion for every Hamiltonian and every
+    control lift acting along the reduced equations' geometric directions,
+    so their drift measures integrator error.
 
     Raises
     ------
@@ -264,7 +249,7 @@ def casimirs(state, kind: ModelKind) -> OrbitLabel:
     """
     lay = model_layout(kind)
     labels = lay.casimirs(lay.to_vector(state)[np.newaxis])
-    return OrbitLabel(kind=kind, **{n: float(v[0]) for n, v in zip(lay.casimir_names, labels)})
+    return {name: float(v[0]) for name, v in zip(lay.casimir_names, labels)}
 
 
 @dataclass(frozen=True)

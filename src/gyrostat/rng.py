@@ -13,10 +13,9 @@ with numpy uint64 arithmetic, bit for bit equal to the scalar stream.
 
 from __future__ import annotations
 
-import operator
-from numbers import Integral
-
 import numpy as np
+
+from .algebra import _as_integer
 
 __all__ = ["SplitMix64"]
 
@@ -33,10 +32,7 @@ class SplitMix64:
     """Sequence of 64-bit words from a single 64-bit seed."""
 
     def __init__(self, seed: int):
-        # Python and numpy integers, not bools, floats or strings.
-        if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed <= _MASK:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-        self._state = int(seed)
+        self._state = _as_integer("seed", seed, lambda n: 0 <= n <= _MASK, "in [0, 2**64)")
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK
@@ -60,14 +56,7 @@ class SplitMix64:
         and leaves the generator in the same state as they would; on an
         error the state is untouched.
         """
-        # Python and numpy integers, not bools, floats or strings.
-        try:
-            count = None if isinstance(n, bool) else operator.index(n)
-        except TypeError:
-            count = None
-        if count is None or not 0 <= count <= _MAX_COUNT:
-            raise ValueError(f"n must be an integer in [0, {_MAX_COUNT}], got {n!r}")
-        n = count
+        n = _as_integer("n", n, lambda k: 0 <= k <= _MAX_COUNT, f"in [0, {_MAX_COUNT}]")
         # uint64 array arithmetic wraps mod 2**64, as the scalar path masks.
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= np.uint64(_GOLDEN)

@@ -17,11 +17,9 @@ A scenario document is a single JSON object::
     }
 
 Defaults: zero control, method rk4, dt 1e-3, t_end 1.0, sample_every 10,
-chi (0, 0, 1), alpha 0, l 0, seed 42.  The gravity block may replace
-``mgh`` with the three factors ``m``, ``g``, ``h``, which are multiplied
-on load.  A gravity block on the so3 model is rejected, as is a missing
-one on se3.  Feedback control laws are a library-level feature and have no
-JSON spelling.
+chi (0, 0, 1), alpha 0, l 0, seed 42.  A gravity block on the so3 model
+is rejected, as is a missing one on se3.  Feedback control laws are a
+library-level feature and have no JSON spelling.
 
 Each block, and the top level of each config kind, names the keys it
 takes; the first other key, in document order, is a :class:`ScenarioError`
@@ -76,7 +74,6 @@ __all__ = [
     "HjCheckConfig",
     "EquilibriumConfig",
     "trajectory_csv",
-    "format_float",
     "json_text",
 ]
 
@@ -171,20 +168,10 @@ def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
         raise ScenarioError(f"field 'gravity' is {rule} the se3 model", field="gravity")
     if not lay.gravity:
         return None
-    block = _block(doc, "gravity", ("mgh", "m", "g", "h", "chi"))
-    if "mgh" in block:
-        if "m" in block or "g" in block or "h" in block:
-            raise ScenarioError(
-                "field 'gravity' takes either 'mgh' or 'm', 'g', 'h', not both", field="gravity"
-            )
-        mgh = _number(block["mgh"], "gravity.mgh")
-    elif all(k in block for k in ("m", "g", "h")):
-        mgh = math.prod(_number(block[k], f"gravity.{k}") for k in ("m", "g", "h"))
-    else:
-        raise ScenarioError(
-            "field 'gravity' needs either 'mgh' or all of 'm', 'g', 'h'",
-            field="gravity",
-        )
+    block = _block(doc, "gravity", ("mgh", "chi"))
+    if "mgh" not in block:
+        raise ScenarioError("missing required field 'mgh' in gravity", field="gravity")
+    mgh = _number(block["mgh"], "gravity.mgh")
     kwargs = {}
     if "chi" in block:
         kwargs["chi"] = _vector(block["chi"], 3, "gravity.chi")
@@ -466,11 +453,6 @@ def parse_equilibrium_config(text: str) -> EquilibriumConfig:
         tol=tol,
         max_iter=max_iter,
     )
-
-
-def format_float(x: float) -> str:
-    """17-significant-digit decimal form; round-trips 64-bit floats."""
-    return f"{float(x):.17g}"
 
 
 def trajectory_csv(traj: Trajectory) -> str:

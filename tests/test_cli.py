@@ -279,6 +279,40 @@ class TestBracketAudit:
         assert a["worst_sample"] != b["worst_sample"]
 
 
+class TestConfigWarning:
+    """A renormalized chi is one ``config warning:`` line on stderr, written
+    once the config has parsed, and the run is the unit chi's."""
+
+    @staticmethod
+    def _audit(tmp_path, chi, **extra):
+        doc = dict(SE3_SCENARIO, gravity={"mgh": 2.0, "chi": chi}, **extra)
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        return main(["bracket-audit", "--config", cfg, "--samples", "50"])
+
+    def test_renormalized_chi_is_one_line(self, tmp_path, capsys):
+        assert self._audit(tmp_path, [0.0, 0.0, 1.0]) == EXIT_OK
+        unit = capsys.readouterr()
+        assert unit.err == ""
+        assert self._audit(tmp_path, [0.0, 0.0, 2.0]) == EXIT_OK
+        long = capsys.readouterr()
+        assert long.err == "config warning: chi norm 2 differs from 1; renormalizing\n"
+        assert long.out == unit.out
+
+    def test_a_failing_config_gives_only_its_error(self, tmp_path, capsys):
+        code = self._audit(tmp_path, [0.0, 0.0, 2.0], integrator={"dt": 0.0})
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_overflowing_chi_norm_is_not_a_zero_chi(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self._audit(tmp_path, [1e308, 1e308, 0.0]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith("config warning: chi norm 1.41421356237e+308 differs from 1")
+        assert err.count("\n") == 1
+
+
 class TestHjCheck:
     def test_equilibrium_values_pass(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {

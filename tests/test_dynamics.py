@@ -469,39 +469,7 @@ class TestIntegrate:
         assert np.array_equal(a.states, b.states)
 
 
-NOT_A_CONTROL = [ControlLiftSo3(u_alpha=0.1), "zero", 0.0]
 NOT_A_CONTROL_MESSAGE = "control must be None, a ConstantControl or a FeedbackControl, got "
-
-
-class TestControlType:
-    """Anything but None, a ConstantControl or a FeedbackControl fails up
-    front, not with an AttributeError at the first field call."""
-
-    @staticmethod
-    def _check(call, control):
-        name = type(control).__name__
-        with pytest.raises(ValueError, match=NOT_A_CONTROL_MESSAGE + name) as exc:
-            call()
-        assert ("wrap a lift in ConstantControl" in str(exc.value)) == (name == "ControlLiftSo3")
-
-    @pytest.mark.parametrize("control", NOT_A_CONTROL)
-    def test_integrate(self, std_params, std_so3_state, control):
-        self._check(
-            lambda: integrate(ModelKind.SO3, std_params, std_so3_state, control=control, t_end=0.01),
-            control,
-        )
-
-    @pytest.mark.parametrize("control", NOT_A_CONTROL)
-    def test_flat_system(self, std_params, control):
-        self._check(lambda: dynamics._flat_system(ModelKind.SO3, std_params, None, control), control)
-
-    @pytest.mark.parametrize("control", NOT_A_CONTROL)
-    def test_find_equilibrium(self, std_params, std_so3_state, control):
-        self._check(
-            lambda: find_equilibrium(ModelKind.SO3, std_params, std_so3_state, control=control),
-            control,
-        )
-
 
 NO_LIFT = [
     pytest.param(

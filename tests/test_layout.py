@@ -107,8 +107,9 @@ class TestLayout:
         assert len(cols) == len(lay.casimir_names)
         for i, row in enumerate(rows):
             label = casimirs(lay.from_vector(row), kind)
+            assert list(label) == list(lay.casimir_names)
             for name, col in zip(lay.casimir_names, cols):
-                assert np.float64(getattr(label, name)).tobytes() == col[i].tobytes()
+                assert np.float64(label[name]).tobytes() == col[i].tobytes()
 
     def test_energy_matches_the_state_function(self, kind, std_params, std_grav):
         lay = model_layout(kind)

@@ -14,7 +14,6 @@ from gyrostat.dynamics import ConstantControl, ControlLiftSo3, FeedbackControl, 
 from gyrostat.model import ModelKind, So3RotorState
 from gyrostat.scenario import (
     ScenarioError,
-    format_float,
     json_text,
     parse_equilibrium_config,
     parse_hj_check_config,
@@ -73,11 +72,6 @@ class TestParseScenario:
         assert s.control.lift.u_alpha == 0.25
         assert s.method == "midpoint" and s.seed == 7
 
-    def test_gravity_as_product(self):
-        doc = dict(SE3_FULL)
-        doc["gravity"] = {"m": 2.0, "g": 0.5, "h": 2.0, "chi": [0, 0, 1]}
-        assert scen(doc).gravity.mgh == 2.0
-
     def test_explicit_zero_control(self):
         s = scen(dict(SE3_FULL, control={"kind": "zero"}))
         assert s.control is None
@@ -86,9 +80,10 @@ class TestParseScenario:
     @pytest.mark.parametrize(
         "block, value, field",
         [
-            # InertiaParams holds the rules for the moments.
+            # InertiaParams and GravityParams hold the rules for the moments,
+            # mgh and chi; a gravity block needs mgh.
             ("inertia", {"i_bar": [3.0, 2.0, 1.0], "j3": 0.0}, "inertia"),
-            ("gravity", {"m": 2.0, "g": 0.5, "chi": [0, 0, 1]}, "gravity"),
+            ("gravity", {"mgh": -1.0, "chi": [0, 0, 1]}, "gravity"),
             ("gravity", {"chi": [0, 0, 1]}, "gravity"),
             ("control", "constant", "control"),
             ("control", [{"kind": "zero"}], "control"),
@@ -99,8 +94,7 @@ class TestParseScenario:
             ("control", {"u_alpha": "not a number"}, "control.u_alpha"),
             ("control", {"kind": "zero", "u_pi": [0.1, 0.0, 0.0]}, "control.u_pi"),
             ("control", {"u_gamma": [0.1, 0.0, 0.0]}, "control.u_gamma"),
-            # Gravity is mgh or the factors m, g, h, never both.
-            ("gravity", {"mgh": 2.0, "m": "abc", "g": None, "h": [1]}, "gravity"),
+            ("gravity", {"mgh": 2.0, "chi": [0, 0, 1e-9]}, "gravity"),
             # A key no block reads, raw moments and typos included, is an
             # error on that key.
             (
@@ -119,6 +113,9 @@ class TestParseScenario:
             ("control", {"kind": "constant", "u_gamma": None}, "control.u_gamma"),
             ("gravity", {"mgh": 2.0, "chi": None}, "gravity.chi"),
             ("control", None, "control"),
+            # The factors m, g, h are no spelling of mgh.
+            ("gravity", {"m": 2.0, "g": 0.5, "h": 2.0, "chi": [0, 0, 1]}, "gravity.m"),
+            ("gravity", {"mgh": 2.0, "m": 1.0, "g": 1.0, "h": 2.0}, "gravity.m"),
         ],
     )
     def test_malformed_block_rejected(self, block, value, field):
@@ -428,13 +425,6 @@ class TestEquilibriumConfig:
 
 
 class TestSerialization:
-    def test_format_float_round_trips(self):
-        rng = np.random.default_rng(1)
-        for x in rng.uniform(-1e6, 1e6, 200):
-            assert float(format_float(float(x))) == float(x)
-        assert float(format_float(0.1)) == 0.1
-        assert format_float(1.0) == "1"
-
     def test_csv_headers(self, std_params, std_so3_state):
         traj = integrate(
             ModelKind.SO3, std_params, std_so3_state, dt=1e-3, t_end=0.01
@@ -455,7 +445,7 @@ class TestSerialization:
         rebuilt = [lines[0]]
         for line in lines[1:]:
             rebuilt.append(
-                ",".join(format_float(float(tok)) for tok in line.split(","))
+                ",".join(f"{float(tok):.17g}" for tok in line.split(","))
             )
         assert "\n".join(rebuilt) + "\n" == text
 

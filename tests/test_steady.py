@@ -325,8 +325,8 @@ LEAF_REL_BOUND = 2e-6
 def _leaf(state, kind) -> list:
     labels = casimirs(state, kind)
     if kind == ModelKind.SO3:
-        return [labels.pi_norm**2 / 2]
-    return [labels.pi_dot_gamma, labels.gamma_norm**2 / 2]
+        return [labels["pi_norm"] ** 2 / 2]
+    return [labels["pi_dot_gamma"], labels["gamma_norm"] ** 2 / 2]
 
 
 def _assert_equilibrium_on_the_leaf(kind, params, guess, grav, control, state):

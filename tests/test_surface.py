@@ -16,7 +16,7 @@ PACKAGE = {
     "ControlLiftSe3", "ControlLiftSo3", "DiagnosticsSummary", "EquilibriumError",
     "EquilibriumResult", "FeedbackControl", "FieldReport", "GammaBarField",
     "GravityParams", "InertiaParams", "IntegrationError", "ModelKind",
-    "NewtonConvergenceError", "OrbitLabel", "ScalarField", "Scenario",
+    "NewtonConvergenceError", "ScalarField", "Scenario",
     "ScenarioError", "Se3RotorState", "SingularJacobianError", "So3RotorState",
     "SplitMix64", "Trajectory", "bracket", "bracket_oracle_audit",
     "casimirs", "constant_field", "coordinate_field", "diagnostics", "fd_gradient",
@@ -45,7 +45,7 @@ MODULES = {
     },
     "model": {
         "ModelKind", "InertiaParams", "GravityParams", "So3RotorState",
-        "Se3RotorState", "OrbitLabel", "hamiltonian_so3", "hamiltonian_se3",
+        "Se3RotorState", "hamiltonian_so3", "hamiltonian_se3",
         "kinetic_energy", "casimirs",
     },
     "poisson": {
@@ -57,7 +57,7 @@ MODULES = {
     "scenario": {
         "ScenarioError", "Scenario", "parse_scenario", "parse_hj_check_config",
         "parse_equilibrium_config", "HjCheckConfig", "EquilibriumConfig",
-        "trajectory_csv", "format_float", "json_text",
+        "trajectory_csv", "json_text",
     },
 }
 
