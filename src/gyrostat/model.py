@@ -358,7 +358,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.vecdot(v, v)
         norms = np.sqrt(sq)
-        out_of_range = np.flatnonzero((sq == np.inf) | (sq < _TINY))
+        out_of_range = ((sq == np.inf) | (sq < _TINY)).nonzero()[0]
         if out_of_range.size:
             w = v[out_of_range]
             top = np.max(np.abs(w), axis=1)
