@@ -469,7 +469,48 @@ class TestIntegrate:
         assert np.array_equal(a.states, b.states)
 
 
+NOT_A_CONTROL = [ControlLiftSo3(u_alpha=0.1), "zero", 0.0]
 NOT_A_CONTROL_MESSAGE = "control must be None, a ConstantControl or a FeedbackControl, got "
+
+
+@pytest.fixture
+def no_field_call(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("field called before the control was checked")
+
+    monkeypatch.setattr(dynamics, "so3_field_kernel", kernel)
+
+
+@pytest.mark.usefixtures("no_field_call")
+class TestControlType:
+    """Anything but None, a ConstantControl or a FeedbackControl fails up
+    front, not with an AttributeError at the first field call."""
+
+    @staticmethod
+    def _check(call, control):
+        name = type(control).__name__
+        with pytest.raises(ValueError, match=NOT_A_CONTROL_MESSAGE + name + "($|;)") as exc:
+            call()
+        assert ("wrap a lift in ConstantControl" in str(exc.value)) == (name == "ControlLiftSo3")
+
+    @pytest.mark.parametrize("control", NOT_A_CONTROL)
+    def test_integrate(self, std_params, std_so3_state, control):
+        self._check(
+            lambda: integrate(ModelKind.SO3, std_params, std_so3_state, control=control, t_end=0.01),
+            control,
+        )
+
+    @pytest.mark.parametrize("control", NOT_A_CONTROL)
+    def test_flat_system(self, std_params, control):
+        self._check(lambda: dynamics._flat_system(ModelKind.SO3, std_params, None, control), control)
+
+    @pytest.mark.parametrize("control", NOT_A_CONTROL)
+    def test_find_equilibrium(self, std_params, std_so3_state, control):
+        self._check(
+            lambda: find_equilibrium(ModelKind.SO3, std_params, std_so3_state, control=control),
+            control,
+        )
+
 
 NO_LIFT = [
     pytest.param(
@@ -491,17 +532,11 @@ NO_LIFT = [
 ]
 
 
+@pytest.mark.usefixtures("no_field_call")
 class TestLawWithoutLift:
     """A control that cannot give a lift of the model fails up front with
     ValueError, one message per case, not with an AttributeError or
     TypeError at the first field call."""
-
-    @pytest.fixture(autouse=True)
-    def _no_field_call(self, monkeypatch):
-        def kernel(*args):
-            raise AssertionError("field called before the control was checked")
-
-        monkeypatch.setattr(dynamics, "so3_field_kernel", kernel)
 
     @pytest.mark.parametrize("control, message", NO_LIFT)
     def test_integrate(self, std_params, std_so3_state, control, message):
