@@ -59,6 +59,8 @@ def _read_config(parse, path: str):
         except UnicodeDecodeError as err:
             raise ScenarioError(f"config is not valid UTF-8: {err}") from err
     with warnings.catch_warnings(record=True) as caught:
+        # Recorded whatever the caller's filters say, `-W error` included.
+        warnings.simplefilter("always")
         cfg = parse(text)
     for w in caught:
         print(f"config warning: {w.message}", file=sys.stderr)

@@ -15,10 +15,12 @@ with the body rate ``Omega = (Pi1/i1, Pi2/i2, (Pi3 - l)/i3)`` recovered
 from the momenta through the locked inertias ``i_bar``.  Control lifts
 enter additively, one slot per equation.
 
-These Lie-Poisson equations are written out once, in
-:func:`so3_field_kernel` and :func:`se3_field_kernel`: every field and
-every steady residual of the package evaluates them, and the state-based
-:func:`reduced_rhs_so3` and :func:`reduced_rhs_se3` are wrappers.
+These Lie-Poisson equations are written out once, as one expression
+table per model (``_FIELDS``), and compiled from it into
+:func:`so3_field_kernel`, :func:`se3_field_kernel` and the run loops of
+:func:`integrate`: every field and every steady residual of the package
+evaluates them, and the state-based :func:`reduced_rhs_so3` and
+:func:`reduced_rhs_se3` are wrappers.
 
 Integration is fixed-step on the flattened phase vector: classical
 fourth-order Runge-Kutta by default, with an implicit midpoint rule as the
@@ -26,15 +28,18 @@ structure-friendlier alternative.  Feedback control laws are evaluated at
 every integrator substep state.  Step size never adapts; conserved-label
 drift is the accuracy diagnostic, not an error controller.
 
-:func:`integrate` steps and records on tuples of Python floats in numpy's
-operation order, so it equals ndarray arithmetic bit for bit without its
-per-call cost on 5 or 8 slots.  Its RK4 and midpoint steps are compiled
-once per phase-space dimension from one source template, with every slot
-unrolled into local names (as :mod:`dataclasses` writes out its methods),
-and add a constant lift slot by slot themselves.  The model's layout
-computes the energy and the Casimirs once per run, over the stacked
-states.  The public :func:`step_rk4` and :func:`step_midpoint` are
-ndarray adapters over the same steps.
+:func:`integrate` steps and records on Python floats in numpy's operation
+order, so it equals ndarray arithmetic bit for bit without its per-call
+cost on 5 or 8 slots.  A whole run, RK4 or midpoint, is one loop generated
+from one source template and compiled on first use, with every slot
+unrolled into local names (as :mod:`dataclasses` writes out its methods).
+Without a feedback law the loop evaluates the model's table in place and
+adds a constant lift slot by slot, so a step calls no Python function; a
+feedback law, or a wrapper set on this module's kernel attribute, is
+called at every field stage instead.  The model's layout computes the energy and
+the Casimirs once per run, over the stacked states.  The public
+:func:`step_rk4` and :func:`step_midpoint` run one step of the calling
+loop on an ndarray field.
 
 What differs between the models is looked up, not branched on: the
 layout and the constants in :func:`gyrostat.model.model_layout`, and the
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from math import isfinite
 from operator import add
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -93,10 +98,10 @@ MIDPOINT_MAX_ITER = 50
 
 MAX_STEPS = 10**6
 """The most steps one :func:`integrate` run may take; ``round(t_end / dt)``
-above it is rejected up front.  A step costs ~4-8 us with RK4 and ~16-19
-us with the implicit midpoint rule at five sweeps (so3 and se3 runs on one
-2-CPU host), so a run at the ceiling takes up to ~20 s; a feedback law
-adds ~50-60 us per field call (se3, a state built for the law at each).
+above it is rejected up front.  A step costs ~1.7-6 us with RK4 and
+~6-11 us with the implicit midpoint rule at five sweeps (so3 and se3 runs
+on one 2-CPU host), so a run at the ceiling takes up to ~11 s; a feedback
+law adds ~50-60 us per field call (se3, a state built for the law at each).
 Every sample is kept in memory, ~0.5 kB each for se3, so at
 ``sample_every = 1`` such a run holds ~0.5 GB.
 """
@@ -189,47 +194,97 @@ class Trajectory:
     max_sweeps: int
 
 
-def so3_field_kernel(i1, i2, i3, j3, y):
+class _FieldTable(NamedTuple):
+    """One model's free field as source text: the constants in
+    :meth:`~gyrostat.model.ModelLayout.constants` order, the slot names in
+    the canonical flat order (a name the field does not read starts with
+    ``_``), and one expression per slot over them and the body rates."""
+
+    constants: tuple
+    slots: tuple
+    values: tuple
+
+
+# The controlled equations' free field, written once: the body rates both
+# models share and one table per model.  The public kernels and the run
+# loops of `integrate` are compiled from these lines.
+_RATES = ("w1 = p1 / i1", "w2 = p2 / i2", "w3 = (p3 - l) / i3")
+_FIELDS = {
+    ModelKind.SO3: _FieldTable(
+        constants=("i1", "i2", "i3", "j3"),
+        slots=("p1", "p2", "p3", "_alpha", "l"),
+        values=(
+            "p2 * w3 - p3 * w2",
+            "p3 * w1 - p1 * w3",
+            "p1 * w2 - p2 * w1",
+            "l / j3 - w3",
+            "0.0",
+        ),
+    ),
+    ModelKind.SE3: _FieldTable(
+        constants=("i1", "i2", "i3", "j3", "mgh", "c1", "c2", "c3"),
+        slots=("p1", "p2", "p3", "g1", "g2", "g3", "_alpha", "l"),
+        values=(
+            "(p2 * w3 - p3 * w2) + mgh * (g2 * c3 - g3 * c2)",
+            "(p3 * w1 - p1 * w3) + mgh * (g3 * c1 - g1 * c3)",
+            "(p1 * w2 - p2 * w1) + mgh * (g1 * c2 - g2 * c1)",
+            "g2 * w3 - g3 * w2",
+            "g3 * w1 - g1 * w3",
+            "g1 * w2 - g2 * w1",
+            "l / j3 - w3",
+            "0.0",
+        ),
+    ),
+}
+
+
+def _compile(source: str, name: str, filename: str):
+    """The function `name` that `source` defines, with this module's
+    globals."""
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace[name]
+
+
+def _field_kernel(kind: ModelKind, doc: str):
+    """The kernel of `kind`'s table: ``kernel(*constants, y)``, `y` unpacked
+    into the slots, returns the list of the field's values."""
+    table = _FIELDS[kind]
+    name = f"{kind.value}_field_kernel"
+    source = "\n    ".join([
+        f"def {name}({', '.join(table.constants)}, y):",
+        f"{', '.join(table.slots)} = y",
+        *_RATES,
+        f"return [{', '.join(table.values)}]",
+    ])
+    kernel = _compile(source, name, f"<{kind.value} field table>")
+    kernel.__doc__ = doc
+    return kernel
+
+
+so3_field_kernel = _field_kernel(
+    ModelKind.SO3,
     """Uncontrolled ``(dPi1, dPi2, dPi3, dalpha, dl)`` of the symmetric
-    model, ``dl = 0.0``, with the constants first in
-    :meth:`~gyrostat.model.ModelLayout.constants` order.
+    model, ``dl = 0.0``, as ``so3_field_kernel(i1, i2, i3, j3, y)`` with the
+    constants first in :meth:`~gyrostat.model.ModelLayout.constants` order.
 
     `y` unpacks into ``(Pi1, Pi2, Pi3, alpha, l)``: a flat sequence of
     floats gives floats, and a ``(5, n)`` block with one point per column
-    rows of n values.  Every field and steady residual of the package
-    evaluates these expressions; ``tests/test_symbolic.py`` derives them
-    from the energy and the Lie-Poisson bracket.
-    """
-    p1, p2, p3, _alpha, l = y
-    w1 = p1 / i1
-    w2 = p2 / i2
-    w3 = (p3 - l) / i3
-    return [
-        p2 * w3 - p3 * w2,
-        p3 * w1 - p1 * w3,
-        p1 * w2 - p2 * w1,
-        l / j3 - w3,
-        0.0,
-    ]
-
-
-def se3_field_kernel(i1, i2, i3, j3, mgh, c1, c2, c3, y):
+    rows of n values.  Compiled from the model's table in ``_FIELDS``,
+    whose expressions every field and steady residual of the package
+    evaluates; ``tests/test_symbolic.py`` derives them from the energy and
+    the Lie-Poisson bracket.
+    """,
+)
+se3_field_kernel = _field_kernel(
+    ModelKind.SE3,
     """As :func:`so3_field_kernel`, for the restoring-torque model's
-    ``(Pi, Gamma, alpha, l)`` and an 8-row block."""
-    p1, p2, p3, g1, g2, g3, _alpha, l = y
-    w1 = p1 / i1
-    w2 = p2 / i2
-    w3 = (p3 - l) / i3
-    return [
-        (p2 * w3 - p3 * w2) + mgh * (g2 * c3 - g3 * c2),
-        (p3 * w1 - p1 * w3) + mgh * (g3 * c1 - g1 * c3),
-        (p1 * w2 - p2 * w1) + mgh * (g1 * c2 - g2 * c1),
-        g2 * w3 - g3 * w2,
-        g3 * w1 - g1 * w3,
-        g1 * w2 - g2 * w1,
-        l / j3 - w3,
-        0.0,
-    ]
+    ``(Pi, Gamma, alpha, l)`` and an 8-row block:
+    ``se3_field_kernel(i1, i2, i3, j3, mgh, c1, c2, c3, y)``.""",
+)
+# The kernels the table compiled; `integrate` writes the table into its run
+# loop only while the module attributes still name them.
+_TABLE_KERNELS = {ModelKind.SO3: so3_field_kernel, ModelKind.SE3: se3_field_kernel}
 
 
 def _so3_field_jacobian(i1, i2, i3, j3, y):
@@ -289,7 +344,8 @@ def _flat_system(kind, params, grav, control):
     lay = model_layout(kind)
     consts = lay.constants(params, grav)
     # Looked up by name at each build, so that a wrapper set on the
-    # module's attribute sees every call.
+    # module's attribute sees every call: `integrate` evaluates the table
+    # in place only while the attribute still names the table's kernel.
     free = partial(globals()[f"{kind.value}_field_kernel"], *consts)
     jac = partial(globals()[f"_{kind.value}_field_jacobian"], *consts)
     if control is None:
@@ -341,72 +397,134 @@ def _fd_jacobian(rhs, y: list) -> list:
     return cols
 
 
-# The steps on a dim-slot phase point, every slot unrolled into local
+# The run loops on a dim-slot phase point, every slot unrolled into local
 # names: `<<e>>` stands for the tuple of `e` with `#` read as each slot
-# index in turn.  Each slot takes the operations, in the order, of
-# ndarray arithmetic, with a constant lift `u` added to each field value
-# as ConstantControl's field adds it.
-_STEPPER_TEMPLATE = """
-def rk4(f, u, y, dt):
+# index in turn, and `<<and: e>>` for their conjunction.  A field stage
+# `<<K#>> = f((<<e>>))` is written out by `_stage`, as that call or as the
+# model's table in place.  Each slot takes the operations, in the order, of
+# ndarray arithmetic, with a constant lift `u` added to each field value as
+# ConstantControl's field adds it.  A run appends each sampled step to
+# `times` and `rows`, returns its field calls and most sweeps, and raises
+# ``fail(message, step, field_calls, max_sweeps)`` at a failed step with
+# the counts of the steps before it.  The tables' lines are written into
+# these loops, so no local name here may be a slot, constant or rate name.
+_RUN_TEMPLATE = """
+def rk4(consts, f, u, y, dt, n_steps, sample_every, times, rows, fail):
+    CONSTANTS = consts
     <<Y#>> = y
     if u is not None: <<U#>> = u
     h = 0.5 * dt
-    <<A#>> = f(y)
-    if u is not None: <<A#>> = <<A# + U#>>
-    <<B#>> = f((<<Y# + h * A#>>))
-    if u is not None: <<B#>> = <<B# + U#>>
-    <<C#>> = f((<<Y# + h * B#>>))
-    if u is not None: <<C#>> = <<C# + U#>>
-    <<D#>> = f((<<Y# + dt * C#>>))
-    if u is not None: <<D#>> = <<D# + U#>>
     w = dt / 6.0
-    z = (<<Y# + w * (((A# + 2.0 * B#) + 2.0 * C#) + D#)>>)
-    if not all(map(isfinite, z)):
-        raise IntegrationError("non-finite value in Runge-Kutta stage")
-    return z
+    field_calls = 0
+    for step in range(1, n_steps + 1):
+        <<A#>> = f((<<Y#>>))
+        <<B#>> = f((<<Y# + h * A#>>))
+        <<C#>> = f((<<Y# + h * B#>>))
+        <<D#>> = f((<<Y# + dt * C#>>))
+        <<Y#>> = <<Y# + w * (((A# + 2.0 * B#) + 2.0 * C#) + D#)>>
+        if not (<<and: isfinite(Y#)>>):
+            raise fail("non-finite value in Runge-Kutta stage", step, field_calls, 0)
+        field_calls += 4
+        if step % sample_every == 0 or step == n_steps:
+            times.append(step * dt)
+            rows.append((<<Y#>>))
+    return field_calls, 0
 
 
-def midpoint(f, u, y, dt):
+def midpoint(consts, f, u, y, dt, n_steps, sample_every, times, rows, fail):
+    CONSTANTS = consts
     <<Y#>> = y
-    <<Z#>> = y
     if u is not None: <<U#>> = u
-    for sweep in range(1, MIDPOINT_MAX_ITER + 1):
-        <<K#>> = f((<<0.5 * (Y# + Z#)>>))
-        if u is not None: <<K#>> = <<K# + U#>>
-        z = (<<Y# + dt * K#>>)
-        if not all(map(isfinite, z)):
-            raise IntegrationError("non-finite value in midpoint iteration")
-        <<N#>> = z
-        if max((<<abs(N# - Z#)>>)) <= MIDPOINT_TOL:
-            return z, sweep
-        <<Z#>> = z
-    raise IntegrationError(
-        f"implicit midpoint failed to converge in {MIDPOINT_MAX_ITER} iterations "
-        f"(dt={dt:g} likely too large)"
-    )
+    tol = MIDPOINT_TOL
+    max_iter = MIDPOINT_MAX_ITER
+    sweeps = range(1, max_iter + 1)
+    field_calls = max_sweeps = 0
+    for step in range(1, n_steps + 1):
+        <<Z#>> = <<Y#>>
+        for sweep in sweeps:
+            <<K#>> = f((<<0.5 * (Y# + Z#)>>))
+            <<N#>> = <<Y# + dt * K#>>
+            if not (<<and: isfinite(N#)>>):
+                raise fail("non-finite value in midpoint iteration", step, field_calls, max_sweeps)
+            if <<and: abs(N# - Z#) <= tol>>:
+                break
+            <<Z#>> = <<N#>>
+        else:
+            raise fail(
+                f"implicit midpoint failed to converge in {max_iter} iterations "
+                f"(dt={dt:g} likely too large)",
+                step, field_calls, max_sweeps,
+            )
+        <<Y#>> = <<N#>>
+        field_calls += sweep
+        if sweep > max_sweeps:
+            max_sweeps = sweep
+        if step % sample_every == 0 or step == n_steps:
+            times.append(step * dt)
+            rows.append((<<Y#>>))
+    return field_calls, max_sweeps
 """
 
 
-@cache
-def _steppers(dim: int):
-    """The RK4 and implicit midpoint steps on `dim` slots, compiled once.
+def _stage(indent: str, out: str, arg: str, dim: int, lifted: bool, table) -> str:
+    """One field stage ``<<out#>> = f((<<arg>>))`` on `dim` slots: that call,
+    or with a `table` its lines in place, the slots bound to `arg`; a lift
+    adds ``U#`` to each value."""
+    args = [arg.replace("#", str(i)) for i in range(dim)]
+    outs = [f"{out}{i}" for i in range(dim)]
+    if table is None:
+        lines = [f"{', '.join(outs)}, = f(({', '.join(args)},))"]
+        values = outs
+    else:
+        lines = [f"{slot} = {a}" for slot, a in zip(table.slots, args) if not slot.startswith("_")]
+        lines += _RATES
+        values = [f"({v})" for v in table.values]
+    if lifted:
+        lines += [f"{o} = {v} + U{i}" for i, (o, v) in enumerate(zip(outs, values))]
+    elif table is not None:
+        lines += [f"{o} = {v}" for o, v in zip(outs, values)]
+    return "".join(f"{indent}{line}\n" for line in lines)
 
-    ``rk4(f, u, y, dt)`` returns the next point as a tuple and
-    ``midpoint(f, u, y, dt)`` the next point and its sweep count.  `f`
-    maps a tuple of floats to `dim` field values and `u` is None or a
-    constant lift; `y` is any `dim`-long sequence of floats.  The source
-    differs between dimensions only by slot indices from ``range(dim)``.
+
+@cache
+def _run_loop(method: str, dim: int, lifted: bool, kind: Optional[ModelKind]):
+    """The `method` run loop on `dim` slots, compiled once per argument
+    set: ``run(consts, f, u, y, dt, n_steps, sample_every, times, rows,
+    fail)``.  With a `kind` (whose field has `dim` slots) it evaluates that
+    model's table in place on the constants `consts`; without, it calls `f`
+    on a tuple of floats for `dim` field values.  `u` is a constant lift
+    exactly when `lifted`, and `y` any `dim`-long sequence of floats.
     """
     if dim < 1:
         raise ValueError(f"a phase point needs at least one slot, got {dim}")
+    table = None if kind is None else _FIELDS[kind]
 
     def slots(match):
-        return "".join(f"{match[1].replace('#', str(i))}, " for i in range(dim))
+        if match[1] == "and: ":
+            return " and ".join(match[2].replace("#", str(i)) for i in range(dim))
+        return "".join(f"{match[2].replace('#', str(i))}, " for i in range(dim))
 
-    source = re.sub("<<(.+?)>>", slots, _STEPPER_TEMPLATE)
-    namespace = {}
-    exec(compile(source, f"<{dim}-slot steppers>", "exec"), globals(), namespace)
-    return namespace["rk4"], namespace["midpoint"]
+    def stage(match):
+        return _stage(match[1], match[2], match[3], dim, lifted, table)
+
+    constants = "" if table is None else rf"\1{', '.join(table.constants)}, = consts\n"
+    source = re.sub(r"(?m)^( *)CONSTANTS = consts\n", constants, _RUN_TEMPLATE)
+    source = re.sub(r"(?m)^( *)<<(\w)#>> = f\(\(<<(.+)>>\)\)\n", stage, source)
+    source = re.sub("<<(and: )?(.+?)>>", slots, source)
+    return _compile(source, method, f"<{method} run loop, {kind.value if kind else dim}>")
+
+
+def _no_partial(message, *_counts):
+    return IntegrationError(message)
+
+
+def _one_step(method, rhs, y, dt):
+    """One `method` step of the ndarray field `rhs` from `y`, as an ndarray."""
+    y = np.asarray(y, dtype=float).tolist()
+    rows = []
+    run = _run_loop(method, len(y), False, None)
+    run(None, lambda v: rhs(np.array(v)).tolist(), None, y, dt, 1, 1, [], rows, _no_partial)
+    return np.array(rows[0])
 
 
 def step_rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
@@ -417,9 +535,7 @@ def step_rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) 
     IntegrationError
         If any stage produces a non-finite value.
     """
-    y = np.asarray(y, dtype=float).tolist()
-    rk4 = _steppers(len(y))[0]
-    return np.array(rk4(lambda v: rhs(np.array(v)).tolist(), None, y, dt))
+    return _one_step("rk4", rhs, y, dt)
 
 
 def step_midpoint(
@@ -440,10 +556,7 @@ def step_midpoint(
         On non-convergence (step too large for the local contraction) or a
         non-finite iterate.
     """
-    y = np.asarray(y, dtype=float).tolist()
-    midpoint = _steppers(len(y))[1]
-    z, _sweeps = midpoint(lambda v: rhs(np.array(v)).tolist(), None, y, dt)
-    return np.array(z)
+    return _one_step("midpoint", rhs, y, dt)
 
 
 def _step_count(dt, t_end, sample_every, method) -> int:
@@ -504,16 +617,21 @@ def integrate(
     """
     n_steps = _step_count(dt, t_end, sample_every, method)
     lay = model_layout(kind)
-    y = tuple(lay.to_vector(initial).tolist())
-    # The steps add a constant lift themselves, to the free field.
+    y = lay.to_vector(initial).tolist()
+    # The run loop adds a constant lift itself, to the free field.
     constant = isinstance(control, ConstantControl)
     f, _jac = _flat_system(kind, params, grav, None if constant else control)
     u = lay.lift_floats(control.lift) if constant else None
-    rk4, midpoint = _steppers(lay.dim)
+    # The table is written into the loop unless a law must be called at
+    # each stage or the module's kernel attribute no longer names the
+    # table's kernel (a wrapper set there sees every call).
+    kernel = globals()[f"{kind.value}_field_kernel"]
+    inline = (control is None or constant) and kernel is _TABLE_KERNELS[kind]
+    run = _run_loop(method, lay.dim, constant, kind if inline else None)
 
-    times, rows = [0.0], [y]
+    times, rows = [0.0], [tuple(y)]
 
-    def build(steps_done):
+    def build(steps_done, field_calls, max_sweeps):
         states = np.array(rows)
         return Trajectory(
             kind=kind,
@@ -529,25 +647,12 @@ def integrate(
             max_sweeps=max_sweeps,
         )
 
-    field_calls = max_sweeps = 0
-    for step in range(1, n_steps + 1):
-        try:
-            if method == "rk4":
-                y = rk4(f, u, y, dt)
-                field_calls += 4
-            else:
-                y, sweeps = midpoint(f, u, y, dt)
-                field_calls += sweeps
-                if sweeps > max_sweeps:
-                    max_sweeps = sweeps
-        except IntegrationError as err:
-            err.time = step * dt
-            err.partial = build(step - 1)
-            raise
-        if step % sample_every == 0 or step == n_steps:
-            times.append(step * dt)
-            rows.append(y)
-    return build(n_steps)
+    def fail(message, step, field_calls, max_sweeps):
+        return IntegrationError(message, step * dt, build(step - 1, field_calls, max_sweeps))
+
+    consts = lay.constants(params, grav)
+    counts = run(consts, f, u, y, dt, n_steps, sample_every, times, rows, fail)
+    return build(n_steps, *counts)
 
 
 @dataclass(frozen=True)

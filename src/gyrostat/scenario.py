@@ -86,10 +86,11 @@ class ScenarioError(ValueError):
 
 
 def _require(obj: dict, key: str, where: str):
+    """``obj[key]``, or a ScenarioError naming the missing key's path.
+    `where` is a block's key, or the top level in words ("the config")."""
     if key not in obj:
-        raise ScenarioError(
-            f"missing required field '{key}' in {where}", field=key
-        )
+        name = key if " " in where else f"{where}.{key}"
+        raise ScenarioError(f"missing required field '{key}' in {where}", field=name)
     return obj[key]
 
 
@@ -169,9 +170,7 @@ def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
     if not lay.gravity:
         return None
     block = _block(doc, "gravity", ("mgh", "chi"))
-    if "mgh" not in block:
-        raise ScenarioError("missing required field 'mgh' in gravity", field="gravity")
-    mgh = _number(block["mgh"], "gravity.mgh")
+    mgh = _number(_require(block, "mgh", "gravity"), "gravity.mgh")
     kwargs = {}
     if "chi" in block:
         kwargs["chi"] = _vector(block["chi"], 3, "gravity.chi")

@@ -298,6 +298,14 @@ class TestConfigWarning:
         assert long.err == "config warning: chi norm 2 differs from 1; renormalizing\n"
         assert long.out == unit.out
 
+    def test_one_line_under_the_callers_error_filter(self, tmp_path, capsys):
+        # As `python -W error` runs it: the parser's warning is still one
+        # line, not a UserWarning traceback.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._audit(tmp_path, [0.0, 0.0, 2.0]) == EXIT_OK
+        assert capsys.readouterr().err == "config warning: chi norm 2 differs from 1; renormalizing\n"
+
     def test_a_failing_config_gives_only_its_error(self, tmp_path, capsys):
         code = self._audit(tmp_path, [0.0, 0.0, 2.0], integrator={"dt": 0.0})
         err = capsys.readouterr().err

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrostat import dynamics
 from gyrostat.dynamics import (
@@ -631,6 +635,97 @@ class TestKernelLookup:
         assert result.iterations >= 1
         assert len(calls) >= result.iterations + 1
         assert calls[0] == lay.to_vector(guess).tolist()
+
+
+def _outcome(expansion, kind, params, grav, initial, **kw):
+    """What `integrate` gives with the table written into its run loop
+    (``"inline"``) or with the module's kernel called at each field stage
+    (``"call"``, by a wrapper on the attribute): a trajectory's bytes and
+    counters, or a failure's message, time and partial trajectory."""
+    name = f"{kind.value}_field_kernel"
+    kernel = getattr(dynamics, name)
+    run_loop = dynamics._run_loop
+    calls, loops = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    def spied(*args):
+        loops.append(args)
+        return run_loop(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_run_loop", spied)
+        if expansion == "call":
+            mp.setattr(dynamics, name, counted)
+        try:
+            traj, failure = integrate(kind, params, initial, grav=grav, **kw), ()
+        except IntegrationError as err:
+            traj, failure = err.partial, (str(err), err.time)
+    # The loop evaluated the table in place, or called the kernel at every
+    # field stage of the completed steps (and of a failed one).
+    if expansion == "inline":
+        assert loops[0][-1] is kind
+    else:
+        assert loops[0][-1] is None
+        assert len(calls) > traj.field_calls if failure else len(calls) == traj.field_calls
+    arrays = (traj.times, traj.states, traj.energy, traj.casimirs)
+    return failure, [a.tobytes() for a in arrays], (traj.steps, traj.field_calls, traj.max_sweeps)
+
+
+@st.composite
+def run_cases(draw):
+    kind = draw(st.sampled_from(list(ModelKind)))
+    lay = model_layout(kind)
+    # Signed zeros in the state and the lift: 0.0 + -0.0 is 0.0.
+    zeros = st.sampled_from([0.0, -0.0])
+    initial = lay.from_vector([draw(zeros | st.floats(-2.0, 2.0)) for _ in range(lay.dim)])
+    control = None
+    if draw(st.booleans()):
+        u = [draw(zeros | st.floats(-0.3, 0.3)) for _ in range(lay.dim)]
+        vectors = [f.name for f in dataclasses.fields(lay.lift_type)][:-2]
+        lift = dict(zip(vectors, (u[0:3], u[3:6])), u_alpha=u[-2], u_l=u[-1])
+        control = ConstantControl(lay.lift_type(**lift))
+    dt = draw(st.floats(1e-3, 0.05))
+    return kind, initial, dict(
+        control=control,
+        dt=dt,
+        t_end=draw(st.integers(1, 40)) * dt,
+        sample_every=draw(st.integers(1, 12)),
+        method=draw(st.sampled_from(["rk4", "midpoint"])),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run_cases())
+def test_inline_and_call_expansions_agree(case):
+    # The table written into the run loop and the kernel called from it
+    # give the same bytes and counts, lifts with -0.0 entries included.
+    kind, initial, kw = case
+    params = InertiaParams(i_bar=(2.7, 1.9, 1.3), j3=0.7)
+    grav = GravityParams(mgh=1.3, chi=(0.48, 0.6, 0.64)) if kind is ModelKind.SE3 else None
+    inline = _outcome("inline", kind, params, grav, initial, **kw)
+    assert inline == _outcome("call", kind, params, grav, initial, **kw)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "method, dt, control, message",
+    [
+        ("rk4", 2.0, None, "non-finite value in Runge-Kutta stage"),
+        (
+            "midpoint", 0.2, ConstantControl(ControlLiftSo3(u_l=1.0)),
+            "implicit midpoint failed to converge in 50 iterations (dt=0.2 likely too large)",
+        ),
+    ],
+)
+def test_inline_and_call_expansions_fail_alike(std_params, std_so3_state, method, dt, control, message):
+    kw = dict(control=control, dt=dt, t_end=100 * dt, sample_every=1, method=method)
+    inline = _outcome("inline", ModelKind.SO3, std_params, None, std_so3_state, **kw)
+    assert inline[0][0] == message
+    assert inline == _outcome("call", ModelKind.SO3, std_params, None, std_so3_state, **kw)
 
 
 class TestDiagnostics:

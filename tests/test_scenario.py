@@ -84,7 +84,7 @@ class TestParseScenario:
             # mgh and chi; a gravity block needs mgh.
             ("inertia", {"i_bar": [3.0, 2.0, 1.0], "j3": 0.0}, "inertia"),
             ("gravity", {"mgh": -1.0, "chi": [0, 0, 1]}, "gravity"),
-            ("gravity", {"chi": [0, 0, 1]}, "gravity"),
+            ("gravity", {"chi": [0, 0, 1]}, "gravity.mgh"),
             ("control", "constant", "control"),
             ("control", [{"kind": "zero"}], "control"),
             # Lift entries need "kind": "constant"; a zero block that names
@@ -151,6 +151,28 @@ class TestParseScenario:
         doc["initial"] = {"pi": [1, 2, 3], "gamma": [0, 0, 1]}
         with pytest.raises(ScenarioError, match="gamma"):
             scen(doc)
+
+    @pytest.mark.parametrize(
+        "block, value, field, message",
+        [
+            ("initial", {"gamma": [0, 0, 1]}, "initial.pi", "missing required field 'pi' in initial"),
+            ("initial", {"pi": [1, 2, 3]}, "initial.gamma", "missing required field 'gamma' in initial"),
+            ("inertia", {"j3": 1.0}, "inertia.i_bar", "missing required field 'i_bar' in inertia"),
+            ("inertia", {"i_bar": [3, 2, 1]}, "inertia.j3", "missing required field 'j3' in inertia"),
+            ("gravity", {"chi": [0, 0, 1]}, "gravity.mgh", "missing required field 'mgh' in gravity"),
+            # A top-level key keeps its bare name.
+            ("inertia", None, "inertia", "missing required field 'inertia' in the scenario"),
+            ("model", None, "model", "missing required field 'model' in the scenario"),
+        ],
+        ids=["initial.pi", "initial.gamma", "inertia.i_bar", "inertia.j3", "gravity.mgh", "inertia", "model"],
+    )
+    def test_missing_field_names_its_path(self, block, value, field, message):
+        doc = dict(SE3_FULL, **{block: value})
+        if value is None:
+            del doc[block]
+        with pytest.raises(ScenarioError) as exc:
+            scen(doc)
+        assert (exc.value.field, str(exc.value)) == (field, message)
 
     def test_missing_inertia(self):
         with pytest.raises(ScenarioError, match="inertia"):
