@@ -36,10 +36,10 @@ unrolled into local names (as :mod:`dataclasses` writes out its methods).
 Without a feedback law the loop evaluates the model's table in place and
 adds a constant lift slot by slot, so a step calls no Python function; a
 feedback law, or a wrapper set on this module's kernel attribute, is
-called at every field stage instead.  The model's layout computes the energy and
-the Casimirs once per run, over the stacked states.  The public
-:func:`step_rk4` and :func:`step_midpoint` run one step of the calling
-loop on an ndarray field.
+called at every field stage instead.  The model's layout computes the
+energy and the Casimirs once per run, over the stacked states.  The
+public :func:`step_rk4` and :func:`step_midpoint` run one step of the
+calling loop on an ndarray field.
 
 What differs between the models is looked up, not branched on: the
 layout and the constants in :func:`gyrostat.model.model_layout`, and the
