@@ -17,12 +17,14 @@ ROTATION_TOL = 1e-12
 
 
 def as_vec3(v) -> np.ndarray:
-    """Coerce input to a finite float vector of shape (3,)."""
-    a = np.asarray(v, dtype=float)
+    """A read-only copy of the input as a finite float vector of shape (3,),
+    so that no later write to the caller's array reaches the checked one."""
+    a = np.array(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
     if not all(map(math.isfinite, a.tolist())):
         raise ValueError(f"3-vector components must be finite, got {a}")
+    a.flags.writeable = False
     return a
 
 
@@ -39,17 +41,18 @@ class ConfigurationPoint:
     """Unreduced configuration: carrier attitude and rotor angle.
 
     The attitude matrix must be orthonormal with unit determinant to
-    within ``ROTATION_TOL`` in each part.  Reduced fields and residual
-    reports are evaluated at configuration points like this one.  Neither
-    model's energy depends on the carrier's position, so the point carries
-    none.
+    within ``ROTATION_TOL`` in each part; the point keeps a read-only copy
+    of it.  Reduced fields and residual reports are evaluated at
+    configuration points like this one.  Neither model's energy depends on
+    the carrier's position, so the point carries none.
     """
 
     rotation: np.ndarray
     rotor_angle: float = 0.0
 
     def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=float)
+        self.rotation = np.array(self.rotation, dtype=float)
+        self.rotation.flags.writeable = False
         if self.rotation.shape != (3, 3):
             raise ValueError(
                 f"rotation must be 3x3, got shape {self.rotation.shape}"

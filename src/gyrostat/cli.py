@@ -139,16 +139,13 @@ def cmd_simulate(config_path: str, out_path: str, summary_path: str) -> int:
 def cmd_bracket_audit(config_path: str, samples: int, seed) -> int:
     scenario = _read_config(parse_scenario, config_path)
     try:
-        # The line below reports an overflow, or the NaN of two energy terms
-        # overflowing with opposite signs; numpy need not warn of it too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = bracket_oracle_audit(
-                scenario.model,
-                scenario.inertia,
-                grav=scenario.gravity,
-                samples=samples,
-                seed=scenario.seed if seed is None else seed,
-            )
+        report = bracket_oracle_audit(
+            scenario.model,
+            scenario.inertia,
+            grav=scenario.gravity,
+            samples=samples,
+            seed=scenario.seed if seed is None else seed,
+        )
     except ValueError as err:
         # The inputs were checked on parsing: this is the oracle's energy
         # overflowing at its probes, e.g. on a tiny locked moment.
@@ -206,13 +203,12 @@ def cmd_equilibrium(config_path: str) -> int:
             max_iter=cfg.max_iter,
         )
     except EquilibriumError as err:
-        norm = getattr(err, "residual_norm", None)
         report = {
             "model": cfg.model.value,
             "converged": False,
             "error": str(err),
-            "residual_norm": _json_number(norm),
-            "iterations": getattr(err, "iterations", None),
+            "residual_norm": _json_number(err.residual_norm),
+            "iterations": err.iterations,
         }
         print(json_text(report), end="")
         return EXIT_TOLERANCE
@@ -357,7 +353,10 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     _help, handler, options = _COMMANDS[args.command]
     try:
-        return handler(*(getattr(args, name) for name in options))
+        # Each command reports an overflow, or the NaN of two overflowing
+        # terms, in its output and exit code; numpy need not warn of it too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handler(*(getattr(args, name) for name in options))
     except ScenarioError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -34,20 +34,20 @@ cost on 5 or 8 slots.  A whole run, RK4 or midpoint, is one loop generated
 from one source template and compiled on first use, with every slot
 unrolled into local names (as :mod:`dataclasses` writes out its methods).
 Without a feedback law the loop evaluates the model's table in place and
-adds a constant lift slot by slot, so a step calls no Python function; a
-feedback law, or a wrapper set on this module's kernel attribute, is
-called at every field stage instead.  The model's layout computes the
-energy and the Casimirs once per run, over the stacked states.  The
-public :func:`step_rk4` and :func:`step_midpoint` run one step of the
-calling loop on an ndarray field.
+adds a constant lift slot by slot, so a step calls no Python function;
+with a law, or a wrapper set on this module's kernel attribute, it calls
+the controlled field, lift included, at every field stage.  The model's
+layout computes the energy and the Casimirs once per run, over the
+stacked states.  The public :func:`step_rk4` and :func:`step_midpoint`
+run one step of the calling loop on an ndarray field.
 
 What differs between the models is looked up, not branched on: the
 layout and the constants in :func:`gyrostat.model.model_layout`, and the
-kernel and its exact Jacobian by name.  One builder binds the constants
-to them and folds in a control law; the integrator, the state wrappers,
-the bracket audit, the equilibrium search and the steady residual each
-call it once.  The lift types live in :mod:`gyrostat.model` and are
-re-exported here.
+kernel and its exact Jacobian by name.  One routine reads a control, and
+one builder binds the constants and folds in the lift; the integrator,
+the state wrappers, the bracket audit, the equilibrium search and the
+steady residual each call it once.  The lift types live in
+:mod:`gyrostat.model` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -323,38 +323,16 @@ def _se3_field_jacobian(i1, i2, i3, j3, mgh, c1, c2, c3, y):
     ]
 
 
-def _flat_system(kind, params, grav, control):
-    """The controlled field and its Jacobian, as functions from a list of
-    floats to a list of floats and to a list of columns.
-
-    The control is None, a ``ConstantControl`` or a ``FeedbackControl``.
-    It enters the field as one addition per slot, the lift's entries
-    turned into floats once for a ``ConstantControl`` and at every call
-    for a ``FeedbackControl``.  Without control the field is the model's
-    kernel with its constants bound, which also takes a ``(dim, n)``
-    block.  The Jacobian is exact for the free field, nothing is added for
-    a constant lift, and central differences of the lift alone are added
-    for a ``FeedbackControl`` (a ``None`` lift is zero).
-
-    ValueError on a missing gravity block for se3, any other control, a
-    feedback law that is not callable, or a constant lift that is not the
-    model's (the other model's, or None); a feedback lift of the other
-    model is one at the call.
-    """
-    lay = model_layout(kind)
-    consts = lay.constants(params, grav)
-    # Looked up by name at each build, so that a wrapper set on the
-    # module's attribute sees every call: `integrate` evaluates the table
-    # in place only while the attribute still names the table's kernel.
-    free = partial(globals()[f"{kind.value}_field_kernel"], *consts)
-    jac = partial(globals()[f"_{kind.value}_field_jacobian"], *consts)
+def _read_control(control, lay):
+    """``(u, law)``: a ``ConstantControl``'s lift as floats, or a
+    ``FeedbackControl``'s law, the other None; both None for no control.
+    The one check of a control: ValueError on any other control, a law
+    that is not callable, or a lift that is not the model's (the other
+    model's, or None)."""
     if control is None:
-        return free, jac
-    # free(y) ends in dl = 0.0, so a lift adds u_l to 0.0: a -0.0 entry
-    # gives 0.0 there.
+        return None, None
     if isinstance(control, ConstantControl):
-        u = lay.lift_floats(control.lift)
-        return (lambda y: list(map(add, free(y), u))), jac
+        return lay.lift_floats(control.lift), None
     if not isinstance(control, FeedbackControl):
         is_lift = isinstance(control, (ControlLiftSo3, ControlLiftSe3))
         hint = "; wrap a lift in ConstantControl" if is_lift else ""
@@ -364,23 +342,54 @@ def _flat_system(kind, params, grav, control):
         )
     if not callable(control.law):
         raise ValueError(f"a FeedbackControl law must be callable, got {type(control.law).__name__}")
+    return None, control.law
 
-    def rhs(y):
-        d = free(y)
-        lift = control.lift_at(lay.from_vector(y))
-        if lift is None:
-            return d
-        return list(map(add, d, lay.lift_floats(lift)))
+
+def _flat_system(kind, params, grav, control):
+    """The controlled field and its Jacobian, as functions from a list of
+    floats to a list of floats and to a list of columns.
+
+    The control, read by :func:`_read_control`, enters the field as one
+    addition per slot, the lift's entries turned into floats once for a
+    ``ConstantControl`` and at every call for a ``FeedbackControl``, whose
+    law one closure calls for the field and the Jacobian.  Without control
+    the field is the model's kernel with its constants bound, which also
+    takes a ``(dim, n)`` block.  The Jacobian is exact for the free field,
+    nothing is added for a constant lift, and central differences of the
+    lift alone are added for a ``FeedbackControl`` (a ``None`` lift is
+    zero).  ValueError on a missing gravity block for se3, then as
+    :func:`_read_control`; a feedback lift of the other model is one at
+    the call.
+    """
+    lay = model_layout(kind)
+    consts = lay.constants(params, grav)
+    # Looked up by name at each build, so that a wrapper set on the
+    # module's attribute sees every call: `integrate` evaluates the table
+    # in place only while the attribute still names the table's kernel.
+    free = partial(globals()[f"{kind.value}_field_kernel"], *consts)
+    jac = partial(globals()[f"_{kind.value}_field_jacobian"], *consts)
+    u, law = _read_control(control, lay)
+    # free(y) ends in dl = 0.0, so a lift adds u_l to 0.0: a -0.0 entry
+    # gives 0.0 there.
+    if u is not None:
+        return (lambda y: list(map(add, free(y), u))), jac
+    if law is None:
+        return free, jac
 
     def lift(y):
-        u = control.lift_at(lay.from_vector(y))
-        return [0.0] * lay.dim if u is None else lay.lift_floats(u)
+        v = law(lay.from_vector(y))
+        return None if v is None else lay.lift_floats(v)
 
+    def rhs(y):
+        d, v = free(y), lift(y)
+        return d if v is None else list(map(add, d, v))
+
+    zero = [0.0] * lay.dim
     # A zero difference leaves the entry as it is, -0.0 included, so a law
     # that returns None gives the free Jacobian bit for bit.
     return rhs, lambda y: [
         [a + b if b else a for a, b in zip(col, du)]
-        for col, du in zip(jac(y), _fd_jacobian(lift, y))
+        for col, du in zip(jac(y), _fd_jacobian(lambda p: lift(p) or zero, y))
     ]
 
 
@@ -402,8 +411,9 @@ def _fd_jacobian(rhs, y: list) -> list:
 # index in turn, and `<<and: e>>` for their conjunction.  A field stage
 # `<<K#>> = f((<<e>>))` is written out by `_stage`, as that call or as the
 # model's table in place.  Each slot takes the operations, in the order, of
-# ndarray arithmetic, with a constant lift `u` added to each field value as
-# ConstantControl's field adds it.  A run appends each sampled step to
+# ndarray arithmetic; a called field adds its own lift, and the table a
+# constant lift `u` to each value, as ConstantControl's field adds it.  A
+# run appends each sampled step to
 # `times` and `rows`, returns its field calls and most sweeps, and raises
 # ``fail(message, step, field_calls, max_sweeps)`` at a failed step with
 # the counts of the steps before it.  The tables' lines are written into
@@ -468,21 +478,15 @@ def midpoint(consts, f, u, y, dt, n_steps, sample_every, times, rows, fail):
 
 def _stage(indent: str, out: str, arg: str, dim: int, lifted: bool, table) -> str:
     """One field stage ``<<out#>> = f((<<arg>>))`` on `dim` slots: that call,
-    or with a `table` its lines in place, the slots bound to `arg`; a lift
-    adds ``U#`` to each value."""
+    which adds any lift itself, or with a `table` its lines in place, the
+    slots bound to `arg`, and ``U#`` added to each value when `lifted`."""
     args = [arg.replace("#", str(i)) for i in range(dim)]
     outs = [f"{out}{i}" for i in range(dim)]
     if table is None:
-        lines = [f"{', '.join(outs)}, = f(({', '.join(args)},))"]
-        values = outs
-    else:
-        lines = [f"{slot} = {a}" for slot, a in zip(table.slots, args) if not slot.startswith("_")]
-        lines += _RATES
-        values = [f"({v})" for v in table.values]
-    if lifted:
-        lines += [f"{o} = {v} + U{i}" for i, (o, v) in enumerate(zip(outs, values))]
-    elif table is not None:
-        lines += [f"{o} = {v}" for o, v in zip(outs, values)]
+        return f"{indent}{', '.join(outs)}, = f(({', '.join(args)},))\n"
+    lines = [f"{slot} = {a}" for slot, a in zip(table.slots, args) if not slot.startswith("_")]
+    lift = [f" + U{i}" if lifted else "" for i in range(dim)]
+    lines += [*_RATES, *(f"{o} = ({v}){u}" for o, v, u in zip(outs, table.values, lift))]
     return "".join(f"{indent}{line}\n" for line in lines)
 
 
@@ -491,9 +495,10 @@ def _run_loop(method: str, dim: int, lifted: bool, kind: Optional[ModelKind]):
     """The `method` run loop on `dim` slots, compiled once per argument
     set: ``run(consts, f, u, y, dt, n_steps, sample_every, times, rows,
     fail)``.  With a `kind` (whose field has `dim` slots) it evaluates that
-    model's table in place on the constants `consts`; without, it calls `f`
-    on a tuple of floats for `dim` field values.  `u` is a constant lift
-    exactly when `lifted`, and `y` any `dim`-long sequence of floats.
+    model's table in place on the constants `consts`, adding the constant
+    lift `u` when `lifted`; without, it calls `f` on a tuple of floats for
+    `dim` field values, lift included, and `lifted` is False.  `u` is None
+    unless `lifted`, and `y` any `dim`-long sequence of floats.
     """
     if dim < 1:
         raise ValueError(f"a phase point needs at least one slot, got {dim}")
@@ -618,16 +623,16 @@ def integrate(
     n_steps = _step_count(dt, t_end, sample_every, method)
     lay = model_layout(kind)
     y = lay.to_vector(initial).tolist()
-    # The run loop adds a constant lift itself, to the free field.
-    constant = isinstance(control, ConstantControl)
-    f, _jac = _flat_system(kind, params, grav, None if constant else control)
-    u = lay.lift_floats(control.lift) if constant else None
-    # The table is written into the loop unless a law must be called at
-    # each stage or the module's kernel attribute no longer names the
-    # table's kernel (a wrapper set there sees every call).
+    f, _jac = _flat_system(kind, params, grav, control)
+    u, law = _read_control(control, lay)
+    # The table is written into the loop, a constant lift added to it,
+    # unless a law must be called at each stage or the module's kernel
+    # attribute no longer names the table's kernel (a wrapper set there
+    # sees every call); the loop then calls `f`, which adds the lift.
     kernel = globals()[f"{kind.value}_field_kernel"]
-    inline = (control is None or constant) and kernel is _TABLE_KERNELS[kind]
-    run = _run_loop(method, lay.dim, constant, kind if inline else None)
+    inline = law is None and kernel is _TABLE_KERNELS[kind]
+    u = u if inline else None
+    run = _run_loop(method, lay.dim, u is not None, kind if inline else None)
 
     times, rows = [0.0], [tuple(y)]
 

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import ConfigurationPoint, _as_integer
-from .dynamics import ConstantControl, FeedbackControl, _flat_system
+from .dynamics import ConstantControl, FeedbackControl, _flat_system, _read_control
 from .model import (
     GravityParams,
     InertiaParams,
@@ -209,11 +209,8 @@ def residual_field_report(
 
 
 class EquilibriumError(RuntimeError):
-    """Base class for equilibrium-search failures."""
-
-
-class NewtonConvergenceError(EquilibriumError):
-    """The iteration ran out of budget or the damped step stalled."""
+    """Base class for equilibrium-search failures: the last residual
+    max-norm and iteration count where the search has them, else None."""
 
     def __init__(self, message, residual_norm=None, iterations=None):
         super().__init__(message)
@@ -221,8 +218,13 @@ class NewtonConvergenceError(EquilibriumError):
         self.iterations = iterations
 
 
+class NewtonConvergenceError(EquilibriumError):
+    """The iteration ran out of budget or the damped step stalled."""
+
+
 class SingularJacobianError(EquilibriumError):
-    """The Newton system has no well-posed solution at the current point."""
+    """The Newton system has no well-posed solution at the current point;
+    it carries no residual norm or iteration count."""
 
 
 @dataclass(frozen=True)
@@ -294,13 +296,9 @@ def _multipliers(control, lay) -> int:
     forms, so their gradients live on those slots alone.  A feedback law
     is never bordered.
     """
-    if control is None:
-        return len(lay.casimir_names)
-    if isinstance(control, ConstantControl):
-        u = lay.lift_floats(control.lift)
-        crossing = any(u[i] for entries in lay.casimir_hessians for i, _j, _v in entries)
-        return 0 if crossing else len(lay.casimir_names)
-    return 0
+    u, law = _read_control(control, lay)
+    crossing = u is not None and any(u[i] for c in lay.casimir_hessians for i, _j, _v in c)
+    return 0 if law is not None or crossing else len(lay.casimir_names)
 
 
 def _bordered_system(rhs, jacobian, lay, level):
@@ -412,15 +410,16 @@ def find_equilibrium(
     f, g = residual(z)
     size = None  # the 2-norm of g, taken when a step first needs it
     iterations = 0
+
+    def failure(message):
+        return NewtonConvergenceError(message, residual_norm=norm, iterations=iterations)
+
     while (norm := _max_norm(f)) >= tol or any(
         abs(r) > s for r, s in zip(g[lay.dim :], slack)
     ):
         if iterations >= max_iter:
-            raise NewtonConvergenceError(
-                f"no convergence after {max_iter} iterations; "
-                f"last residual max-norm {norm:.3e}",
-                residual_norm=norm,
-                iterations=iterations,
+            raise failure(
+                f"no convergence after {max_iter} iterations; last residual max-norm {norm:.3e}"
             )
         delta = _newton_direction(system_jacobian(z), g)
         if size is None:
@@ -433,21 +432,14 @@ def find_equilibrium(
                 break
             scale *= 0.5
         else:
-            raise NewtonConvergenceError(
-                "damped step failed to reduce the residual "
-                f"(last residual max-norm {norm:.3e})",
-                residual_norm=norm,
-                iterations=iterations,
+            raise failure(
+                f"damped step failed to reduce the residual (last residual max-norm {norm:.3e})"
             )
         z, f, g, size = z_try, f_try, g_try, size_try
         iterations += 1
     # NaN >= tol is false, so a NaN residual ends the loop; inf does not.
     if not isfinite(norm):
-        raise NewtonConvergenceError(
-            f"residual max-norm is not finite ({norm}) after {iterations} iterations",
-            residual_norm=norm,
-            iterations=iterations,
-        )
+        raise failure(f"residual max-norm is not finite ({norm}) after {iterations} iterations")
     return EquilibriumResult(
         state=lay.from_vector(z[: lay.dim]), residual_norm=norm, iterations=iterations
     )

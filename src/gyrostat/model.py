@@ -103,10 +103,10 @@ class GravityParams:
     """Restoring-torque parameters for the se(3)* model.
 
     ``chi`` is the body-frame direction from the reference center to the
-    center of gravity and is stored normalized.  A norm off unity by more
-    than ``CHI_NORM_WARN_TOL`` triggers renormalization with a warning;
-    norms below ``CHI_NORM_REJECT_TOL`` (taken without overflow) are
-    rejected as direction-free.
+    center of gravity, stored normalized and read-only.  A norm off unity
+    by more than ``CHI_NORM_WARN_TOL`` triggers renormalization with a
+    warning; norms below ``CHI_NORM_REJECT_TOL`` (taken without overflow)
+    are rejected as direction-free.
     ``mgh`` is the restoring coefficient (weight times moment arm) and may
     be zero, which decouples the advected direction from the momenta.
     """
@@ -128,6 +128,7 @@ class GravityParams:
                 stacklevel=3,
             )
             chi = chi / norm
+            chi.flags.writeable = False
         object.__setattr__(self, "chi", chi)
 
 

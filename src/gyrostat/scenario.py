@@ -53,7 +53,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dynamics import ConstantControl, Trajectory, _step_count
-from .hj import _check_search
+from .hj import NEWTON_MAX_ITER, NEWTON_TOL, _check_search
 from .model import (
     GravityParams,
     InertiaParams,
@@ -302,7 +302,9 @@ def _parse_head(text: str, keys: tuple) -> tuple:
     block, validated in that order."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError is also an integer past Python's int-string limit, and
+        # RecursionError arrays or objects nested past the recursion limit.
         raise ScenarioError(f"config is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ScenarioError("config must be a JSON object")
@@ -440,8 +442,8 @@ def parse_equilibrium_config(text: str) -> EquilibriumConfig:
     )
     guess_vec = _vector(_require(doc, "guess", "the config"), lay.dim, "guess")
     control = _parse_control(doc, lay)
-    tol = _number(doc.get("tol", 1e-12), "tol")
-    max_iter = doc.get("max_iter", 100)
+    tol = _number(doc.get("tol", NEWTON_TOL), "tol")
+    max_iter = doc.get("max_iter", NEWTON_MAX_ITER)
     _ask(_check_search, "search settings", None, tol, max_iter)
     return EquilibriumConfig(
         model=lay.kind,

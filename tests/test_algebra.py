@@ -15,6 +15,22 @@ def test_as_vec3():
         as_vec3([[1, 2, 3]])
 
 
+def test_as_vec3_keeps_a_read_only_copy():
+    a = np.array([1.0, 2.0, 3.0])
+    v = as_vec3(a)
+    a[0] = -1.0
+    assert v.tolist() == [1.0, 2.0, 3.0]
+    assert not v.flags.writeable
+
+
+def test_configuration_point_keeps_a_read_only_copy():
+    r = rot_z(0.7)
+    cfg = ConfigurationPoint(rotation=r)
+    r[0, 0] = float("nan")
+    assert np.array_equal(cfg.rotation, rot_z(0.7))
+    assert not cfg.rotation.flags.writeable
+
+
 def test_configuration_point_accepts_rotations():
     cfg = ConfigurationPoint(rotation=rot_z(0.7), rotor_angle=1.1)
     assert cfg.rotor_angle == 1.1

@@ -220,6 +220,22 @@ class TestFileErrors:
         assert runs == []
 
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000 + "]" * 100000, '{"model": "so3", "seed": ' + "9" * 5000 + "}"],
+        ids=["deep_nesting", "long_integer"],
+    )
+    def test_json_python_cannot_hold(self, tmp_path, capsys, command, text):
+        # json.loads ends in a RecursionError on the nesting and a ValueError
+        # on an integer past the int-string limit.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        code = main(self._argv(command, cfg, tmp_path))
+        err = _one_line_error(capsys, code, "config error: config is not valid JSON: ")
+        assert "Traceback" not in err
+
+
 class TestBracketAudit:
     def test_passes_and_reports(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", SE3_SCENARIO)
@@ -471,6 +487,55 @@ class TestEquilibriumCommand:
         assert rep["residual_norm"] is None
         assert rep["iterations"] == 0
         assert "not finite" in rep["error"]
+
+
+class TestNoNumpyWarning:
+    """Numbers that overflow in the search's line-search norm or the
+    residual's lift give the documented result and no numpy warning on
+    stderr, under an error filter too."""
+
+    SO3 = {"model": "so3", "inertia": {"i_bar": [3, 2, 1], "j3": 1}}
+    SE3 = {"model": "se3", "inertia": {"i_bar": [3, 2, 1], "j3": 1}, "gravity": {"mgh": 2}}
+
+    @staticmethod
+    def _run(tmp_path, capsys, command, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg])
+        return code, capsys.readouterr()
+
+    def test_equilibrium_whose_norm_overflows_converges(self, tmp_path, capsys):
+        doc = dict(self.SO3, guess=[1e154, 2, 3, 0, 0.5])
+        code, out = self._run(tmp_path, capsys, "equilibrium", doc)
+        assert code == EXIT_OK
+        assert json.loads(out.out)["converged"] is True
+        assert out.err == ""
+
+    @pytest.mark.parametrize(
+        "model, guess", [("so3", [1e160, 2, 3, 0, 0.5]), ("se3", [1e100, 2, 3, 0, 0, 1, 0, 0.5])]
+    )
+    def test_equilibrium_whose_norm_overflows_fails(self, tmp_path, capsys, model, guess):
+        doc = dict(self.SO3 if model == "so3" else self.SE3, guess=guess)
+        code, out = self._run(tmp_path, capsys, "equilibrium", doc)
+        assert code == EXIT_TOLERANCE
+        assert json.loads(out.out)["converged"] is False
+        assert out.err == ""
+
+    def test_hj_check_whose_solved_lift_overflows(self, tmp_path, capsys):
+        doc = dict(self.SO3, gamma=[1e200, 1e200, 1e200, 0, 1e200], lift="solve")
+        code, out = self._run(tmp_path, capsys, "hj-check", doc)
+        assert code == EXIT_TOLERANCE
+        assert json.loads(out.out)["passed"] is False
+        assert out.err == ""
+
+    def test_hj_check_whose_search_fails_is_its_one_line(self, tmp_path, capsys):
+        doc = dict(self.SO3, gamma="equilibrium", guess=[1e160, 2, 3, 0, 0.5])
+        code, out = self._run(tmp_path, capsys, "hj-check", doc)
+        assert code == EXIT_TOLERANCE
+        assert out.out == ""
+        assert out.err.startswith("equilibrium search failed: ")
+        assert out.err.count("\n") == 1
 
 
 class TestNonFiniteNumbers:

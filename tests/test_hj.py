@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,21 @@ class TestFindEquilibrium:
         assert res.residual_norm == 0.0
         lay = model_layout(ModelKind.SO3)
         assert np.array_equal(lay.to_vector(res.state), lay.to_vector(guess))
+
+    def test_nan_residual_at_the_guess_takes_no_norm(self, std_params):
+        # The line search's 2-norm is taken when a step first needs it: here
+        # the residual is NaN at the guess, and its norm would overflow.
+        guess = So3RotorState(pi=(1e155, 2e155, 3.0), l=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonConvergenceError, match="not finite") as info:
+                find_equilibrium(ModelKind.SO3, std_params, guess)
+        assert info.value.iterations == 0
+        assert info.value.residual_norm != info.value.residual_norm
+
+    def test_a_singular_system_carries_no_counts(self):
+        err = SingularJacobianError("singular")
+        assert (err.residual_norm, err.iterations) == (None, None)
 
     def test_perturbed_axis_spin(self):
         # With the axial rotor moment matching the spread between the

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gyrostat.dynamics import integrate
 from gyrostat.model import (
     ControlLiftSe3,
     ControlLiftSo3,
@@ -102,6 +103,50 @@ class TestStates:
         v = lay.to_vector(std_se3_state)
         assert np.array_equal(v, [1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.5])
         assert np.array_equal(lay.to_vector(lay.from_vector(v)), v)
+
+
+class TestReadOnlyCopies:
+    """A validated block keeps its own read-only copy of each vector, so a
+    change to the caller's array after the check reaches nothing."""
+
+    def test_inertia(self):
+        i = np.array([3.0, 2.0, 1.0])
+        p = InertiaParams(i_bar=i, j3=1.0)
+        i[0] = -5.0
+        assert p.i_bar.tolist() == [3.0, 2.0, 1.0]
+        assert not p.i_bar.flags.writeable
+
+    @pytest.mark.parametrize("chi", [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+    def test_gravity(self, chi):
+        c = np.array(chi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            g = GravityParams(mgh=1.0, chi=c)
+        c[2] = float("nan")
+        assert g.chi.tolist() == [0.0, 0.0, 1.0]
+        assert not g.chi.flags.writeable
+
+    @pytest.mark.parametrize("cls, kw", [
+        (So3RotorState, {"pi": [1.0, 2.0, 3.0]}),
+        (Se3RotorState, {"pi": [1.0, 2.0, 3.0], "gamma": [0.0, 0.6, 0.8]}),
+        (ControlLiftSo3, {"u_pi": [0.1, -0.2, 0.3]}),
+        (ControlLiftSe3, {"u_pi": [0.1, -0.2, 0.3], "u_gamma": [0.01, 0.02, -0.03]}),
+    ])
+    def test_states_and_lifts(self, cls, kw):
+        arrays = {name: np.array(v) for name, v in kw.items()}
+        block = cls(**arrays)
+        for name, a in arrays.items():
+            a[0] = float("nan")
+            assert getattr(block, name).tolist() == kw[name]
+            assert not getattr(block, name).flags.writeable
+
+    def test_integrate_runs_with_the_checked_moments(self, std_so3_state):
+        i = np.array([3.0, 2.0, 1.0])
+        p = InertiaParams(i_bar=i, j3=1.0)
+        before = integrate(ModelKind.SO3, p, std_so3_state, t_end=0.01).states
+        i[0] = -5.0
+        after = integrate(ModelKind.SO3, p, std_so3_state, t_end=0.01).states
+        assert np.array_equal(before, after)
 
 
 # One finite value per field; each vector entry and each scalar below is
