@@ -22,6 +22,7 @@ samples, 971 KiB at 20000; so3 472 and 491 KiB; ``tracemalloc``).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -44,6 +45,9 @@ SAMPLE_LOW = -5.0
 SAMPLE_HIGH = 5.0
 BLOCK_SAMPLES = 1024
 
+# The audit's rule for its sample count, which the CLI's --samples asks too.
+_check_samples = functools.partial(_as_integer, "samples", ok=lambda n: n >= 1, rule=">= 1")
+
 # The oracle side of each model: its bracket, and its energy as a field
 # without an analytic gradient.  The energy is looked up by name at the
 # call, so a wrapper set on this module's attribute sees the call.
@@ -62,6 +66,7 @@ _ORACLES = {
 def bracket_oracle_audit(
     kind: ModelKind,
     params: InertiaParams,
+    *,
     grav: Optional[GravityParams] = None,
     samples: int = 1000,
     seed: int = 42,
@@ -70,12 +75,13 @@ def bracket_oracle_audit(
 
     The energy field is handed to the bracket without an analytic
     gradient, so the oracle side rests entirely on finite differences and
-    shares no derivative code with the equations of motion.
+    shares no derivative code with the equations of motion.  The settings
+    are keyword-only; the CLI and the config parser read their defaults here.
 
     Returns a JSON-ready report with the worst relative discrepancy, the
     sample that produced it, and a pass flag against ``AUDIT_TOL``.
     """
-    samples = _as_integer("samples", samples, lambda n: n >= 1, ">= 1")
+    samples = _check_samples(samples)
     # The free field of dynamics takes (dim, n) blocks too.
     direct_field, _jac = _flat_system(kind, params, grav, None)
     bracket_kind, energy = _ORACLES[kind]

@@ -32,10 +32,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .audit import bracket_oracle_audit
+from .audit import _check_samples, bracket_oracle_audit
 from .dynamics import IntegrationError, diagnostics, integrate
 from .hj import EquilibriumError, _residual, _rule_lift, find_equilibrium
 from .model import model_layout
+from .rng import SplitMix64
 from .scenario import (
     ScenarioError,
     json_text,
@@ -233,12 +234,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_where(ok, rule: str):
-    """An argparse type: an int for which `ok` holds, as `rule` says."""
+def _int_where(check):
+    """An argparse type: an int that `check`, its owner, accepts; else its message."""
 
     def parse(text: str) -> int:
-        if not ok(n := int(text)):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {n}")
+        n = int(text)
+        try:
+            check(n)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from err
         return n
 
     parse.__name__ = "int"  # argparse's "invalid int value" on a non-integer
@@ -259,8 +263,8 @@ def _path(what: str) -> _Option:
     return _Option(True, str, None, what)
 
 
-_SAMPLES = _int_where(lambda n: n >= 1, ">= 1")
-_SEED = _int_where(lambda n: 0 <= n < 2**64, "in [0, 2**64)")
+_SAMPLES = _int_where(_check_samples)
+_SEED = _int_where(SplitMix64)
 
 # Each command's help, handler and long options, ``--<name>``, in the order
 # ``-h`` lists them and the handler takes them; the parsers and main read it.
@@ -279,7 +283,9 @@ _COMMANDS = {
         cmd_bracket_audit,
         {
             "config": _path("scenario JSON path"),
-            "samples": _Option(False, _SAMPLES, 1000, "sample count"),
+            "samples": _Option(
+                False, _SAMPLES, bracket_oracle_audit.__kwdefaults__["samples"], "sample count"
+            ),
             "seed": _Option(False, _SEED, None, "override the scenario seed"),
         },
     ),

@@ -113,18 +113,12 @@ class ConstantControl:
 
     lift: Union[ControlLiftSo3, ControlLiftSe3]
 
-    def lift_at(self, state):
-        return self.lift
-
 
 @dataclass
 class FeedbackControl:
     """State-dependent lift; `law` is called at each integrator substep."""
 
     law: Callable[[object], Union[ControlLiftSo3, ControlLiftSe3]]
-
-    def lift_at(self, state):
-        return self.law(state)
 
 
 class IntegrationError(RuntimeError):

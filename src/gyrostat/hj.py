@@ -85,9 +85,10 @@ def _residual(kind, gamma_bar, params, grav, lift) -> np.ndarray:
     shape, or a missing gravity block for se3."""
     lay = model_layout(kind)
     g = _as_values(gamma_bar, lay.dim, "gamma_bar")
-    u = np.zeros(lay.dim) if lift is None else _as_values(lift, lay.dim, "lift")
+    u = [0.0] * lay.dim if lift is None else _as_values(lift, lay.dim, "lift").tolist()
     field, _jac = _flat_system(kind, params, grav, None)
     # The l line is its lift entry alone, so a "solve" lift's -0.0 stays.
+    # Python floats add an overflowing pair to NaN without a numpy warning.
     return np.array([*map(add, field(g.tolist())[:-1], u), u[-1]])
 
 
@@ -282,9 +283,15 @@ def _max_norm(f: list) -> float:
 
 
 def _norm(f: list) -> float:
-    """``float(np.linalg.norm(f))``: the square root of BLAS ``ddot``."""
+    """``float(np.linalg.norm(f))``: the square root of BLAS ``ddot``,
+    inf without a numpy warning where the sum of squares overflows.  With
+    every entry below 1e150 it cannot, and the errstate (twice the cost of
+    the norm) is skipped."""
     a = np.array(f)
-    return sqrt(a.dot(a))
+    if max(map(abs, f)) < 1e150:
+        return sqrt(a.dot(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sqrt(a.dot(a))
 
 
 def _multipliers(control, lay) -> int:

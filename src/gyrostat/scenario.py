@@ -16,9 +16,10 @@ A scenario document is a single JSON object::
       "seed": 42
     }
 
-Defaults: zero control, method rk4, dt 1e-3, t_end 1.0, sample_every 10,
-chi (0, 0, 1), alpha 0, l 0, seed 42.  A gravity block on the so3 model
-is rejected, as is a missing one on se3.  Feedback control laws are a
+Defaults are read from the routines that use the values: zero control;
+``integrate``'s method rk4, dt 1e-3, t_end 1.0, sample_every 10; chi
+(0, 0, 1), alpha 0, l 0; the audit's seed 42.  A gravity block on so3 is
+rejected, as is a missing one on se3.  Feedback control laws are a
 library-level feature and have no JSON spelling.
 
 Each block, and the top level of each config kind, names the keys it
@@ -52,7 +53,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import ConstantControl, Trajectory, _step_count
+from .audit import bracket_oracle_audit
+from .dynamics import ConstantControl, Trajectory, _step_count, integrate
 from .hj import NEWTON_MAX_ITER, NEWTON_TOL, _check_search
 from .model import (
     GravityParams,
@@ -244,17 +246,11 @@ class Scenario:
         """Normalized scenario content for summary reports."""
         out = {
             "model": self.model.value,
-            "inertia": {
-                "i_bar": [float(v) for v in self.inertia.i_bar],
-                "j3": self.inertia.j3,
-            },
+            "inertia": _echo(self.inertia),
             "initial": _echo(self.initial),
             "control": _control_echo(self.control),
             "integrator": {
-                "method": self.method,
-                "dt": self.dt,
-                "t_end": self.t_end,
-                "sample_every": self.sample_every,
+                k: getattr(self, k) for k in ("method", "dt", "t_end", "sample_every")
             },
             "seed": self.seed,
         }
@@ -264,7 +260,7 @@ class Scenario:
 
 
 def _echo(params) -> dict:
-    """The fields of a state, gravity block or lift, arrays as lists."""
+    """The fields of a parameter block, a state or a lift, arrays as lists."""
     return {
         k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(params).items()
     }
@@ -279,19 +275,17 @@ def _control_echo(control) -> dict:
 
 
 def _parse_integrator(doc: dict) -> tuple:
-    block = {}
-    if "integrator" in doc:
-        block = _block(doc, "integrator", ("method", "dt", "t_end", "sample_every"))
-    method = block.get("method", "rk4")
-    dt = _number(block.get("dt", 1e-3), "integrator.dt")
-    t_end = _number(block.get("t_end", 1.0), "integrator.t_end")
-    sample_every = block.get("sample_every", 10)
+    keys = ("method", "dt", "t_end", "sample_every")
+    block = _block(doc, "integrator", keys) if "integrator" in doc else {}
+    method, dt, t_end, sample_every = (block.get(k, integrate.__kwdefaults__[k]) for k in keys)
+    dt = _number(dt, "integrator.dt")
+    t_end = _number(t_end, "integrator.t_end")
     _ask(_step_count, "integrator", "integrator", dt, t_end, sample_every, method)
     return method, dt, t_end, sample_every
 
 
 def _parse_seed(doc: dict) -> int:
-    seed = doc.get("seed", 42)
+    seed = doc.get("seed", bracket_oracle_audit.__kwdefaults__["seed"])
     _ask(SplitMix64, "seed", "seed", seed)
     return seed
 

@@ -154,6 +154,11 @@ def test_rejects_bad_input():
         bracket_oracle_audit(ModelKind.SE3, PARAMS, samples=10)
 
 
+def test_settings_are_keyword_only():
+    with pytest.raises(TypeError):
+        bracket_oracle_audit(ModelKind.SO3, PARAMS, None, 10)
+
+
 @pytest.mark.parametrize("samples", [2.5, 3.0, True, False, "3", None])
 def test_samples_must_be_an_integer(samples):
     # 2.5 used to fail in `range`, and True ran one sample reported as true.

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gyrostat.cli
+from gyrostat.audit import bracket_oracle_audit
 from gyrostat.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
 
 SO3_SCENARIO = {
@@ -627,7 +628,21 @@ class TestUsage:
         err = capsys.readouterr()
         assert err.out == ""
         assert err.err.startswith("usage: gyrostat bracket-audit")
-        assert f"argument {option}: " in err.err
+        # The message is the rule of the routine that uses the value.
+        rule = {
+            "--samples": "samples must be an integer >= 1",
+            "--seed": "seed must be an integer in [0, 2**64)",
+        }
+        assert err.err.endswith(f"error: argument {option}: {rule[option]}, got {value}\n")
+
+    def test_samples_default_is_the_audits(self, tmp_path):
+        default = bracket_oracle_audit.__kwdefaults__["samples"]
+        assert build_parser().parse_args(["bracket-audit", "--config", "x"]).samples == default
+        cfg = write_json(tmp_path / "cfg.json", SO3_SCENARIO)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["bracket-audit", "--config", cfg]) == EXIT_OK
+        assert json.loads(out.getvalue())["samples"] == default
 
     def test_repeated_calls_match_a_fresh_parser(self, capsys):
         # main keeps one parser for the process; every call must still

@@ -127,6 +127,17 @@ class TestSolveLift:
                 == 0.0
             )
 
+    def test_overflowing_lift_adds_without_a_warning(self, std_params):
+        # The solved lift is +-inf where the field overflows; adding it back
+        # gives NaN, which the residual reports and numpy need not warn of.
+        g = [1e200] * 3 + [0.0, 1e200]
+        u = solve_lift(g, std_params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = hj_residual_so3(g, std_params, lift=u)
+        assert np.isnan(r[:3]).all()
+        assert r[3] == 0.0 and np.signbit(r[4])
+
     def test_se3_needs_gravity(self, std_params):
         with pytest.raises(ValueError):
             solve_lift(np.zeros(8), std_params)
@@ -208,6 +219,21 @@ class TestFindEquilibrium:
                 find_equilibrium(ModelKind.SO3, std_params, guess)
         assert info.value.iterations == 0
         assert info.value.residual_norm != info.value.residual_norm
+
+    def test_overflowing_step_norm_gives_no_warning(self, std_params):
+        # A trial step's 2-norm overflows on the way to a converged state,
+        # which keeps the bits of a run with numpy's warnings ignored.
+        guess = So3RotorState(pi=(1e154, 2.0, 3.0), l=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = find_equilibrium(ModelKind.SO3, std_params, guess)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = find_equilibrium(ModelKind.SO3, std_params, guess)
+        lay = model_layout(ModelKind.SO3)
+        assert lay.to_vector(res.state).tobytes() == lay.to_vector(quiet.state).tobytes()
+        assert (res.residual_norm, res.iterations) == (quiet.residual_norm, quiet.iterations)
+        assert res.residual_norm < 1e-12
 
     def test_a_singular_system_carries_no_counts(self):
         err = SingularJacobianError("singular")

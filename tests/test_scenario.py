@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyrostat import dynamics
+from gyrostat.audit import bracket_oracle_audit
 from gyrostat.dynamics import ConstantControl, ControlLiftSo3, FeedbackControl, integrate
 from gyrostat.model import ModelKind, So3RotorState
 from gyrostat.scenario import (
@@ -201,6 +202,15 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="MAX_STEPS = 2000") as exc:
             scen(doc)
         assert exc.value.field == "integrator"
+
+    def test_defaults_are_read_when_parsing(self, monkeypatch):
+        # The parser asks integrate and the audit for their defaults, so a
+        # changed default holds for a config that leaves the key out.
+        monkeypatch.setitem(integrate.__kwdefaults__, "dt", 2e-3)
+        monkeypatch.setitem(bracket_oracle_audit.__kwdefaults__, "seed", 7)
+        scenario = scen(SO3_MINIMAL)
+        assert (scenario.dt, scenario.seed) == (2e-3, 7)
+        assert scenario.t_end == integrate.__kwdefaults__["t_end"]
 
     def test_bad_sample_every(self):
         doc = dict(SO3_MINIMAL)

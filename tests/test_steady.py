@@ -189,6 +189,14 @@ def test_steady_bytes_are_pinned(tmp_path, capsys, name):
     assert _run(tmp_path, capsys, name) == PINNED_CLI[name]
 
 
+def _lift_values(control, state, lay):
+    """The flat lift `control` applies at `state`; None for no lift."""
+    if control is None:
+        return None
+    lift = control.law(state) if isinstance(control, FeedbackControl) else control.lift
+    return None if lift is None else lay.lift_floats(lift)
+
+
 @pytest.mark.parametrize("name", sorted(n for n in CASES if PINNED_CLI[n][0] == EXIT_OK))
 def test_recheck_gives_the_search_residual_norm(name):
     # The search and hj_residual_* evaluate one expression, so the residual
@@ -205,8 +213,7 @@ def test_recheck_gives_the_search_residual_norm(name):
         cfg.model, cfg.inertia, guess, grav=cfg.gravity, control=cfg.control, **limits
     )
     lay = model_layout(cfg.model)
-    lift = None if cfg.control is None else cfg.control.lift_at(result.state)
-    u = None if lift is None else lay.lift_floats(lift)
+    u = _lift_values(cfg.control, result.state, lay)
     y = lay.to_vector(result.state)
     if cfg.model == ModelKind.SO3:
         residual = hj_residual_so3(y, cfg.inertia, u)
@@ -334,8 +341,7 @@ def _assert_equilibrium_on_the_leaf(kind, params, guess, grav, control, state):
     the default `tol`, on the guess's Casimir leaf."""
     lay = model_layout(kind)
     y = lay.to_vector(state)
-    lift = None if control is None else control.lift_at(state)
-    u = None if lift is None else lay.lift_floats(lift)
+    u = _lift_values(control, state, lay)
     assert float(np.max(np.abs(_residual(kind, y, params, grav, u)))) < 1e-12
     for before, after in zip(_leaf(guess, kind), _leaf(state, kind)):
         assert abs(after - before) <= LEAF_REL_BOUND * max(1.0, abs(before))
@@ -358,8 +364,7 @@ def _agrees_with_reference(
         if on_leaf:
             _assert_equilibrium_on_the_leaf(kind, params, guess, grav, control, lay.from_vector(y))
         else:
-            lift = None if control is None else control.lift_at(lay.from_vector(y))
-            u = None if lift is None else lay.lift_floats(lift)
+            u = _lift_values(control, lay.from_vector(y), lay)
             residual = _residual(kind, y, params, grav, u)
             assert float(np.max(np.abs(residual))) < 1e-12
             if _outcome_type(ref) == "converged":
