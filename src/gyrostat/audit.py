@@ -18,6 +18,12 @@ at a time.  The largest array is the block's finite-difference probes,
 8 x 8 x 1024 doubles (512 KiB; see :func:`gyrostat.poisson.fd_gradient`):
 an se3 audit peaks near 0.95 MiB of traced memory (940 KiB at 1000
 samples, 971 KiB at 20000; so3 472 and 491 KiB; ``tracemalloc``).
+
+An overflow is reported, never warned of: an energy that is not finite
+at a probe is the ``ValueError`` of :func:`gyrostat.poisson.fd_gradient`,
+and a NaN discrepancy, where the direct field and the oracle overflow
+together, the audit's own.  Each block's discrepancy is taken with numpy's
+overflow and invalid-value warnings off.
 """
 
 from __future__ import annotations
@@ -80,6 +86,14 @@ def bracket_oracle_audit(
 
     Returns a JSON-ready report with the worst relative discrepancy, the
     sample that produced it, and a pass flag against ``AUDIT_TOL``.
+
+    Raises
+    ------
+    ValueError
+        On a `samples` that is not an integer >= 1, a missing gravity block
+        for se3, an energy that is not finite at a probe of
+        :func:`gyrostat.poisson.fd_gradient`, or a sample whose discrepancy
+        is NaN (the direct field and the oracle overflowing together).
     """
     samples = _check_samples(samples)
     # The free field of dynamics takes (dim, n) blocks too.
@@ -103,6 +117,8 @@ def bracket_oracle_audit(
         # argmax takes the first of equal maxima and the strict > keeps the
         # earlier block: the first occurrence overall, as a scan would.
         j = int(np.argmax(rel))
+        if rel[j] != rel[j]:  # a NaN, which argmax picks first and > would skip
+            raise ValueError(f"discrepancy is NaN at sample {start + j}: the field overflows")
         if rel[j] > worst:
             worst = float(rel[j])
             worst_sample = x[:, j].tolist()
@@ -120,14 +136,15 @@ def bracket_oracle_audit(
 
 
 def _worst_relative_discrepancy(direct_field, bracket_kind, h, x) -> np.ndarray:
-    """Per column of the block `x`: max_i |direct_i - via_i| / max(1, |direct_i|)."""
-    via = hamiltonian_vector_field_via_bracket(bracket_kind, h, x)
-    direct = np.zeros_like(via)  # the last row, dl/dt, stays 0
-    direct[:-1] = direct_field(x)[:-1]
-    # In place, so that a block holds few arrays at once.
-    err = np.subtract(direct, via, out=via)
-    np.abs(err, out=err)
-    den = np.abs(direct, out=direct)
-    np.maximum(den, 1.0, out=den)
-    err /= den
-    return err.max(axis=0)
+    """Per column of the block `x`: max_i |direct_i - via_i| / max(1, |direct_i|), unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        via = hamiltonian_vector_field_via_bracket(bracket_kind, h, x)
+        direct = np.zeros_like(via)  # the last row, dl/dt, stays 0
+        direct[:-1] = direct_field(x)[:-1]
+        # In place, so that a block holds few arrays at once.
+        err = np.subtract(direct, via, out=via)
+        np.abs(err, out=err)
+        den = np.abs(direct, out=direct)
+        np.maximum(den, 1.0, out=den)
+        err /= den
+        return err.max(axis=0)

@@ -149,7 +149,8 @@ def cmd_bracket_audit(config_path: str, samples: int, seed) -> int:
         )
     except ValueError as err:
         # The inputs were checked on parsing: this is the oracle's energy
-        # overflowing at its probes, e.g. on a tiny locked moment.
+        # overflowing at its probes, e.g. on a tiny locked moment, or the
+        # field overflowing with it to a NaN discrepancy.
         print(f"bracket audit failed: {err}", file=sys.stderr)
         return EXIT_TOLERANCE
     print(json_text(report), end="")
@@ -359,10 +360,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     _help, handler, options = _COMMANDS[args.command]
     try:
-        # Each command reports an overflow, or the NaN of two overflowing
-        # terms, in its output and exit code; numpy need not warn of it too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return handler(*(getattr(args, name) for name in options))
+        return handler(*(getattr(args, name) for name in options))
     except ScenarioError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

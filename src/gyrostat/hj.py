@@ -283,15 +283,12 @@ def _max_norm(f: list) -> float:
 
 
 def _norm(f: list) -> float:
-    """``float(np.linalg.norm(f))``: the square root of BLAS ``ddot``,
-    inf without a numpy warning where the sum of squares overflows.  With
-    every entry below 1e150 it cannot, and the errstate (twice the cost of
-    the norm) is skipped."""
+    """``float(np.linalg.norm(f))``: the square root of BLAS ``ddot``.
+    ``np.vdot`` calls it as ``ndarray.dot`` does, with the same bits, but
+    checks no floating-point flag, so a sum of squares that overflows is
+    inf, and one with a NaN entry NaN, without a numpy warning."""
     a = np.array(f)
-    if max(map(abs, f)) < 1e150:
-        return sqrt(a.dot(a))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return sqrt(a.dot(a))
+    return sqrt(np.vdot(a, a))
 
 
 def _multipliers(control, lay) -> int:
@@ -415,7 +412,7 @@ def find_equilibrium(
     # The bound on the leaf residuals C_k(y) - C_k(guess), the tail of g.
     slack = [sqrt(tol) * max(1.0, abs(c)) for c in level]
     f, g = residual(z)
-    size = None  # the 2-norm of g, taken when a step first needs it
+    size = _norm(g)
     iterations = 0
 
     def failure(message):
@@ -429,8 +426,6 @@ def find_equilibrium(
                 f"no convergence after {max_iter} iterations; last residual max-norm {norm:.3e}"
             )
         delta = _newton_direction(system_jacobian(z), g)
-        if size is None:
-            size = _norm(g)
         scale = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             z_try = [a + scale * d for a, d in zip(z, delta)]

@@ -135,7 +135,9 @@ def fd_gradient(f: ScalarField, x) -> np.ndarray:
     ------
     ValueError
         If the field returns a non-finite value at a probe point, naming
-        the lowest coordinate whose probes gave one.
+        the lowest coordinate whose probes gave one.  This error is the one
+        report of such a probe: the probes, both field calls and the
+        quotient run with numpy's overflow and invalid-value warnings off.
     """
     x = np.asarray(x, dtype=float)
     steps = fd_steps(x)
@@ -147,16 +149,17 @@ def fd_gradient(f: ScalarField, x) -> np.ndarray:
     probe = np.repeat(x[:, np.newaxis], dim, axis=1)
     stacked = probe.reshape(dim, -1)
     moved = probe.reshape(dim * dim, *x.shape[1:])[:: dim + 1]
-    np.add(x, steps, out=moved)
-    fp = np.reshape(value(stacked), x.shape)
-    np.subtract(x, steps, out=moved)
-    fm = np.reshape(value(stacked), x.shape)
-    # Checked before the quotient, which would turn inf - inf into a NaN.
-    finite = (np.isfinite(fp) & np.isfinite(fm)).reshape(dim, -1).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"non-finite field value near x while probing component {i}")
-    return (fp - fm) / (2.0 * steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(x, steps, out=moved)
+        fp = np.reshape(value(stacked), x.shape)
+        np.subtract(x, steps, out=moved)
+        fm = np.reshape(value(stacked), x.shape)
+        # Checked before the quotient, which would turn inf - inf into a NaN.
+        finite = (np.isfinite(fp) & np.isfinite(fm)).reshape(dim, -1).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"non-finite field value near x while probing component {i}")
+        return (fp - fm) / (2.0 * steps)
 
 
 def _gradient_of(f: ScalarField, x: np.ndarray) -> np.ndarray:
@@ -244,7 +247,8 @@ def bracket(kind: BracketKind, f: ScalarField, k: ScalarField, x) -> float:
         raise ValueError(f"bracket takes one point of shape ({f.dim},), got {x.shape}")
     gf = _gradient_of(f, x)
     gk = _gradient_of(k, x)
-    return float(_combine(kind, gf, gk, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_combine(kind, gf, gk, x))
 
 
 class _Zero:
@@ -313,11 +317,12 @@ def hamiltonian_vector_field_via_bracket(
     gh = _gradient_of(h, x)
     out = np.empty_like(x)
     covector = [_ZERO] * h.dim
-    for i in range(h.dim):
-        covector[i] = _ONE
-        form = _combine(kind, covector, gh, x)
-        covector[i] = _ZERO
-        out[i] = 0.0 if form is _ZERO else form
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(h.dim):
+            covector[i] = _ONE
+            form = _combine(kind, covector, gh, x)
+            covector[i] = _ZERO
+            out[i] = 0.0 if form is _ZERO else form
     return out
 
 

@@ -290,12 +290,25 @@ def _parse_seed(doc: dict) -> int:
     return seed
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; ScenarioError on a repeated key, of which
+    ``json.loads`` would keep the last value and drop the others unread."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _value in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ScenarioError(f"repeated key '{key}': a key may appear once in an object")
+    return obj
+
+
 def _parse_head(text: str, keys: tuple) -> tuple:
     """The document every config shares: the JSON object, whose keys must
     all be in `keys`, its model's layout, its inertia and its gravity
     block, validated in that order."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
+    except ScenarioError:
+        raise
     except (ValueError, RecursionError) as err:
         # ValueError is also an integer past Python's int-string limit, and
         # RecursionError arrays or objects nested past the recursion limit.

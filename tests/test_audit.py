@@ -1,6 +1,7 @@
 """The bracket-oracle audit: pinned reports and the scan it must equal."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gyrostat.scenario import json_text
 # The parameters of configs/so3_free_spin.json and configs/se3_heavy_top.json.
 PARAMS = InertiaParams(i_bar=(3.0, 2.0, 1.0), j3=1.0)
 GRAV = GravityParams(mgh=2.0, chi=(0.0, 0.0, 1.0))
+GRAV_1E308 = GravityParams(mgh=1e308, chi=(0.0, 0.0, 1.0))
 CONFIGS = {
     "so3_free_spin": (ModelKind.SO3, None),
     "se3_heavy_top": (ModelKind.SE3, GRAV),
@@ -152,6 +154,28 @@ def test_rejects_bad_input():
         bracket_oracle_audit(ModelKind.SO3, PARAMS, samples=0)
     with pytest.raises(ValueError):
         bracket_oracle_audit(ModelKind.SE3, PARAMS, samples=10)
+
+
+@pytest.mark.parametrize("kind, grav", [(ModelKind.SO3, None), (ModelKind.SE3, GRAV_1E308)])
+def test_overflowing_energy_raises_without_a_warning(kind, grav):
+    # Pi1^2 / i1 overflows at the oracle's probes; on se3 the potential
+    # also overflows, with the opposite sign at some probes, to a NaN sum.
+    params = InertiaParams(i_bar=(1e-308, 2.0, 1.0), j3=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^non-finite field value near x"):
+            bracket_oracle_audit(kind, params, grav=grav, samples=3)
+
+
+def test_nan_discrepancy_raises_without_a_warning():
+    # Seed 3's one sample has |Gamma3| < 1.8 and |Gamma2| > 1.8: at mgh
+    # 1e308 the energy is finite at every probe, but mgh * Gamma2 overflows
+    # in the direct field and in the oracle alike, to a NaN discrepancy.
+    # NaN > worst is false, so the report used to pass with no worst sample.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^discrepancy is NaN at sample 0: "):
+            bracket_oracle_audit(ModelKind.SE3, PARAMS, grav=GRAV_1E308, samples=1, seed=3)
 
 
 def test_settings_are_keyword_only():

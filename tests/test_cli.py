@@ -236,6 +236,24 @@ class TestFileErrors:
         err = _one_line_error(capsys, code, "config error: config is not valid JSON: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"model": "so3", "seed": 7, "seed": 8}', "seed"),
+            ('{"model": "so3", "inertia": {"i_bar": [3, 2, 1], "j3": 1, "j3": 2}}', "j3"),
+        ],
+        ids=["top_level", "in_a_block"],
+    )
+    def test_repeated_key(self, tmp_path, capsys, command, text, key):
+        # json.loads keeps a repeated key's last value; the first is neither
+        # read nor rejected unless the parser says so.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        code = main(self._argv(command, cfg, tmp_path))
+        err = _one_line_error(capsys, code, f"config error: repeated key '{key}'")
+        assert "Traceback" not in err
+
 
 class TestBracketAudit:
     def test_passes_and_reports(self, tmp_path, capsys):

@@ -89,6 +89,44 @@ def test_fd_gradient_rejects_non_finite():
         fd_gradient(f, np.zeros(5))
 
 
+class TestQuietOnOverflow:
+    """Where a tiny moment of inertia overflows the energy, the public
+    routines raise their documented ValueError or return, and numpy warns
+    of nothing."""
+
+    H = hamiltonian_field_so3(InertiaParams(i_bar=(1e-308, 2.0, 1.0), j3=1.0))
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 1)], ids=["point", "block"])
+    def test_fd_gradient_reports_the_overflowing_probe(self, shape):
+        x = np.reshape([2.0, 2.0, 3.0, 0.0, 0.5], shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="^non-finite field value near x while probing component 0$"
+            ):
+                fd_gradient(self.H, x)
+
+    @pytest.mark.parametrize("route", ["vector_field", "bracket"])
+    def test_bracket_forms_overflow_quietly(self, route):
+        # The gradient is finite (~1e308) at this point; its products with
+        # Pi overflow in the bracket's form, whose value is as numpy's.
+        x = [1.0, 2.0, 3.0, 0.0, 0.5]
+
+        def run():
+            if route == "bracket":
+                return np.float64(bracket(PROD5, coordinate_field(5, 2), self.H, x))
+            return hamiltonian_vector_field_via_bracket(PROD5, self.H, x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = run()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run()
+        assert got.tobytes() == want.tobytes()
+        assert not np.isfinite(got).all()
+
+
 def test_scalar_field_dimension_checked():
     with pytest.raises(ValueError):
         ScalarField(dim=4, value=lambda x: 0.0)

@@ -20,6 +20,7 @@ the reference's is listed with its reason.
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -550,6 +551,26 @@ class TestFeedbackOnTheSearch:
                 _agrees_with_reference(
                     kind, std_params, guess, grav, FeedbackControl(lambda s: None)
                 )
+
+
+def test_norm_is_the_ddot_root_without_a_warning():
+    # Vectors of the search's residual lengths (5 to 10 entries, with the
+    # Casimir multipliers) and one more, magnitudes 1e-300 to 1e300 with
+    # specials mixed in: the norm is math.sqrt of ndarray.dot, bit for bit,
+    # and warns of nothing where the sum of squares overflows or is NaN.
+    rng = SplitMix64(11)
+    specials = [0.0, -0.0, 5e-324, -2.2e-308, 1e308, math.nan, math.inf, -math.inf]
+    for k in range(20000):
+        f = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(5 + k % 7)]
+        if k % 3 == 0:
+            f[int(rng.uniform(0.0, len(f)))] = specials[k // 3 % len(specials)]
+        a = np.array(f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = math.sqrt(a.dot(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _norm(f)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), f
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-12])
