@@ -1,6 +1,6 @@
 """Randomized cross-check of the equations of motion against the brackets.
 
-The hand-written right-hand sides in :mod:`gyrostat.dynamics` and the
+The field table's right-hand sides in :mod:`gyrostat.dynamics` and the
 bracket-reconstructed Hamiltonian vector fields in :mod:`gyrostat.poisson`
 are two independent routes to the same derivative.  The audit samples
 phase points with every component uniform in [-5, 5], drawn from the

@@ -17,10 +17,10 @@ enter additively, one slot per equation.
 
 These Lie-Poisson equations are written out once, as one expression
 table per model (``_FIELDS``), and compiled from it into
-:func:`so3_field_kernel`, :func:`se3_field_kernel` and the run loops of
-:func:`integrate`: every field and every steady residual of the package
-evaluates them, and the state-based :func:`reduced_rhs_so3` and
-:func:`reduced_rhs_se3` are wrappers.
+:func:`so3_field_kernel`, :func:`se3_field_kernel`, their exact
+Jacobians and the run loops of :func:`integrate`: every field, Jacobian
+and steady residual of the package evaluates them, and the state-based
+:func:`reduced_rhs_so3` and :func:`reduced_rhs_se3` are wrappers.
 
 Integration is fixed-step on the flattened phase vector: classical
 fourth-order Runge-Kutta by default, with an implicit midpoint rule as the
@@ -52,6 +52,7 @@ steady residual each call it once.  The lift types live in
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from functools import cache, partial
@@ -240,81 +241,79 @@ def _compile(source: str, name: str, filename: str):
     return namespace[name]
 
 
-def _field_kernel(kind: ModelKind, doc: str):
-    """The kernel of `kind`'s table: ``kernel(*constants, y)``, `y` unpacked
-    into the slots, returns the list of the field's values."""
-    table = _FIELDS[kind]
-    name = f"{kind.value}_field_kernel"
-    source = "\n    ".join([
-        f"def {name}({', '.join(table.constants)}, y):",
-        f"{', '.join(table.slots)} = y",
-        *_RATES,
-        f"return [{', '.join(table.values)}]",
-    ])
-    kernel = _compile(source, name, f"<{kind.value} field table>")
-    kernel.__doc__ = doc
-    return kernel
+def _jacobian_columns(table: _FieldTable) -> list:
+    """The source of each column ``[d(value_i)/d(slot) for i]`` of `table`, by
+    the sum, product and quotient rules over names, float literals, ``+``,
+    ``-``, ``*`` by a name and ``/`` by a constant (ValueError on any other
+    form).  ``x * (+-1 / c)`` is ``+-x / c``, ``a - b`` is ``a + -b``, and no
+    term is the literal ``0.0`` that ``hj._newton_direction`` strikes."""
+    rates = {a.targets[0].id: a.value for a in (ast.parse(r).body[0] for r in _RATES)}
+    unparse = cache(ast.unparse)  # once per compound factor, not per slot
+
+    def derivative(node, slot):
+        if isinstance(node, ast.Name) and node.id in rates:
+            return derivative(rates[node.id], slot)
+        if isinstance(node, ast.Name) and node.id in table.slots + table.constants:
+            return [(False, (), ())] if node.id == slot else []
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            return []
+        if isinstance(node, ast.BinOp):
+            a, b, op = node.left, node.right, type(node.op)
+            da, db = derivative(a, slot), derivative(b, slot)
+            if op in (ast.Add, ast.Sub):
+                return da + [(n != (op is ast.Sub), f, d) for n, f, d in db]
+            if op is ast.Mult and ast.Name in (type(a), type(b)):
+                fa, fb = (x.id if isinstance(x, ast.Name) else f"({unparse(x)})" for x in (a, b))
+                return [(n, f + (fb,), d) for n, f, d in da] + [(n, (fa,) + f, d) for n, f, d in db]
+            if op is ast.Div and isinstance(b, ast.Name) and b.id in table.constants:
+                return [(n, f, d + (b.id,)) for n, f, d in da]
+        raise ValueError(f"cannot differentiate {ast.unparse(node)!r} in the field table")
+
+    def source(terms):  # terms (negative, factors, divisors)
+        text = ("-" * n + (" * ".join(f) or ("1" if d else "1.0")) + "".join(f" / {c}" for c in d)
+                for n, f, d in terms)
+        return " + ".join(text) or "0.0"
+
+    nodes = [ast.parse(value, mode="eval").body for value in table.values]
+    return [f"[{', '.join(source(derivative(x, slot)) for x in nodes)}]" for slot in table.slots]
 
 
-so3_field_kernel = _field_kernel(
-    ModelKind.SO3,
-    """Uncontrolled ``(dPi1, dPi2, dPi3, dalpha, dl)`` of the symmetric
-    model, ``dl = 0.0``, as ``so3_field_kernel(i1, i2, i3, j3, y)`` with the
-    constants first in :meth:`~gyrostat.model.ModelLayout.constants` order.
+def _table_functions(label: str, table: _FieldTable) -> list:
+    """`label`'s kernel and exact Jacobian, compiled from `table`, each
+    ``f(*constants, y)`` with `y` unpacked into the slots: the list of the
+    field's values, and of its columns ``cols[j][i] = d(field_i)/d(y_j)``."""
+    names = f"{label}_field_kernel", f"_{label}_field_jacobian"
+    functions = []
+    for name, values in zip(names, (table.values, _jacobian_columns(table))):
+        source = "\n    ".join([
+            f"def {name}({', '.join(table.constants)}, y):",
+            f"{', '.join(table.slots)} = y",
+            *_RATES,
+            f"return [{', '.join(values)}]",
+        ])
+        functions.append(_compile(source, name, f"<{label} field table>"))
+    return functions
+
+
+so3_field_kernel, _so3_field_jacobian = _table_functions("so3", _FIELDS[ModelKind.SO3])
+se3_field_kernel, _se3_field_jacobian = _table_functions("se3", _FIELDS[ModelKind.SE3])
+so3_field_kernel.__doc__ = """Uncontrolled ``(dPi1, dPi2, dPi3, dalpha, dl)`` of
+    the symmetric model, ``dl = 0.0``, as ``so3_field_kernel(i1, i2, i3, j3,
+    y)``, the constants first in :meth:`~gyrostat.model.ModelLayout.constants` order.
 
     `y` unpacks into ``(Pi1, Pi2, Pi3, alpha, l)``: a flat sequence of
     floats gives floats, and a ``(5, n)`` block with one point per column
-    rows of n values.  Compiled from the model's table in ``_FIELDS``,
-    whose expressions every field and steady residual of the package
-    evaluates; ``tests/test_symbolic.py`` derives them from the energy and
-    the Lie-Poisson bracket.
-    """,
-)
-se3_field_kernel = _field_kernel(
-    ModelKind.SE3,
-    """As :func:`so3_field_kernel`, for the restoring-torque model's
-    ``(Pi, Gamma, alpha, l)`` and an 8-row block:
-    ``se3_field_kernel(i1, i2, i3, j3, mgh, c1, c2, c3, y)``.""",
-)
+    rows of n values.  Compiled, as is its exact Jacobian, from the model's
+    table in ``_FIELDS``, whose expressions every field and steady residual
+    of the package evaluates; ``tests/test_symbolic.py`` checks both
+    against the energy and the Lie-Poisson bracket.
+    """
+se3_field_kernel.__doc__ = """As :func:`so3_field_kernel`, for the
+    restoring-torque model's ``(Pi, Gamma, alpha, l)`` and an 8-row block:
+    ``se3_field_kernel(i1, i2, i3, j3, mgh, c1, c2, c3, y)``."""
 # The kernels the table compiled; `integrate` writes the table into its run
 # loop only while the module attributes still name them.
 _TABLE_KERNELS = {ModelKind.SO3: so3_field_kernel, ModelKind.SE3: se3_field_kernel}
-
-
-def _so3_field_jacobian(i1, i2, i3, j3, y):
-    """Columns ``cols[j][i] = d(field_i)/d(y_j)`` of :func:`so3_field_kernel`,
-    each entry linear in `y`.  An entry whose expression never mentions
-    the slot, the alpha column and the ``dl`` row among them, is a literal
-    ``0.0``; ``tests/test_symbolic.py`` checks them."""
-    p1, p2, p3, _alpha, l = y
-    w1 = p1 / i1
-    w2 = p2 / i2
-    w3 = (p3 - l) / i3
-    return [
-        [0.0, p3 / i1 - w3, w2 - p2 / i1, 0.0, 0.0],
-        [w3 - p3 / i2, 0.0, p1 / i2 - w1, 0.0, 0.0],
-        [p2 / i3 - w2, w1 - p1 / i3, 0.0, -1 / i3, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0],
-        [-p2 / i3, p1 / i3, 0.0, 1 / j3 + 1 / i3, 0.0],
-    ]
-
-
-def _se3_field_jacobian(i1, i2, i3, j3, mgh, c1, c2, c3, y):
-    """As :func:`_so3_field_jacobian`, for :func:`se3_field_kernel`."""
-    p1, p2, p3, g1, g2, g3, _alpha, l = y
-    w1 = p1 / i1
-    w2 = p2 / i2
-    w3 = (p3 - l) / i3
-    return [
-        [0.0, p3 / i1 - w3, w2 - p2 / i1, 0.0, g3 / i1, -g2 / i1, 0.0, 0.0],
-        [w3 - p3 / i2, 0.0, p1 / i2 - w1, -g3 / i2, 0.0, g1 / i2, 0.0, 0.0],
-        [p2 / i3 - w2, w1 - p1 / i3, 0.0, g2 / i3, -g1 / i3, 0.0, -1 / i3, 0.0],
-        [0.0, -mgh * c3, mgh * c2, 0.0, -w3, w2, 0.0, 0.0],
-        [mgh * c3, 0.0, -mgh * c1, w3, 0.0, -w1, 0.0, 0.0],
-        [-mgh * c2, mgh * c1, 0.0, -w2, w1, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [-p2 / i3, p1 / i3, 0.0, -g2 / i3, g1 / i3, 0.0, 1 / j3 + 1 / i3, 0.0],
-    ]
 
 
 def _read_control(control, lay):

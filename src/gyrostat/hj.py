@@ -11,11 +11,11 @@ lift component alone.
 
 :func:`find_equilibrium` iterates on lists of Python floats from the
 guess to the result, on the list field that
-:func:`gyrostat.dynamics.integrate` steps.  The exact Jacobian is written
-out beside the field kernels (only a feedback lift is differenced), its
-structurally zero rows and columns are struck, and the damped line
-search and the max-norm stop test run on floats, each in the operation
-order of ndarray arithmetic.  Two numpy calls remain, where Python would
+:func:`gyrostat.dynamics.integrate` steps.  The exact Jacobian is derived
+from the field table the kernels are compiled from (only a feedback lift
+is differenced), its structurally zero rows and columns are struck, and
+the damped line search and the max-norm stop test run on floats, each in
+the operation order of ndarray arithmetic.  Two numpy calls remain, where Python would
 round otherwise: ``np.linalg.solve`` (LAPACK ``gesv``) on the reduced
 square system, and the line-search 2-norm as the square root of BLAS
 ``ddot``.  A lift tangent to the Casimir levels (no control, or ``u_alpha``

@@ -7,8 +7,8 @@ come from an attached analytic rule when present and central finite
 differences otherwise.  Coordinate fields carry exact gradients; the
 energy fields (:func:`gyrostat.model.kinetic_energy`, plus the potential
 for se3) carry none, so reconstructing a Hamiltonian vector field
-componentwise through the bracket checks the hand-written equations of
-motion in :mod:`gyrostat.dynamics` from energy values alone.
+componentwise through the bracket checks the field table's equations
+of motion in :mod:`gyrostat.dynamics` from energy values alone.
 
 The Jacobi identity is not asserted anywhere in the test suite; the
 bracket forms are fixed expressions whose structure is covered by the
@@ -332,7 +332,7 @@ def hamiltonian_field_so3(params: InertiaParams) -> ScalarField:
 
     No gradient is attached: brackets of the energy take it by finite
     differences, which keeps bracket-based reconstructions independent of
-    the hand-written derivatives in :mod:`gyrostat.dynamics`.
+    the field table in :mod:`gyrostat.dynamics` and its Jacobians.
     """
     c = model_layout(ModelKind.SO3).constants(params, None)
     return ScalarField(dim=_DIM_SO3, value=lambda x: kinetic_energy(x[0], x[1], x[2], x[4], *c))

@@ -463,12 +463,22 @@ def parse_equilibrium_config(text: str) -> EquilibriumConfig:
     )
 
 
+# Rows `trajectory_csv` formats with one `%`: one `%` over a whole
+# 200k-sample se3 run raised its peak memory by ~10 MB.
+_CSV_BLOCK_ROWS = 1024
+
+
 def trajectory_csv(traj: Trajectory) -> str:
-    """Render a trajectory as CSV text with the fixed column schema."""
+    """Render a trajectory as CSV text with the fixed column schema: each
+    value as ``{:.17g}`` writes it, one ``%`` per block of rows."""
     header = model_layout(traj.kind).csv_header
     rows = np.column_stack((traj.times, traj.states, traj.energy, traj.casimirs))
-    row = ",".join(["{:.17g}"] * rows.shape[1])
-    return "\n".join([header, *(row.format(*r) for r in rows.tolist())]) + "\n"
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    text = [header, "\n"]
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS]
+        text.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(text)
 
 
 # float.__repr__'s words for the values JSON has no number for.

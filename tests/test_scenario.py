@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyrostat import dynamics
+from gyrostat import dynamics, scenario
 from gyrostat.audit import bracket_oracle_audit
 from gyrostat.dynamics import ConstantControl, ControlLiftSo3, FeedbackControl, integrate
 from gyrostat.model import ModelKind, So3RotorState
@@ -480,6 +480,24 @@ class TestSerialization:
                 ",".join(f"{float(tok):.17g}" for tok in line.split(","))
             )
         assert "\n".join(rebuilt) + "\n" == text
+
+    def test_csv_blocks_render_as_per_row_format(self, std_params, std_grav, std_se3_state):
+        # More rows than one formatting block, with hand-built rows of the
+        # values whose spellings differ most between formatters.
+        traj = integrate(
+            ModelKind.SE3, std_params, std_se3_state, grav=std_grav, dt=1e-3, t_end=2.5,
+            sample_every=1,
+        )
+        states = traj.states.copy()
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1.7976931348623157e308]
+        for i, v in enumerate(special):
+            states[1023 + i, :] = v
+            states[2000 + i, i] = v
+        traj = dataclasses.replace(traj, states=states)
+        assert len(traj.times) > 2 * scenario._CSV_BLOCK_ROWS
+        rows = np.column_stack((traj.times, traj.states, traj.energy, traj.casimirs))
+        expected = [SE3_CSV_HEADER, *(",".join(f"{v:.17g}" for v in r) for r in rows.tolist())]
+        assert trajectory_csv(traj) == "\n".join(expected) + "\n"
 
     def test_json_text_sorted_and_newline_terminated(self):
         text = json_text({"b": 1, "a": [1.5, None, True]})

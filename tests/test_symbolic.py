@@ -9,12 +9,13 @@ component i being ``{x_i, H}``:
     dalpha/dt = dH/dl
     dl/dt     = -dH/dalpha
 
-The hand-written field kernels, called on symbols, must differ from these
-by exactly 0, and so must the hand-written Jacobians the equilibrium
-search uses from sympy's Jacobian of the reference.  The kernels are the
-only hand-written field: the integrators, the bracket audit and every
-steady residual of ``gyrostat.hj`` evaluate them.  The reference never
-sees a hand-written derivative.
+The field kernels, compiled from the expression table, called on symbols,
+must differ from these by exactly 0, and so must the Jacobians the
+equilibrium search uses, derived from the same table by the sum, product
+and quotient rules, from sympy's Jacobian of the reference.  The table is
+the only written field: the integrators, the bracket audit and every
+steady residual of ``gyrostat.hj`` evaluate it.  The reference never sees
+the table or a derivative of it.
 
 The Casimirs the equilibrium search borders its Newton system with are
 checked the same way: the layout's gradients and Hessian entries are the
@@ -111,7 +112,7 @@ def reference_jacobian(gravity: bool) -> sp.Matrix:
 
 
 def so3_jacobian() -> sp.Matrix:
-    # The hand-written Jacobians are lists of columns.
+    # The Jacobians are lists of columns.
     return sp.Matrix(_so3_field_jacobian(I1, I2, I3, J3, SO3_COORDS)).T
 
 
