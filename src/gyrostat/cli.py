@@ -30,11 +30,9 @@ import time
 import warnings
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .audit import _check_samples, bracket_oracle_audit
 from .dynamics import IntegrationError, diagnostics, integrate
-from .hj import EquilibriumError, _residual, _rule_lift, find_equilibrium
+from .hj import EquilibriumError, _max_norm, _residual, _rule_lift, find_equilibrium
 from .model import model_layout
 from .rng import SplitMix64
 from .scenario import (
@@ -175,7 +173,7 @@ def cmd_hj_check(config_path: str) -> int:
 
     lift = _rule_lift(cfg.lift, cfg.model, gamma, cfg.inertia, cfg.gravity)
     residual = _residual(cfg.model, gamma, cfg.inertia, cfg.gravity, lift)
-    max_norm = float(np.max(np.abs(residual)))
+    max_norm = _max_norm(residual.tolist())
     passed = max_norm < cfg.tolerance
     report = {
         "model": cfg.model.value,

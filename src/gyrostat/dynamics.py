@@ -350,9 +350,10 @@ def _flat_system(kind, params, grav, control):
     takes a ``(dim, n)`` block.  The Jacobian is exact for the free field,
     nothing is added for a constant lift, and central differences of the
     lift alone are added for a ``FeedbackControl`` (a ``None`` lift is
-    zero).  ValueError on a missing gravity block for se3, then as
-    :func:`_read_control`; a feedback lift of the other model is one at
-    the call.
+    zero, as is the lift at a non-finite point, which has no state and
+    whose step fails its own finiteness check).  ValueError on a missing
+    gravity block for se3, then as :func:`_read_control`; a feedback lift
+    of the other model is one at the call.
     """
     lay = model_layout(kind)
     consts = lay.constants(params, grav)
@@ -370,6 +371,8 @@ def _flat_system(kind, params, grav, control):
         return free, jac
 
     def lift(y):
+        if not all(map(isfinite, y)):
+            return None
         v = law(lay.from_vector(y))
         return None if v is None else lay.lift_floats(v)
 

@@ -205,7 +205,7 @@ def residual_field_report(
         g = _as_values(field.fn(config), n, "field values")
         u = _rule_lift(lift, field.kind, g, params, grav)
         residuals.append(_residual(field.kind, g, params, grav, u))
-    norms = [float(np.max(np.abs(r))) for r in residuals]
+    norms = [_max_norm(r.tolist()) for r in residuals]
     return FieldReport(per_config=norms, residuals=residuals, max_norm=_max_norm(norms))
 
 

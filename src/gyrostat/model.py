@@ -23,17 +23,17 @@ read it from there instead of branching on the kind.
 Locked inertias ``i_bar = (I1 + J1, I2 + J2, I3)`` combine carrier inertia
 ``I`` with the rotor's transverse inertia; ``j3`` is the rotor's axial
 moment.  These four numbers are the whole inertia input: the body rate
-``Omega = (Pi1/i1, Pi2/i2, (Pi3 - l)/i3)`` is written out where it is
-used, in the field kernels of :mod:`gyrostat.dynamics` and their exact
-Jacobians.
+``Omega = (Pi1/i1, Pi2/i2, (Pi3 - l)/i3)`` is written once, as the rates
+``_RATES`` of the field table in :mod:`gyrostat.dynamics`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,30 +132,45 @@ class GravityParams:
         object.__setattr__(self, "chi", chi)
 
 
-def _set_finite_floats(obj, *names):
-    """Store the named fields of a frozen dataclass as floats; ValueError
-    unless all of them are finite."""
-    for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
-    if not all(math.isfinite(getattr(obj, name)) for name in names):
-        raise ValueError(f"{' and '.join(names)} must be finite")
+@functools.cache
+def _flat_fields(cls: type) -> tuple:
+    """``(name, vector, required)`` per field of a state or lift type, in
+    declaration order: a field with no plain default is a 3-vector, every
+    other one a float, and one with no default at all is required."""
+    return tuple(
+        (f.name, f.default is MISSING, f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
+
+class _Flat:
+    """Base of the state and lift types, whose fields follow one rule: a
+    vector field is stored as a read-only finite copy by ``as_vec3``, the
+    others as floats, and ValueError unless all the floats are finite."""
+
+    def __post_init__(self):
+        floats = []
+        for name, vector, _ in _flat_fields(type(self)):
+            if vector:
+                object.__setattr__(self, name, as_vec3(getattr(self, name)))
+            else:
+                object.__setattr__(self, name, float(getattr(self, name)))
+                floats.append(name)
+        if not all(math.isfinite(getattr(self, name)) for name in floats):
+            raise ValueError(f"{' and '.join(floats)} must be finite")
 
 
 @dataclass(frozen=True)
-class So3RotorState:
+class So3RotorState(_Flat):
     """Phase point (Pi, alpha, l) of the symmetric model."""
 
     pi: np.ndarray
     alpha: float = 0.0
     l: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "pi", as_vec3(self.pi))
-        _set_finite_floats(self, "alpha", "l")
-
 
 @dataclass(frozen=True)
-class Se3RotorState:
+class Se3RotorState(_Flat):
     """Phase point (Pi, Gamma, alpha, l) of the restoring-torque model.
 
     ``Gamma`` is not normalized here: its norm is a conserved label of the
@@ -168,38 +183,24 @@ class Se3RotorState:
     alpha: float = 0.0
     l: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "pi", as_vec3(self.pi))
-        object.__setattr__(self, "gamma", as_vec3(self.gamma))
-        _set_finite_floats(self, "alpha", "l")
-
 
 @dataclass(frozen=True)
-class ControlLiftSo3:
+class ControlLiftSo3(_Flat):
     """Additive control entries for the symmetric model's equations."""
 
     u_pi: np.ndarray = field(default_factory=lambda: np.zeros(3))
     u_alpha: float = 0.0
     u_l: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "u_pi", as_vec3(self.u_pi))
-        _set_finite_floats(self, "u_alpha", "u_l")
-
 
 @dataclass(frozen=True)
-class ControlLiftSe3:
+class ControlLiftSe3(_Flat):
     """Additive control entries for the restoring-torque model's equations."""
 
     u_pi: np.ndarray = field(default_factory=lambda: np.zeros(3))
     u_gamma: np.ndarray = field(default_factory=lambda: np.zeros(3))
     u_alpha: float = 0.0
     u_l: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "u_pi", as_vec3(self.u_pi))
-        object.__setattr__(self, "u_gamma", as_vec3(self.u_gamma))
-        _set_finite_floats(self, "u_alpha", "u_l")
 
 
 def kinetic_energy(p1, p2, p3, l, i1, i2, i3, j3):
@@ -258,11 +259,11 @@ class ModelLayout:
     """How the phase point of one model is laid out, as a flat vector.
 
     The fields of ``state_type`` and of ``lift_type``, taken in declaration
-    order, fill ``columns`` in order.  :meth:`to_vector`, :meth:`from_vector`
-    and :meth:`lift_floats` are the package's only conversions between
-    those types and floats, and its only check that a state or lift is the
-    model's; ``split`` builds a state from a flat ``dim``-vector.  ``casimirs``
-    maps stacked ``(n, dim)`` states to one length-n array per name in
+    order, fill ``columns`` in order, 3 slots per vector and 1 per float.
+    :meth:`to_vector`, :meth:`from_vector` and :meth:`lift_floats` are the
+    package's only conversions between those types and floats, and its only
+    check that a state or lift is the model's.  ``casimirs`` maps stacked
+    ``(n, dim)`` states to one length-n array per name in
     ``casimir_names``, and :meth:`energy` to their energies.  ``gravity``
     tells whether the model has the advected direction ``Gamma`` and so
     needs a :class:`GravityParams`, whose potential adds to the energy.
@@ -279,7 +280,6 @@ class ModelLayout:
     kind: ModelKind
     state_type: type
     lift_type: type
-    split: Callable[[np.ndarray], object]
     columns: tuple
     casimir_names: tuple
     gravity: bool
@@ -302,7 +302,7 @@ class ModelLayout:
         if not isinstance(obj, want):
             got = type(obj).__name__
             raise ValueError(f"{self.kind.value} model needs a {want.__name__} {what}, got {got}")
-        # __post_init__ makes the scalar fields floats and the others ndarrays.
+        # _Flat makes the scalar fields floats and the others ndarrays.
         return [x for v in vars(obj).values() for x in ((v,) if type(v) is float else v.tolist())]
 
     def to_vector(self, state) -> np.ndarray:
@@ -314,7 +314,10 @@ class ModelLayout:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.dim,):
             raise ValueError(f"expected a {self.dim}-vector, got shape {y.shape}")
-        return self.split(y)
+        values, i = {}, 0
+        for name, vector, _ in _flat_fields(self.state_type):
+            values[name], i = (y[i : i + 3], i + 3) if vector else (y[i], i + 1)
+        return self.state_type(**values)
 
     def lift_floats(self, lift) -> list:
         """`lift` as a flat list of floats; ValueError unless a ``lift_type``."""
@@ -391,7 +394,6 @@ _LAYOUTS = {
         kind=ModelKind.SO3,
         state_type=So3RotorState,
         lift_type=ControlLiftSo3,
-        split=lambda y: So3RotorState(pi=y[:3], alpha=y[3], l=y[4]),
         columns=("Pi1", "Pi2", "Pi3", "alpha", "l"),
         casimir_names=("pi_norm",),
         gravity=False,
@@ -404,7 +406,6 @@ _LAYOUTS = {
         kind=ModelKind.SE3,
         state_type=Se3RotorState,
         lift_type=ControlLiftSe3,
-        split=lambda y: Se3RotorState(pi=y[:3], gamma=y[3:6], alpha=y[6], l=y[7]),
         columns=("Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3", "alpha", "l"),
         casimir_names=("pi_dot_gamma", "gamma_norm"),
         gravity=True,

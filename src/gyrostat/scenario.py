@@ -44,10 +44,9 @@ dict with str keys, and raises TypeError on anything else.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
@@ -63,6 +62,7 @@ from .model import (
     ModelLayout,
     Se3RotorState,
     So3RotorState,
+    _flat_fields,
     model_layout,
 )
 from .rng import SplitMix64
@@ -179,37 +179,31 @@ def _parse_gravity(doc: dict, lay: ModelLayout) -> Optional[GravityParams]:
     return _ask(GravityParams, "gravity", "gravity", mgh=mgh, **kwargs)
 
 
-@functools.cache
-def _fields(cls: type) -> tuple:
-    """``dataclasses.fields`` of a state or lift type, looked up once."""
-    return fields(cls)
-
-
 def _slots(block: dict, cls: type, where: str) -> dict:
     """The entries of `block` for the fields of the state or lift type
-    `cls`, checked: a scalar field (default 0.0) as a number, a vector one
-    (no default value) as a 3-vector.  A field with no default at all, a
-    state's ``pi`` or ``gamma``, is required; the others default."""
+    `cls`, checked by the model's field rule: a vector field as a 3-vector,
+    the others as numbers.  A required field, a state's ``pi`` or
+    ``gamma``, must be there; the others default."""
     slots = {}
-    for f in _fields(cls):
-        if f.name in block:
-            value, name = block[f.name], f"{where}.{f.name}"
-            vector = f.default is MISSING
-            slots[f.name] = _vector(value, 3, name) if vector else _number(value, name)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            _require(block, f.name, where)
+    for name, vector, required in _flat_fields(cls):
+        if name in block:
+            value, path = block[name], f"{where}.{name}"
+            slots[name] = _vector(value, 3, path) if vector else _number(value, path)
+        elif required:
+            _require(block, name, where)
     return slots
 
 
 def _parse_initial(doc: dict, lay: ModelLayout):
-    block = _block(doc, "initial", tuple(f.name for f in _fields(lay.state_type)))
+    block = _block(doc, "initial", tuple(name for name, _, _ in _flat_fields(lay.state_type)))
     return lay.state_type(**_slots(block, lay.state_type, "initial"))
 
 
 def _parse_control(doc: dict, lay: ModelLayout) -> Optional[ConstantControl]:
     if "control" not in doc:
         return None
-    block = _block(doc, "control", ("kind", *(f.name for f in _fields(lay.lift_type))))
+    names = (name for name, _, _ in _flat_fields(lay.lift_type))
+    block = _block(doc, "control", ("kind", *names))
     kind = block.get("kind", "zero")
     if kind == "zero":
         for key in block:

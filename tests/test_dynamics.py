@@ -459,6 +459,26 @@ class TestIntegrate:
             assert partial.steps < partial.field_calls <= 50 * partial.steps
             assert partial.max_sweeps * partial.steps >= partial.field_calls
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_feedback_run_that_overflows_fails_its_step(self, std_params, kind, method):
+        # A stage past the float range reaches the law as a non-finite
+        # point: the step fails as it does with no control, not the state
+        # built for the law.
+        pi = (1e154, 2e154, 3e154)
+        if kind is ModelKind.SO3:
+            state, grav = So3RotorState(pi=pi, l=0.5), None
+        else:
+            state, grav = Se3RotorState(pi=pi, gamma=(0.6, 0.0, 0.8), l=0.5), GravityParams(mgh=2.0)
+        fb = FeedbackControl(lambda s: None)
+        with pytest.raises(IntegrationError) as exc:
+            integrate(kind, std_params, state, grav=grav, control=fb, dt=0.1, t_end=10.0, method=method)
+        assert exc.value.time == 0.1
+        assert exc.value.partial.steps == 0
+        assert exc.value.partial.states.tolist() == [model_layout(kind).to_vector(state).tolist()]
+
     def test_zero_feedback_matches_zero_control(self, std_params, std_so3_state):
         fb = FeedbackControl(lambda state: ControlLiftSo3())
         a = integrate(ModelKind.SO3, std_params, std_so3_state, dt=1e-3, t_end=0.1)

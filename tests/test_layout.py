@@ -1,6 +1,8 @@
 """The model layout: one lookup per ModelKind for everything the two
 phase spaces differ in."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from gyrostat.model import (
     ControlLiftSe3,
     ControlLiftSo3,
     ModelKind,
+    ModelLayout,
     Se3RotorState,
     So3RotorState,
     casimirs,
@@ -220,3 +223,33 @@ class TestUnknownKind:
         field = GammaBarField(kind=bad, fn=lambda _c: np.full(8, 0.1))
         with pytest.raises(ValueError):
             residual_field_report(field, [None], std_params, std_grav)
+
+
+# Each state and lift type, with its vector fields and its float fields.
+_FLAT_TYPES = [
+    (So3RotorState, ("pi",), ("alpha", "l")),
+    (Se3RotorState, ("pi", "gamma"), ("alpha", "l")),
+    (ControlLiftSo3, ("u_pi",), ("u_alpha", "u_l")),
+    (ControlLiftSe3, ("u_pi", "u_gamma"), ("u_alpha", "u_l")),
+]
+
+
+@pytest.mark.parametrize("cls, vectors, scalars", _FLAT_TYPES)
+class TestOneFieldRule:
+    """The state and lift types share one field rule, written in `model`;
+    no type checks its own fields, and no layout splits a flat vector by
+    a per-model constructor."""
+
+    def test_no_type_writes_its_own_rule(self, cls, vectors, scalars):
+        assert "__post_init__" not in vars(cls)
+        assert "split" not in {f.name for f in dataclasses.fields(ModelLayout)}
+
+    @pytest.mark.parametrize("value", [2, np.int64(-3), np.float32(0.5), np.float64(-0.0)])
+    def test_scalars_are_stored_as_floats(self, cls, vectors, scalars, value):
+        block = cls(**{name: [1, 2, 3] for name in vectors}, **{name: value for name in scalars})
+        for name in scalars:
+            assert type(getattr(block, name)) is float
+            assert getattr(block, name) == float(value)
+        for name in vectors:
+            assert getattr(block, name).dtype == np.float64
+            assert getattr(block, name).tolist() == [1.0, 2.0, 3.0]
