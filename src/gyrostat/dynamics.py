@@ -33,10 +33,10 @@ order, so it equals ndarray arithmetic bit for bit without its per-call
 cost on 5 or 8 slots.  A whole run, RK4 or midpoint, is one loop generated
 from one source template and compiled on first use, with every slot
 unrolled into local names (as :mod:`dataclasses` writes out its methods).
-Without a feedback law the loop evaluates the model's table in place and
-adds a constant lift slot by slot, so a step calls no Python function;
-with a law, or a wrapper set on this module's kernel attribute, it calls
-the controlled field, lift included, at every field stage.  The model's
+The control alone picks the loop: without a feedback law it evaluates
+the model's table in place and adds a constant lift slot by slot, so a
+step calls no Python function; with a law it calls the controlled field,
+lift included, at every field stage.  The model's
 layout computes the energy and the Casimirs once per run, over the
 stacked states.  The public :func:`step_rk4` and :func:`step_midpoint`
 run one step of the calling loop on an ndarray field.
@@ -311,9 +311,6 @@ so3_field_kernel.__doc__ = """Uncontrolled ``(dPi1, dPi2, dPi3, dalpha, dl)`` of
 se3_field_kernel.__doc__ = """As :func:`so3_field_kernel`, for the
     restoring-torque model's ``(Pi, Gamma, alpha, l)`` and an 8-row block:
     ``se3_field_kernel(i1, i2, i3, j3, mgh, c1, c2, c3, y)``."""
-# The kernels the table compiled; `integrate` writes the table into its run
-# loop only while the module attributes still name them.
-_TABLE_KERNELS = {ModelKind.SO3: so3_field_kernel, ModelKind.SE3: se3_field_kernel}
 
 
 def _read_control(control, lay):
@@ -358,8 +355,8 @@ def _flat_system(kind, params, grav, control):
     lay = model_layout(kind)
     consts = lay.constants(params, grav)
     # Looked up by name at each build, so that a wrapper set on the
-    # module's attribute sees every call: `integrate` evaluates the table
-    # in place only while the attribute still names the table's kernel.
+    # module's attribute sees every call of this field; `integrate` without
+    # a law writes the table into its loop and never calls it.
     free = partial(globals()[f"{kind.value}_field_kernel"], *consts)
     jac = partial(globals()[f"_{kind.value}_field_jacobian"], *consts)
     u, law = _read_control(control, lay)
@@ -621,14 +618,9 @@ def integrate(
     y = lay.to_vector(initial).tolist()
     f, _jac = _flat_system(kind, params, grav, control)
     u, law = _read_control(control, lay)
-    # The table is written into the loop, a constant lift added to it,
-    # unless a law must be called at each stage or the module's kernel
-    # attribute no longer names the table's kernel (a wrapper set there
-    # sees every call); the loop then calls `f`, which adds the lift.
-    kernel = globals()[f"{kind.value}_field_kernel"]
-    inline = law is None and kernel is _TABLE_KERNELS[kind]
-    u = u if inline else None
-    run = _run_loop(method, lay.dim, u is not None, kind if inline else None)
+    # Without a law the table is written into the loop, a constant lift
+    # added to it; with one the loop calls `f`, which adds the law's lift.
+    run = _run_loop(method, lay.dim, u is not None, kind if law is None else None)
 
     times, rows = [0.0], [tuple(y)]
 

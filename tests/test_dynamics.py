@@ -499,10 +499,11 @@ NOT_A_CONTROL_MESSAGE = "control must be None, a ConstantControl or a FeedbackCo
 
 @pytest.fixture
 def no_field_call(monkeypatch):
-    def kernel(*args):
-        raise AssertionError("field called before the control was checked")
+    def trap(*args):
+        raise AssertionError("field called or run started before the control was checked")
 
-    monkeypatch.setattr(dynamics, "so3_field_kernel", kernel)
+    monkeypatch.setattr(dynamics, "so3_field_kernel", trap)
+    monkeypatch.setattr(dynamics, "_run_loop", trap)
 
 
 @pytest.mark.usefixtures("no_field_call")
@@ -580,7 +581,9 @@ class TestLawWithoutLift:
 
 class TestKernelLookup:
     """The fields look the kernels up by name when they are built, so a
-    wrapper set on the module attribute sees every call."""
+    wrapper set on the module attribute sees every call of a field: the
+    Newton search's and a feedback run's.  A run without a law writes the
+    table into its loop and calls no field."""
 
     @staticmethod
     def _count_calls(monkeypatch, kind) -> list:
@@ -601,9 +604,11 @@ class TestKernelLookup:
     ):
         state = std_se3_state if kind is ModelKind.SE3 else std_so3_state
         calls = self._count_calls(monkeypatch, kind)
-        traj = integrate(kind, std_params, state, grav=std_grav, dt=1e-3, t_end=0.01)
+        laws = []
+        control = FeedbackControl(laws.append)  # returns None: no lift
+        traj = integrate(kind, std_params, state, grav=std_grav, control=control, dt=1e-3, t_end=0.01)
         assert traj.steps == 10
-        assert len(calls) == 4 * traj.steps == traj.field_calls
+        assert len(calls) == len(laws) == 4 * traj.steps == traj.field_calls
         assert traj.max_sweeps == 0
 
     @pytest.mark.parametrize("kind", list(ModelKind))
@@ -614,10 +619,10 @@ class TestKernelLookup:
 
         state = std_se3_state if kind is ModelKind.SE3 else std_so3_state
         lift = model_layout(kind).lift_type(u_alpha=0.2, u_l=-0.05)
-        control = ConstantControl(lift)
         # Built before the wrapper goes in, so these calls are not counted.
-        rhs = ndarray_field(kind, std_params, std_grav, control)
-        calls = self._count_calls(monkeypatch, kind)
+        rhs = ndarray_field(kind, std_params, std_grav, ConstantControl(lift))
+        calls, laws = self._count_calls(monkeypatch, kind), []
+        control = FeedbackControl(lambda s: laws.append(s) or lift)
         traj = integrate(
             kind, std_params, state, grav=std_grav, control=control,
             dt=1e-3, t_end=0.01, method="midpoint",
@@ -632,7 +637,30 @@ class TestKernelLookup:
         for _ in range(traj.steps):
             y = _ref_midpoint(counted, y, 1e-3)
         assert traj.steps == 10
-        assert len(calls) == len(sweeps) == traj.field_calls > 2 * traj.steps
+        assert len(calls) == len(laws) == len(sweeps) == traj.field_calls > 2 * traj.steps
+
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    @pytest.mark.parametrize("lifted", [False, True])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_run_without_a_law_writes_the_table_in(
+        self, monkeypatch, std_params, std_grav, std_so3_state, std_se3_state, kind, lifted, method
+    ):
+        # A wrapper on the kernel attribute changes neither the loop nor
+        # its bytes, and sees none of its field evaluations.
+        state = std_se3_state if kind is ModelKind.SE3 else std_so3_state
+        lift = model_layout(kind).lift_type(u_alpha=0.2, u_l=-0.05)
+        kw = dict(grav=std_grav, control=ConstantControl(lift) if lifted else None,
+                  dt=1e-2, t_end=0.5, sample_every=3, method=method)
+        plain = integrate(kind, std_params, state, **kw)
+        loops = _spy_run_loop(monkeypatch)
+        calls = self._count_calls(monkeypatch, kind)
+        traj = integrate(kind, std_params, state, **kw)
+        assert loops == [(method, model_layout(kind).dim, lifted, kind)]
+        assert calls == []
+        counts = lambda t: (t.steps, t.field_calls, t.max_sweeps)  # noqa: E731
+        assert counts(traj) == counts(plain)
+        for name in ("times", "states", "energy", "casimirs"):
+            assert getattr(traj, name).tobytes() == getattr(plain, name).tobytes()
 
     @pytest.mark.parametrize(
         "kind, guess",
@@ -657,39 +685,36 @@ class TestKernelLookup:
         assert calls[0] == lay.to_vector(guess).tolist()
 
 
+def _spy_run_loop(mp) -> list:
+    """The arguments of every `_run_loop` call while `mp` holds."""
+    run_loop, loops = dynamics._run_loop, []
+    mp.setattr(dynamics, "_run_loop", lambda *args: loops.append(args) or run_loop(*args))
+    return loops
+
+
 def _outcome(expansion, kind, params, grav, initial, **kw):
     """What `integrate` gives with the table written into its run loop
-    (``"inline"``) or with the module's kernel called at each field stage
-    (``"call"``, by a wrapper on the attribute): a trajectory's bytes and
-    counters, or a failure's message, time and partial trajectory."""
-    name = f"{kind.value}_field_kernel"
-    kernel = getattr(dynamics, name)
-    run_loop = dynamics._run_loop
-    calls, loops = [], []
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    def spied(*args):
-        loops.append(args)
-        return run_loop(*args)
-
+    (``"inline"``) or with the field called at each field stage (``"call"``,
+    by a feedback law that returns the constant lift, or None for no
+    control): a trajectory's bytes and counters, or a failure's message,
+    time and partial trajectory."""
+    laws = []
+    if expansion == "call":
+        lift = None if kw["control"] is None else kw["control"].lift
+        kw = dict(kw, control=FeedbackControl(lambda state: laws.append(state) or lift))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_run_loop", spied)
-        if expansion == "call":
-            mp.setattr(dynamics, name, counted)
+        loops = _spy_run_loop(mp)
         try:
             traj, failure = integrate(kind, params, initial, grav=grav, **kw), ()
         except IntegrationError as err:
             traj, failure = err.partial, (str(err), err.time)
-    # The loop evaluated the table in place, or called the kernel at every
+    # The loop evaluated the table in place, or called the law at every
     # field stage of the completed steps (and of a failed one).
     if expansion == "inline":
         assert loops[0][-1] is kind
     else:
         assert loops[0][-1] is None
-        assert len(calls) > traj.field_calls if failure else len(calls) == traj.field_calls
+        assert len(laws) > traj.field_calls if failure else len(laws) == traj.field_calls
     arrays = (traj.times, traj.states, traj.energy, traj.casimirs)
     return failure, [a.tobytes() for a in arrays], (traj.steps, traj.field_calls, traj.max_sweeps)
 
@@ -720,7 +745,7 @@ def run_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(run_cases())
 def test_inline_and_call_expansions_agree(case):
-    # The table written into the run loop and the kernel called from it
+    # The table written into the run loop and a law's field called from it
     # give the same bytes and counts, lifts with -0.0 entries included.
     kind, initial, kw = case
     params = InertiaParams(i_bar=(2.7, 1.9, 1.3), j3=0.7)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gyrostat.cli import EXIT_OK, main
@@ -37,6 +37,7 @@ from gyrostat.dynamics import (
 )
 from gyrostat.hj import (
     NEWTON_MAX_HALVINGS,
+    NEWTON_TOL,
     EquilibriumError,
     NewtonConvergenceError,
     SingularJacobianError,
@@ -617,6 +618,66 @@ def test_bordered_search_stays_on_the_guess_leaf(case):
     except EquilibriumError:
         return  # a leaf may hold no equilibrium near the guess
     _assert_equilibrium_on_the_leaf(kind, params, guess, grav, control, result.state)
+
+
+def _so3_steady_set(params, u_alpha, c) -> list:
+    """The zeros ``(Pi1, Pi2, Pi3, l)`` of the so3 field under a constant
+    ``u_alpha`` lift on the leaf ``|Pi| = c``, in closed form: the alpha
+    row gives ``l = j3 (Pi3 - i3 u_alpha) / (i3 + j3)``, and ``Pi x Omega
+    = 0`` then holds at the axis-3 spins ``Pi3 = +-c`` and, for k = 1, 2,
+    where real, at ``Pi3 = i_k j3 u_alpha / (i3 + j3 - i_k)`` with
+    ``Pi_k = +-sqrt(c^2 - Pi3^2)`` (no others while i1, i2 and i3 + j3
+    differ)."""
+    i1, i2, i3 = params.i_bar.tolist()
+    j3 = params.j3
+    pis = [[0.0, 0.0, c], [0.0, 0.0, -c]]
+    for k, ik in enumerate((i1, i2)):
+        p3 = ik * j3 * u_alpha / (i3 + j3 - ik)
+        if abs(p3) <= c:
+            for sign in (1.0, -1.0):
+                pi = [0.0, 0.0, p3]
+                pi[k] = sign * math.sqrt(c * c - p3 * p3)
+                pis.append(pi)
+    return [pi + [j3 * (pi[2] - i3 * u_alpha) / (i3 + j3)] for pi in pis]
+
+
+@st.composite
+def so3_searches(draw):
+    """A guess anywhere in a box, with no control or a u_alpha lift, for
+    moments whose i1, i2 and i3 + j3 differ pairwise by at least 0.05: off
+    the families where two of them agree and a circle of zeros joins two
+    axes."""
+    i1, i2, i3 = (draw(_floats(0.5, 3.5)) for _ in range(3))
+    j3 = draw(_floats(0.2, 2.5))
+    moments = (i1, i2, i3 + j3)
+    assume(all(abs(a - b) >= 0.05 for k, a in enumerate(moments) for b in moments[k + 1 :]))
+    u_alpha = draw(st.sampled_from([0.0]) | _floats(-0.5, 0.5))
+    guess = So3RotorState(
+        pi=[draw(_floats(-3.0, 3.0)) for _ in range(3)],
+        alpha=draw(_floats(-1.0, 1.0)),
+        l=draw(_floats(-2.0, 2.0)),
+    )
+    return InertiaParams(i_bar=(i1, i2, i3), j3=j3), u_alpha, guess
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(so3_searches())
+def test_converged_so3_search_is_a_closed_form_steady_motion(case):
+    # An oracle independent of the search: a converged state lies within
+    # sqrt(tol), in the max-norm over Pi and l, of the closed-form zeros on
+    # its own leaf.
+    params, u_alpha, guess = case
+    control = ConstantControl(ControlLiftSo3(u_alpha=u_alpha)) if u_alpha else None
+    try:
+        result = find_equilibrium(ModelKind.SO3, params, guess, control=control)
+    except EquilibriumError:
+        return  # a far guess may fail; only converged searches are judged
+    y = result.state.pi.tolist() + [result.state.l]
+    c = math.sqrt(sum(p * p for p in y[:3]))
+    distance = min(
+        max(abs(a - b) for a, b in zip(y, point)) for point in _so3_steady_set(params, u_alpha, c)
+    )
+    assert distance <= math.sqrt(NEWTON_TOL)
 
 
 def test_runs_off_case_stays_on_the_guess_sphere():
