@@ -20,8 +20,8 @@ round otherwise: ``np.linalg.solve`` (LAPACK ``gesv``) on the reduced
 square system, and the line-search 2-norm as the square root of BLAS
 ``ddot``.  A lift tangent to the Casimir levels (no control, or ``u_alpha``
 and ``u_l`` alone) is searched on the guess's Casimir leaf: the Newton
-system is bordered with the Casimir values, gradients and Hessians of
-:class:`gyrostat.model.ModelLayout`, which makes it regular where the
+system is bordered with the Casimirs that the slot pairs of
+:class:`gyrostat.model.ModelLayout` define, which makes it regular where the
 leaf's equilibria are isolated, and a leaf with no equilibrium near the
 guess is a failure.
 
@@ -296,12 +296,11 @@ def _multipliers(control, lay) -> int:
     when the lift is tangent to every Casimir level, else none.
 
     No control is tangent.  A constant lift is tangent when it is zero on
-    every slot that a Casimir Hessian touches: the Casimirs are quadratic
-    forms, so their gradients live on those slots alone.  A feedback law
-    is never bordered.
+    each 3-vector a Casimir pairs, the only slots its gradient lives on.
+    A feedback law is never bordered.
     """
     u, law = _read_control(control, lay)
-    crossing = u is not None and any(u[i] for c in lay.casimir_hessians for i, _j, _v in c)
+    crossing = u is not None and any(any(u[s : s + 3]) for pair in lay.casimir_slots for s in pair)
     return 0 if law is not None or crossing else len(lay.casimir_names)
 
 
@@ -328,9 +327,12 @@ def _bordered_system(rhs, jacobian, lay, level):
     def bordered_jacobian(z):
         y = z[:dim]
         cols = jacobian(y)
-        for mu, entries in zip(z[dim:], lay.casimir_hessians):
-            for i, j, v in entries:
-                cols[j][i] += mu * v
+        # The Hessian of v_a . v_b (|v_a|^2 / 2) is 1 at (a + k, b + k) and (b + k, a + k).
+        for mu, (a, b) in zip(z[dim:], lay.casimir_slots):
+            for k in range(3):
+                cols[b + k][a + k] += mu
+                if a != b:
+                    cols[a + k][b + k] += mu
         grads = lay.casimir_gradients(y)
         for col, border in zip(cols, zip(*grads)):
             col.extend(border)

@@ -34,7 +34,7 @@ import functools
 import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -262,19 +262,15 @@ class ModelLayout:
     order, fill ``columns`` in order, 3 slots per vector and 1 per float.
     :meth:`to_vector`, :meth:`from_vector` and :meth:`lift_floats` are the
     package's only conversions between those types and floats, and its only
-    check that a state or lift is the model's.  ``casimirs`` maps stacked
-    ``(n, dim)`` states to one length-n array per name in
-    ``casimir_names``, and :meth:`energy` to their energies.  ``gravity``
-    tells whether the model has the advected direction ``Gamma`` and so
-    needs a :class:`GravityParams`, whose potential adds to the energy.
+    check that a state or lift is the model's.  :meth:`energy` gives the
+    energies of stacked ``(n, dim)`` states, with the potential of a
+    :class:`GravityParams` where ``gravity`` (the model has ``Gamma``).
 
-    The equilibrium search borders its Newton system with the smooth
-    Casimirs, one per name and with the same level sets: ``|Pi|^2 / 2``
-    for so3, ``Pi . Gamma`` and ``|Gamma|^2 / 2`` for se3.
-    ``casimir_values`` and ``casimir_gradients`` take a flat point and
-    return one value, and one dim-long gradient, per Casimir.  The
-    Hessians are constant: ``casimir_hessians`` holds, per Casimir, its
-    nonzero entries as ``(row, column, value)``.
+    Each Casimir is written once, in ``casimir_slots``: the start slots
+    ``(a, b)`` of the two 3-vectors it pairs.  :meth:`casimirs` labels
+    stacked states with ``v_a . v_b``, or ``|v_a|`` where ``a == b``; the
+    search's ``casimir_values`` (``v_a . v_b`` or ``|v_a|^2 / 2``) and
+    ``casimir_gradients`` of a flat point are compiled from the slots.
     """
 
     kind: ModelKind
@@ -283,10 +279,27 @@ class ModelLayout:
     columns: tuple
     casimir_names: tuple
     gravity: bool
-    casimirs: Callable[[np.ndarray], list]
-    casimir_values: Callable[[list], list]
-    casimir_gradients: Callable[[list], list]
-    casimir_hessians: tuple
+    casimir_slots: tuple
+
+    def __post_init__(self):
+        values, gradients = [], []
+        for a, b in self.casimir_slots:
+            dot = " + ".join(f"y[{a + k}] * y[{b + k}]" for k in range(3))
+            values.append(f"({dot}) / 2" if a == b else f"({dot})")
+            grad = ["0.0"] * self.dim
+            for k in range(3):
+                grad[a + k], grad[b + k] = f"y[{b + k}]", f"y[{a + k}]"
+            gradients.append(f"[{', '.join(grad)}]")
+        for name, forms in (("casimir_values", values), ("casimir_gradients", gradients)):
+            object.__setattr__(self, name, eval(f"lambda y: [{', '.join(forms)}]", {}))
+
+    def casimirs(self, states: np.ndarray) -> list:
+        """Per Casimir, the labels of the stacked ``(n, dim)`` `states`."""
+        labels = []
+        for a, b in self.casimir_slots:
+            u, v = states[:, a : a + 3], states[:, b : b + 3]
+            labels.append(_row_norms(u) if a == b else _row_dots(u, v))
+        return labels
 
     @property
     def dim(self) -> int:
@@ -397,10 +410,7 @@ _LAYOUTS = {
         columns=("Pi1", "Pi2", "Pi3", "alpha", "l"),
         casimir_names=("pi_norm",),
         gravity=False,
-        casimirs=lambda s: [_row_norms(s[:, :3])],
-        casimir_values=lambda y: [(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) / 2],
-        casimir_gradients=lambda y: [[y[0], y[1], y[2], 0.0, 0.0]],
-        casimir_hessians=(((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)),),
+        casimir_slots=((0, 0),),
     ),
     ModelKind.SE3: ModelLayout(
         kind=ModelKind.SE3,
@@ -409,19 +419,7 @@ _LAYOUTS = {
         columns=("Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3", "alpha", "l"),
         casimir_names=("pi_dot_gamma", "gamma_norm"),
         gravity=True,
-        casimirs=lambda s: [_row_dots(s[:, :3], s[:, 3:6]), _row_norms(s[:, 3:6])],
-        casimir_values=lambda y: [
-            y[0] * y[3] + y[1] * y[4] + y[2] * y[5],
-            (y[3] * y[3] + y[4] * y[4] + y[5] * y[5]) / 2,
-        ],
-        casimir_gradients=lambda y: [
-            [y[3], y[4], y[5], y[0], y[1], y[2], 0.0, 0.0],
-            [0.0, 0.0, 0.0, y[3], y[4], y[5], 0.0, 0.0],
-        ],
-        casimir_hessians=(
-            ((0, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0), (3, 0, 1.0), (4, 1, 1.0), (5, 2, 1.0)),
-            ((3, 3, 1.0), (4, 4, 1.0), (5, 5, 1.0)),
-        ),
+        casimir_slots=((0, 3), (3, 3)),
     ),
 }
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import warnings
@@ -506,6 +507,35 @@ class TestEquilibriumCommand:
         assert rep["residual_norm"] is None
         assert rep["iterations"] == 0
         assert "not finite" in rep["error"]
+
+
+# An upright top above the sleeping threshold: the se3 search borders its
+# Newton system with both Casimirs and converges in 3 iterations.
+SE3_SLEEPING_TOP = {
+    "model": "se3",
+    "inertia": {"i_bar": [2.0, 2.0, 1.0], "j3": 1.0},
+    "gravity": {"mgh": 1.0, "chi": [0, 0, 1]},
+    "guess": [0.001, -0.001, 4.0, 0.001, 0.001, 1.0, 0.0, 0.0],
+}
+# SHA-256 of the stdout, recorded before the Casimirs were derived from
+# the layout's slot pairs.
+SE3_SLEEPING_TOP_STDOUT = {
+    "equilibrium": "e3868f759ad27dcf0a041e97841f95b136dc074a712a995d585248585fcede8a",
+    "hj-check": "8afe33f15f2238ad2b9660d7afa106112aec8f26cd1306cfb45e5b9cda3d1b9d",
+}
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "hj-check"])
+def test_se3_bordered_search_is_pinned(tmp_path, capsys, command):
+    doc = dict(SE3_SLEEPING_TOP)
+    if command == "hj-check":
+        doc["gamma"] = "equilibrium"
+    code = main([command, "--config", write_json(tmp_path / "cfg.json", doc)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert rep.get("converged", rep.get("passed")) is True
+    assert hashlib.sha256(out.encode()).hexdigest() == SE3_SLEEPING_TOP_STDOUT[command]
 
 
 class TestNoNumpyWarning:

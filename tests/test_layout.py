@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrostat.audit import bracket_oracle_audit
 from gyrostat.dynamics import (
@@ -16,6 +18,7 @@ from gyrostat.dynamics import (
 )
 from gyrostat.hj import (
     GammaBarField,
+    _multipliers,
     constant_field,
     find_equilibrium,
     residual_field_report,
@@ -27,6 +30,8 @@ from gyrostat.model import (
     ModelLayout,
     Se3RotorState,
     So3RotorState,
+    _row_dots,
+    _row_norms,
     casimirs,
     hamiltonian_se3,
     hamiltonian_so3,
@@ -91,14 +96,7 @@ class TestLayout:
         for k in range(lay.dim):
             values = [0.25 + j for j in range(lay.dim)]
             values[k] = -0.0
-            entries = {}
-            for column, v in zip(lay.columns, values):
-                name = "u_" + column.rstrip("123").lower()
-                if column[-1].isdigit():
-                    entries.setdefault(name, []).append(v)
-                else:
-                    entries[name] = v
-            flat = lay.lift_floats(lay.lift_type(**entries))
+            flat = lay.lift_floats(_lift_by_column(lay, values))
             assert all(type(x) is float for x in flat)
             assert np.array(flat).tobytes() == np.array(values).tobytes()
 
@@ -122,6 +120,18 @@ class TestLayout:
         for i, row in enumerate(rows):
             e = _hamiltonian(kind, lay.from_vector(row), std_params, std_grav)
             assert np.float64(e).tobytes() == energy[i].tobytes()
+
+
+def _lift_by_column(lay, values):
+    """The model's lift with `values` in column order, built by field name."""
+    entries = {}
+    for column, v in zip(lay.columns, values):
+        name = "u_" + column.rstrip("123").lower()
+        if column[-1].isdigit():
+            entries.setdefault(name, []).append(v)
+        else:
+            entries[name] = v
+    return lay.lift_type(**entries)
 
 
 def _hamiltonian(kind, state, params, grav):
@@ -253,3 +263,82 @@ class TestOneFieldRule:
         for name in vectors:
             assert getattr(block, name).dtype == np.float64
             assert getattr(block, name).tolist() == [1.0, 2.0, 3.0]
+
+
+# The Casimir forms as each layout wrote them by hand before the slot
+# pairs: the CSV labels, the search's values and its gradients.
+_HAND_WRITTEN = {
+    ModelKind.SO3: (
+        lambda s: [_row_norms(s[:, :3])],
+        lambda y: [(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]) / 2],
+        lambda y: [[y[0], y[1], y[2], 0.0, 0.0]],
+    ),
+    ModelKind.SE3: (
+        lambda s: [_row_dots(s[:, :3], s[:, 3:6]), _row_norms(s[:, 3:6])],
+        lambda y: [
+            y[0] * y[3] + y[1] * y[4] + y[2] * y[5],
+            (y[3] * y[3] + y[4] * y[4] + y[5] * y[5]) / 2,
+        ],
+        lambda y: [
+            [y[3], y[4], y[5], y[0], y[1], y[2], 0.0, 0.0],
+            [0.0, 0.0, 0.0, y[3], y[4], y[5], 0.0, 0.0],
+        ],
+    ),
+}
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]
+_ENTRIES = st.one_of(st.sampled_from(_EDGES), st.floats(-1e3, 1e3), st.floats())
+
+
+def _same_bits(a, b) -> bool:
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+class TestOneCasimirSpec:
+    """Each Casimir is written once, as the pair of 3-vector start slots
+    it pairs; the labels, values and gradients are derived from it, with
+    the bits of the forms once written by hand."""
+
+    def test_the_slot_pairs_are_the_only_casimir_field(self):
+        names = {f.name for f in dataclasses.fields(ModelLayout)}
+        assert "casimir_slots" in names
+        gone = {"casimirs", "casimir_values", "casimir_gradients", "casimir_hessians"}
+        assert not names & gone
+        assert model_layout(ModelKind.SO3).casimir_slots == ((0, 0),)
+        assert model_layout(ModelKind.SE3).casimir_slots == ((0, 3), (3, 3))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(list(ModelKind)), data=st.data())
+    def test_values_and_gradients_keep_their_bits(self, kind, data):
+        lay = model_layout(kind)
+        _labels, values, gradients = _HAND_WRITTEN[kind]
+        y = data.draw(st.lists(_ENTRIES, min_size=lay.dim, max_size=lay.dim))
+        assert _same_bits(lay.casimir_values(y), values(y))
+        assert _same_bits(lay.casimir_gradients(y), gradients(y))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_a_lift_on_a_paired_slot_is_not_bordered(self, kind):
+        # The search is bordered unless a constant lift has an entry on a
+        # 3-vector that a Casimir pairs: Pi for so3, Pi and Gamma for se3.
+        lay = model_layout(kind)
+        paired = {"Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3"} & set(lay.columns)
+        assert _multipliers(None, lay) == len(lay.casimir_names)
+        for k, column in enumerate(lay.columns):
+            values = [0.0] * lay.dim
+            values[k] = 0.3
+            control = ConstantControl(_lift_by_column(lay, values))
+            want = 0 if column in paired else len(lay.casimir_names)
+            assert _multipliers(control, lay) == want, column
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_labels_keep_their_bytes(self, kind):
+        lay = model_layout(kind)
+        rng = SplitMix64(14)
+        rows = [[rng.uniform(-3.0, 3.0) for _ in range(lay.dim)] for _ in range(40)]
+        rows += [[_EDGES[(i + j) % len(_EDGES)] for j in range(lay.dim)] for i in range(40)]
+        rows += [[1e200, -1e200, 3e200] * 2 + [0.0, 0.0], [5e-324, 0.0, -5e-324] * 2 + [1.0, 1.0]]
+        states = np.array([row[: lay.dim] for row in rows])
+        labels = lay.casimirs(states)
+        reference, _values, _gradients = _HAND_WRITTEN[kind]
+        assert len(labels) == len(lay.casimir_names)
+        for got, want in zip(labels, reference(states)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

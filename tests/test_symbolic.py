@@ -18,8 +18,9 @@ steady residual of ``gyrostat.hj`` evaluate it.  The reference never sees
 the table or a derivative of it.
 
 The Casimirs the equilibrium search borders its Newton system with are
-checked the same way: the layout's gradients and Hessian entries are the
-derivatives of its Casimir values, and each Casimir annihilates the
+checked the same way: the layout's gradients, and the Hessian terms that
+``gyrostat.hj._bordered_system`` adds to its Jacobian per multiplier, are
+the derivatives of its Casimir values, and each Casimir annihilates the
 kernel field.
 """
 
@@ -32,6 +33,7 @@ from gyrostat.dynamics import (
     se3_field_kernel,
     so3_field_kernel,
 )
+from gyrostat.hj import _bordered_system
 from gyrostat.model import ModelKind, model_layout
 
 I1, I2, I3, J3, MGH, C1, C2, C3 = sp.symbols("i1 i2 i3 j3 mgh c1 c2 c3")
@@ -140,29 +142,44 @@ def test_jacobian_mgh_zero_degenerates_to_so3():
 
 
 def layout_casimirs(kind):
-    """The layout's Casimir values, gradients and Hessians on symbols."""
-    coords = SE3_COORDS if kind is ModelKind.SE3 else SO3_COORDS
+    """The layout's Casimir values and gradients on symbols, and the Hessian
+    each adds to the bordered search's Jacobian: that Jacobian at
+    ``mu_k = 1`` (the other multipliers 0) less the Jacobian at ``mu = 0``.
+    The border rows and columns, the gradients, must not change."""
+    gravity = kind is ModelKind.SE3
+    coords = SE3_COORDS if gravity else SO3_COORDS
+    consts = (I1, I2, I3, J3, MGH, C1, C2, C3) if gravity else (I1, I2, I3, J3)
+    field_jacobian = _se3_field_jacobian if gravity else _so3_field_jacobian
     lay = model_layout(kind)
+    values = lay.casimir_values(coords)
+    _residual, jacobian = _bordered_system(
+        None, lambda y: field_jacobian(*consts, y), lay, values
+    )
+    dim, m = len(coords), len(values)
+    # The Jacobian is a list of columns.
+    at_zero = sp.Matrix(jacobian(coords + [0.0] * m)).T
     hessians = []
-    for entries in lay.casimir_hessians:
-        h = sp.zeros(len(coords), len(coords))
-        for i, j, v in entries:
-            h[i, j] = v
-        hessians.append(h)
-    return coords, lay.casimir_values(coords), lay.casimir_gradients(coords), hessians
+    for k in range(m):
+        mu = [1.0 if i == k else 0.0 for i in range(m)]
+        added = sp.Matrix(jacobian(coords + mu)).T - at_zero
+        assert all(exactly_equal(x, 0) for x in added[dim:, :])
+        assert all(exactly_equal(x, 0) for x in added[:, dim:])
+        hessians.append(added[:dim, :dim])
+    return coords, values, lay.casimir_gradients(coords), hessians
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_layout_casimir_derivatives_are_exact(kind):
-    # The gradients and the Hessian entries the equilibrium search borders
-    # its Newton system with are the derivatives of the Casimir values, and
-    # each gradient is its Hessian times the point, so that a gradient lives
-    # on the slots its Hessian touches.
+    # The gradients the equilibrium search borders its Newton system with,
+    # and the Hessian terms its Jacobian adds per multiplier, are the
+    # derivatives of the Casimir values, and each gradient is its Hessian
+    # times the point, so that a gradient lives on the slots its Hessian
+    # touches.
     coords, values, gradients, hessians = layout_casimirs(kind)
     assert len(values) == len(gradients) == len(hessians) == len(model_layout(kind).casimir_names)
     for c, grad, hess in zip(values, gradients, hessians):
         assert matrices_exactly_equal(sp.Matrix(grad), _grad(c, coords))
-        assert matrices_exactly_equal(hess, sp.Matrix(grad).jacobian(coords))
+        assert matrices_exactly_equal(hess, sp.hessian(c, coords))
         assert matrices_exactly_equal(hess * sp.Matrix(coords), sp.Matrix(grad))
 
 
