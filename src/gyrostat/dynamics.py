@@ -355,8 +355,8 @@ def _flat_system(kind, params, grav, control):
     lay = model_layout(kind)
     consts = lay.constants(params, grav)
     # Looked up by name at each build, so that a wrapper set on the
-    # module's attribute sees every call of this field; `integrate` without
-    # a law writes the table into its loop and never calls it.
+    # module's attribute sees every call of this field; `integrate` builds
+    # one only for a law, and otherwise writes the table into its loop.
     free = partial(globals()[f"{kind.value}_field_kernel"], *consts)
     jac = partial(globals()[f"_{kind.value}_field_jacobian"], *consts)
     u, law = _read_control(control, lay)
@@ -616,10 +616,12 @@ def integrate(
     n_steps = _step_count(dt, t_end, sample_every, method)
     lay = model_layout(kind)
     y = lay.to_vector(initial).tolist()
-    f, _jac = _flat_system(kind, params, grav, control)
+    consts = lay.constants(params, grav)
     u, law = _read_control(control, lay)
     # Without a law the table is written into the loop, a constant lift
-    # added to it; with one the loop calls `f`, which adds the law's lift.
+    # added to it, and no field is built; with one the loop calls
+    # `_flat_system`'s field, which adds the law's lift.
+    f = None if law is None else _flat_system(kind, params, grav, control)[0]
     run = _run_loop(method, lay.dim, u is not None, kind if law is None else None)
 
     times, rows = [0.0], [tuple(y)]
@@ -643,7 +645,6 @@ def integrate(
     def fail(message, step, field_calls, max_sweeps):
         return IntegrationError(message, step * dt, build(step - 1, field_calls, max_sweeps))
 
-    consts = lay.constants(params, grav)
     counts = run(consts, f, u, y, dt, n_steps, sample_every, times, rows, fail)
     return build(n_steps, *counts)
 

@@ -222,12 +222,19 @@ def _parse_control(doc: dict, lay: ModelLayout) -> Optional[ConstantControl]:
 
 
 @dataclass
-class Scenario:
-    """One validated simulation/audit setup with defaults applied."""
+class _ConfigHead:
+    """The system every config names first: the model, its inertias and,
+    for se3, its restoring torque; the config types extend it."""
 
     model: ModelKind
     inertia: InertiaParams
     gravity: Optional[GravityParams]
+
+
+@dataclass
+class Scenario(_ConfigHead):
+    """One validated simulation/audit setup with defaults applied."""
+
     initial: Union[So3RotorState, Se3RotorState]
     control: Optional[ConstantControl]
     method: str
@@ -296,9 +303,9 @@ def _json_object(pairs: list) -> dict:
 
 
 def _parse_head(text: str, keys: tuple) -> tuple:
-    """The document every config shares: the JSON object, whose keys must
-    all be in `keys`, its model's layout, its inertia and its gravity
-    block, validated in that order."""
+    """``(doc, lay, head)``: the JSON object, whose keys must all be the
+    head's or in `keys`, its model's layout, and the head every config
+    shares, validated and returned in :class:`_ConfigHead` field order."""
     try:
         doc = json.loads(text, object_pairs_hook=_json_object)
     except ScenarioError:
@@ -309,9 +316,9 @@ def _parse_head(text: str, keys: tuple) -> tuple:
         raise ScenarioError(f"config is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ScenarioError("config must be a JSON object")
-    _known(doc, keys)
+    _known(doc, ("model", "inertia", "gravity", *keys))
     lay = model_layout(_parse_model(doc))
-    return doc, lay, _parse_inertia(doc), _parse_gravity(doc, lay)
+    return doc, lay, (lay.kind, _parse_inertia(doc), _parse_gravity(doc, lay))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -323,17 +330,13 @@ def parse_scenario(text: str) -> Scenario:
         On malformed JSON, missing required fields, unknown enumeration
         values, or physically invalid numbers.
     """
-    doc, lay, inertia, gravity = _parse_head(
-        text, ("model", "inertia", "gravity", "initial", "control", "integrator", "seed")
-    )
+    doc, lay, head = _parse_head(text, ("initial", "control", "integrator", "seed"))
     initial = _parse_initial(doc, lay)
     control = _parse_control(doc, lay)
     method, dt, t_end, sample_every = _parse_integrator(doc)
     seed = _parse_seed(doc)
     return Scenario(
-        model=lay.kind,
-        inertia=inertia,
-        gravity=gravity,
+        *head,
         initial=initial,
         control=control,
         method=method,
@@ -345,12 +348,9 @@ def parse_scenario(text: str) -> Scenario:
 
 
 @dataclass
-class HjCheckConfig:
+class HjCheckConfig(_ConfigHead):
     """Inputs for one steady-equation residual check."""
 
-    model: ModelKind
-    inertia: InertiaParams
-    gravity: Optional[GravityParams]
     gamma: Optional[np.ndarray]
     equilibrium_guess: Optional[Union[So3RotorState, Se3RotorState]]
     control: Optional[ConstantControl]
@@ -368,9 +368,7 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
     A ``guess`` or a ``control`` beside an explicit ``gamma`` is rejected:
     only the search reads them.
     """
-    doc, lay, inertia, gravity = _parse_head(
-        text, ("model", "inertia", "gravity", "gamma", "guess", "control", "lift", "tolerance")
-    )
+    doc, lay, head = _parse_head(text, ("gamma", "guess", "control", "lift", "tolerance"))
     n = lay.dim
 
     raw_gamma = _require(doc, "gamma", "the config")
@@ -407,9 +405,7 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
             f"field 'tolerance' must be positive, got {tolerance}", field="tolerance"
         )
     return HjCheckConfig(
-        model=lay.kind,
-        inertia=inertia,
-        gravity=gravity,
+        *head,
         gamma=gamma,
         equilibrium_guess=guess,
         control=control,
@@ -419,12 +415,9 @@ def parse_hj_check_config(text: str) -> HjCheckConfig:
 
 
 @dataclass
-class EquilibriumConfig:
+class EquilibriumConfig(_ConfigHead):
     """Inputs for one equilibrium search."""
 
-    model: ModelKind
-    inertia: InertiaParams
-    gravity: Optional[GravityParams]
     guess: Union[So3RotorState, Se3RotorState]
     control: Optional[ConstantControl]
     tol: float
@@ -438,18 +431,14 @@ def parse_equilibrium_config(text: str) -> EquilibriumConfig:
     flat ``guess`` array (5 or 8 values), optional ``control``, and
     optional ``tol`` / ``max_iter``.
     """
-    doc, lay, inertia, gravity = _parse_head(
-        text, ("model", "inertia", "gravity", "guess", "control", "tol", "max_iter")
-    )
+    doc, lay, head = _parse_head(text, ("guess", "control", "tol", "max_iter"))
     guess_vec = _vector(_require(doc, "guess", "the config"), lay.dim, "guess")
     control = _parse_control(doc, lay)
     tol = _number(doc.get("tol", NEWTON_TOL), "tol")
     max_iter = doc.get("max_iter", NEWTON_MAX_ITER)
     _ask(_check_search, "search settings", None, tol, max_iter)
     return EquilibriumConfig(
-        model=lay.kind,
-        inertia=inertia,
-        gravity=gravity,
+        *head,
         guess=lay.from_vector(guess_vec),
         control=control,
         tol=tol,

@@ -116,9 +116,9 @@ def _run(command, config, workdir) -> tuple:
     return code, err.getvalue()
 
 
-# Awkward inputs renormalize chi with a UserWarning and overflow numpy
-# products; neither is an escape.
-@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+# No command warns: a renormalized chi is a `config warning:` line, and
+# numpy arithmetic that overflows is quiet, so any warning is an error.
+@pytest.mark.filterwarnings("error::UserWarning", "error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=mutated_configs())
 def test_every_config_exits_0_1_or_2_without_a_traceback(workdir, case):

@@ -662,6 +662,25 @@ class TestKernelLookup:
         for name in ("times", "states", "energy", "casimirs"):
             assert getattr(traj, name).tobytes() == getattr(plain, name).tobytes()
 
+    @pytest.mark.parametrize("control", ["none", "constant", "feedback"])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_integrate_builds_a_field_only_for_a_law(
+        self, monkeypatch, std_params, std_grav, std_so3_state, std_se3_state, kind, control
+    ):
+        state = std_se3_state if kind is ModelKind.SE3 else std_so3_state
+        lift = model_layout(kind).lift_type(u_alpha=0.2, u_l=-0.05)
+        control = {
+            "none": None,
+            "constant": ConstantControl(lift),
+            "feedback": FeedbackControl(lambda s: lift),
+        }[control]
+        flat_system, built = dynamics._flat_system, []
+        monkeypatch.setattr(
+            dynamics, "_flat_system", lambda *args: built.append(args) or flat_system(*args)
+        )
+        integrate(kind, std_params, state, grav=std_grav, control=control, dt=1e-3, t_end=0.01)
+        assert [args[-1] for args in built] == [control] * isinstance(control, FeedbackControl)
+
     @pytest.mark.parametrize(
         "kind, guess",
         [

@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from gyrostat import hj
 from gyrostat.algebra import ConfigurationPoint
 from gyrostat.dynamics import (
     ConstantControl,
     ControlLiftSe3,
     ControlLiftSo3,
+    FeedbackControl,
     reduced_rhs_se3,
     reduced_rhs_so3,
 )
@@ -305,6 +307,27 @@ class TestFindEquilibrium:
         pinned = ConstantControl(ControlLiftSo3(u_pi=(0.0, 0.0, 0.01)))
         with pytest.raises(SingularJacobianError, match="unequal counts"):
             find_equilibrium(ModelKind.SO3, std_params, guess, control=pinned)
+
+    def test_all_struck_system_takes_a_zero_step(self, monkeypatch):
+        # At Pi = 0 the Pi rows vanish, and the law's central differences
+        # cancel the alpha row exactly: every row and column is struck.
+        # The zero step cannot reduce the residual, so the search fails
+        # with its own error, not numpy's LinAlgError on an empty system.
+        seen, newton_direction = [], hj._newton_direction
+        monkeypatch.setattr(
+            hj, "_newton_direction", lambda cols, f: seen.append(cols) or newton_direction(cols, f)
+        )
+        law = FeedbackControl(lambda s: ControlLiftSo3(u_alpha=(s.pi[2] - s.l) - s.l, u_l=0.5))
+        with pytest.raises(NewtonConvergenceError) as exc:
+            find_equilibrium(
+                ModelKind.SO3, InertiaParams((1, 1, 1), 1), So3RotorState(pi=(0, 0, 0)), control=law
+            )
+        assert str(exc.value) == (
+            "damped step failed to reduce the residual (last residual max-norm 5.000e-01)"
+        )
+        assert exc.value.residual_norm == 0.5
+        assert exc.value.iterations == 0
+        assert len(seen) == 1 and not any(any(col) for col in seen[0])
 
     @pytest.mark.parametrize("max_iter", [-1, 0, 2.5, True, "5", None])
     def test_max_iter_must_be_a_positive_integer(self, std_params, std_so3_state, max_iter):

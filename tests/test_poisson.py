@@ -289,6 +289,14 @@ class TestDimensionChecks:
         with pytest.raises(ValueError, match="field dimensions differ: 5 vs 8"):
             bracket(CANONICAL, coordinate_field(5, 0), coordinate_field(8, 0), np.zeros(5))
 
+    def test_canonical_takes_only_the_two_model_dimensions(self):
+        # The canonical bracket has no dimension of its own, so the fields'
+        # dimension is checked against the two models'.
+        f, k = coordinate_field(5, 0), coordinate_field(5, 1)
+        f.dim = k.dim = 6
+        with pytest.raises(ValueError, match="^field dimension must be 5 or 8, got 6$"):
+            bracket(CANONICAL, f, k, np.zeros(6))
+
     @pytest.mark.parametrize("kind", ["product_so3", None, ModelKind.SO3], ids=repr)
     def test_unknown_kind(self, kind):
         # Not a KeyError from the kind table: the documented ValueError.

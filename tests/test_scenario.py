@@ -437,6 +437,50 @@ def test_readme_key_lists_are_the_parsers(command, model):
         assert sorted(listed) == sorted(both + (se3 if model == "se3" else [])), block
 
 
+class TestOneConfigHead:
+    """The head every config names first, ``model``, ``inertia`` and
+    ``gravity``, is declared once, by the base the three config types
+    extend; their fields, constructors and messages are as before."""
+
+    HEAD = ("model", "inertia", "gravity")
+    FIELDS = {
+        "simulate": (scenario.Scenario, ("initial", "control", "method", "dt", "t_end",
+                                         "sample_every", "seed")),
+        "hj-check": (scenario.HjCheckConfig, ("gamma", "equilibrium_guess", "control",
+                                              "lift", "tolerance")),
+        "equilibrium": (scenario.EquilibriumConfig, ("guess", "control", "tol", "max_iter")),
+    }
+    TAKES = {
+        "simulate": "initial, control, integrator, seed",
+        "hj-check": "gamma, guess, control, lift, tolerance",
+        "equilibrium": "guess, control, tol, max_iter",
+    }
+
+    @pytest.mark.parametrize("command", sorted(FIELDS))
+    def test_fields_are_the_head_then_the_types_own(self, command):
+        cls, own = self.FIELDS[command]
+        assert not set(self.HEAD) & set(vars(cls).get("__annotations__", {}))
+        assert tuple(f.name for f in dataclasses.fields(cls)) == self.HEAD + own
+
+    @pytest.mark.parametrize("model", ["so3", "se3"])
+    @pytest.mark.parametrize("command", sorted(FIELDS))
+    def test_positional_init_repr_and_equality(self, command, model):
+        cfg = PARSERS[command](json.dumps(_config_with_every_block(command, model)))
+        again = type(cfg)(*(getattr(cfg, f.name) for f in dataclasses.fields(cfg)))
+        assert repr(again) == repr(cfg)
+        assert again == cfg
+        assert repr(cfg).startswith(f"{type(cfg).__name__}(model=<ModelKind.")
+
+    @pytest.mark.parametrize("command", sorted(FIELDS))
+    def test_unknown_field_message(self, command):
+        doc = {**_config_with_every_block(command, "so3"), "zz": 0}
+        with pytest.raises(ScenarioError) as exc:
+            PARSERS[command](json.dumps(doc))
+        takes = f"model, inertia, gravity, {self.TAKES[command]}"
+        assert str(exc.value) == f"unknown field 'zz': the config takes {takes}"
+        assert exc.value.field == "zz"
+
+
 class TestEquilibriumConfig:
     def test_defaults(self):
         cfg = parse_equilibrium_config(json.dumps({
