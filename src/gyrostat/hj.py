@@ -11,7 +11,7 @@ lift component alone.
 
 :func:`find_equilibrium` iterates on lists of Python floats from the
 guess to the result, on the list field that
-:func:`gyrostat.dynamics.integrate` steps.  The exact Jacobian is derived
+:func:`gyrostat.dynamics._flat_system` builds.  The exact Jacobian is derived
 from the field table the kernels are compiled from (only a feedback lift
 is differenced), its structurally zero rows and columns are struck, and
 the damped line search and the max-norm stop test run on floats, each in

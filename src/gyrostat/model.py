@@ -258,30 +258,40 @@ def casimirs(state, kind: ModelKind) -> dict:
 class ModelLayout:
     """How the phase point of one model is laid out, as a flat vector.
 
-    The fields of ``state_type`` and of ``lift_type``, taken in declaration
-    order, fill ``columns`` in order, 3 slots per vector and 1 per float.
-    :meth:`to_vector`, :meth:`from_vector` and :meth:`lift_floats` are the
-    package's only conversions between those types and floats, and its only
-    check that a state or lift is the model's.  :meth:`energy` gives the
-    energies of stacked ``(n, dim)`` states, with the potential of a
-    :class:`GravityParams` where ``gravity`` (the model has ``Gamma``).
+    Four fields describe a model; the rest is read off them once.  The
+    fields of ``state_type`` and of ``lift_type``, taken in declaration
+    order, fill the slots in order, 3 per vector and 1 per float, and the
+    ``columns`` name the state's: ``V1, V2, V3`` for a vector ``v``, the
+    name for a float.  :meth:`to_vector`, :meth:`from_vector` and
+    :meth:`lift_floats` are the package's only conversions between those
+    types and floats, and its only check that a state or lift is the
+    model's.  :meth:`energy` gives the energies of stacked ``(n, dim)``
+    states, with the potential of a :class:`GravityParams` where
+    ``gravity`` (the state has a ``gamma`` field).
 
     Each Casimir is written once, in ``casimir_slots``: the start slots
-    ``(a, b)`` of the two 3-vectors it pairs.  :meth:`casimirs` labels
-    stacked states with ``v_a . v_b``, or ``|v_a|`` where ``a == b``; the
-    search's ``casimir_values`` (``v_a . v_b`` or ``|v_a|^2 / 2``) and
-    ``casimir_gradients`` of a flat point are compiled from the slots.
+    ``(a, b)`` of the two 3-vectors it pairs, named ``<a>_norm`` where
+    ``a == b`` and ``<a>_dot_<b>`` otherwise by the state fields there.
+    :meth:`casimirs` labels stacked states with ``v_a . v_b``, or ``|v_a|``
+    where ``a == b``; the search's ``casimir_values`` (``v_a . v_b`` or
+    ``|v_a|^2 / 2``) and ``casimir_gradients`` of a flat point are
+    compiled from the slots.
     """
 
     kind: ModelKind
     state_type: type
     lift_type: type
-    columns: tuple
-    casimir_names: tuple
-    gravity: bool
     casimir_slots: tuple
 
     def __post_init__(self):
+        columns, at = [], {}
+        for name, vector, _ in _flat_fields(self.state_type):
+            at[len(columns)] = name
+            columns += [f"{name.capitalize()}{k}" for k in (1, 2, 3)] if vector else [name]
+        object.__setattr__(self, "columns", tuple(columns))
+        names = (f"{at[a]}_" + ("norm" if a == b else f"dot_{at[b]}") for a, b in self.casimir_slots)
+        object.__setattr__(self, "casimir_names", tuple(names))
+        object.__setattr__(self, "gravity", "gamma" in at.values())
         values, gradients = [], []
         for a, b in self.casimir_slots:
             dot = " + ".join(f"y[{a + k}] * y[{b + k}]" for k in range(3))
@@ -403,24 +413,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 _LAYOUTS = {
-    ModelKind.SO3: ModelLayout(
-        kind=ModelKind.SO3,
-        state_type=So3RotorState,
-        lift_type=ControlLiftSo3,
-        columns=("Pi1", "Pi2", "Pi3", "alpha", "l"),
-        casimir_names=("pi_norm",),
-        gravity=False,
-        casimir_slots=((0, 0),),
-    ),
-    ModelKind.SE3: ModelLayout(
-        kind=ModelKind.SE3,
-        state_type=Se3RotorState,
-        lift_type=ControlLiftSe3,
-        columns=("Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3", "alpha", "l"),
-        casimir_names=("pi_dot_gamma", "gamma_norm"),
-        gravity=True,
-        casimir_slots=((0, 3), (3, 3)),
-    ),
+    ModelKind.SO3: ModelLayout(ModelKind.SO3, So3RotorState, ControlLiftSo3, ((0, 0),)),
+    ModelKind.SE3: ModelLayout(ModelKind.SE3, Se3RotorState, ControlLiftSe3, ((0, 3), (3, 3))),
 }
 
 

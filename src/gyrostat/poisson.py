@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .algebra import _as_integer
 from .model import GravityParams, InertiaParams, ModelKind, kinetic_energy, model_layout
 
 __all__ = [
@@ -72,7 +73,8 @@ class ScalarField:
     Parameters
     ----------
     dim : int
-        Phase-space dimension, 5 or 8.
+        Phase-space dimension, 5 or 8: a Python or numpy integer, stored as
+        an int; ValueError otherwise.
     value : callable
         Maps a phase vector of length `dim` to a float.  The energy fields
         also map a ``(dim, m)`` block, one point per column, to m values;
@@ -90,14 +92,18 @@ class ScalarField:
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.dim not in (_DIM_SO3, _DIM_SE3):
-            raise ValueError(f"field dimension must be 5 or 8, got {self.dim}")
+        self.dim = _field_dim(self.dim)
+
+
+def _field_dim(dim) -> int:
+    return _as_integer("field dimension", dim, lambda n: n in (_DIM_SO3, _DIM_SE3), "5 or 8")
 
 
 def coordinate_field(dim: int, index: int) -> ScalarField:
-    """The i-th coordinate function, with its exact gradient."""
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} out of range for dimension {dim}")
+    """The i-th coordinate function, with its exact gradient; ValueError
+    unless `dim` is 5 or 8 and `index` an integer in ``[0, dim)``."""
+    dim = _field_dim(dim)
+    index = _as_integer("index", index, lambda i: 0 <= i < dim, f"in [0, {dim})")
     basis = np.zeros(dim)
     basis[index] = 1.0
     return ScalarField(

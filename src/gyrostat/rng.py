@@ -71,7 +71,9 @@ class SplitMix64:
         z >>= np.uint64(11)
         u = z.astype(np.float64)
         u *= 2.0**-53
-        u *= high - low
-        u += low
+        # Bounds that are not finite give inf or NaN, quietly, as uniform's.
+        with np.errstate(over="ignore", invalid="ignore"):
+            u *= high - low
+            u += low
         self._state = (self._state + n * _GOLDEN) & _MASK
         return u

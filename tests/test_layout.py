@@ -30,6 +30,7 @@ from gyrostat.model import (
     ModelLayout,
     Se3RotorState,
     So3RotorState,
+    _Flat,
     _row_dots,
     _row_norms,
     casimirs,
@@ -342,3 +343,44 @@ class TestOneCasimirSpec:
         assert len(labels) == len(lay.casimir_names)
         for got, want in zip(labels, reference(states)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Probe(_Flat):
+    """A state type of neither model: two vectors and two floats."""
+
+    pi: np.ndarray
+    nu: np.ndarray
+    alpha: float = 0.0
+    l: float = 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class _ProbeWithGamma(_Flat):
+    """A state type with a gamma field after a float."""
+
+    l: float = 0.0
+    gamma: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(3))
+
+
+class TestDerivedLayout:
+    """A layout is four fields; its columns, Casimir names and gravity flag
+    are read off the state type and the slot pairs."""
+
+    def test_four_constructor_fields(self):
+        names = [f.name for f in dataclasses.fields(ModelLayout)]
+        assert names == ["kind", "state_type", "lift_type", "casimir_slots"]
+
+    def test_a_state_type_of_neither_model(self):
+        lay = ModelLayout(ModelKind.SO3, _Probe, ControlLiftSe3, ((0, 3),))
+        assert lay.columns == ("Pi1", "Pi2", "Pi3", "Nu1", "Nu2", "Nu3", "alpha", "l")
+        assert lay.casimir_names == ("pi_dot_nu",)
+        assert lay.gravity is False
+        assert lay.dim == 8
+        assert lay.csv_header == "t,Pi1,Pi2,Pi3,Nu1,Nu2,Nu3,alpha,l,energy,pi_dot_nu"
+
+    def test_gravity_is_a_gamma_field(self):
+        lay = ModelLayout(ModelKind.SE3, _ProbeWithGamma, ControlLiftSo3, ((1, 1),))
+        assert lay.columns == ("l", "Gamma1", "Gamma2", "Gamma3")
+        assert lay.casimir_names == ("gamma_norm",)
+        assert lay.gravity is True

@@ -137,6 +137,40 @@ def test_coordinate_field_bounds():
         coordinate_field(5, 5)
 
 
+@pytest.mark.parametrize(
+    "index", [True, False, np.True_, 1.0, np.float64(1.0), 1.5, "1", None, -1, 5], ids=repr
+)
+def test_coordinate_field_index_is_an_integer_in_range(index):
+    # True used to build a gradient of all ones (numpy reads basis[True]
+    # as every entry), and 1.0 raised numpy's IndexError.
+    with pytest.raises(ValueError, match=r"^index must be an integer in \[0, 5\), got "):
+        coordinate_field(5, index)
+
+
+@pytest.mark.parametrize(
+    "dim", [True, 5.0, np.float64(8.0), "5", None, 4, 6, np.int64(6)], ids=repr
+)
+def test_field_dimension_is_an_integer_5_or_8(dim):
+    # ScalarField(dim=5.0) used to be accepted and to fail later, in
+    # hamiltonian_vector_field_via_bracket, with a TypeError.
+    match = r"^field dimension must be an integer 5 or 8, got "
+    with pytest.raises(ValueError, match=match):
+        ScalarField(dim=dim, value=lambda x: 0.0)
+    with pytest.raises(ValueError, match=match):
+        coordinate_field(dim, 0)
+
+
+@pytest.mark.parametrize("dim, index", [(np.int64(5), np.int64(1)), (np.uint8(8), np.int32(1))])
+def test_numpy_integer_settings_are_their_values(dim, index):
+    f = coordinate_field(dim, index)
+    assert type(f.dim) is int and f.dim == int(dim)
+    assert f.grad(np.zeros(f.dim)).tolist() == coordinate_field(int(dim), 1).grad(None).tolist()
+    x = [1.0, 2.0, 3.0, 0.0, 0.5]
+    h = hamiltonian_field_so3(InertiaParams([3.0, 2.0, 1.0], 1.0))
+    got = bracket(PROD5, coordinate_field(np.int64(5), index), h, x)
+    assert got == bracket(PROD5, coordinate_field(5, 1), h, x) == pytest.approx(-1.5)
+
+
 class TestStructureRelations:
     """Coordinate brackets reproduce the defining relations."""
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,20 @@ def test_count_must_be_a_non_negative_integer(n):
     with pytest.raises(ValueError, match="n must be"):
         rng.uniforms(n, 0.0, 1.0)
     assert rng.next_u64() == SplitMix64(9).next_u64()  # state untouched
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(-np.inf, 1.0), (0.0, np.inf), (np.inf, np.inf), (np.nan, 1.0), (-1e308, 1e308)],
+)
+@pytest.mark.parametrize("n", [4, 1500])
+def test_bounds_that_are_not_finite_draw_quietly(low, high, n):
+    # The block's arithmetic used to warn "invalid value encountered in add"
+    # where the scalar draw returns NaN without a word.
+    block, scalar = SplitMix64(1), SplitMix64(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = block.uniforms(n, low, high)
+        want = [scalar.uniform(low, high) for _ in range(n)]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert block.next_u64() == scalar.next_u64()
